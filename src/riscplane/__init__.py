@@ -45,6 +45,7 @@ from .metrics import (
     calibrate_rho,
     crossover_frame,
     goodput,
+    goodput_curves,
     goodput_sweep,
     reliability_grid,
     select_config,

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import InvalidParameterError
 
 TWO_PI = 2.0 * np.pi
+# Largest bits per element phase. A 2^b-entry phase table is built per run,
+# so this also bounds its memory (2^16 complex entries, 1 MiB).
+MAX_QUANT_BITS = 16
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _GRID_TOL = 1e-9
 
@@ -42,11 +45,16 @@ def grid_step(quant_bits: int) -> float:
     return TWO_PI / (1 << quant_bits)
 
 
-def quantize_phases(phases: np.ndarray, quant_bits: int) -> np.ndarray:
-    """Round each phase to the nearest grid point, wrapped to [0, 2*pi)."""
+def phase_indices(phases: np.ndarray, quant_bits: int) -> np.ndarray:
+    """Index k in [0, 2^quant_bits) of the grid point k * step nearest each phase."""
     step = grid_step(quant_bits)
     idx = np.round(np.asarray(phases, dtype=float) / step).astype(np.int64)
-    return (idx % (1 << quant_bits)) * step
+    return idx % (1 << quant_bits)
+
+
+def quantize_phases(phases: np.ndarray, quant_bits: int) -> np.ndarray:
+    """Round each phase to the nearest grid point, wrapped to [0, 2*pi)."""
+    return phase_indices(phases, quant_bits) * grid_step(quant_bits)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import sys
 from .config import ConfigError, RunConfig, load_config, parse_grid
 from .control import ControlMode, Scheme, message_catalog
 from .frames import ChannelUse, build_frame, overhead_ms, validate_causality
-from .metrics import goodput_sweep, reliability_grid
+from .metrics import goodput_curves, reliability_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,32 +90,28 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 def cmd_goodput(cfg: RunConfig, schemes, modes) -> int:
     out_path = cfg.output_path or "goodput.csv"
-    curves = {}
-    for scheme in schemes:
-        for mode in modes:
-            curves[(scheme, mode)] = goodput_sweep(
-                cfg.scheme_params(scheme), mode, cfg.frame_grid,
-                cfg.bandwidth_hz, cfg.n_trials, cfg.master_seed,
-                rho=cfg.rho,
-                assume_perfect_control=cfg.perfect_control,
-                control_state=None if cfg.perfect_control else cfg.control_state(),
-                header_bits=cfg.header_bits,
-                ini_carries_full_codebook=cfg.ini_carries_full_codebook,
-                tti_ms=cfg.tti_ms,
-                codebook_seed=cfg.codebook_seed,
-                codebook_style=cfg.bsw_codebook_style,
-                workers=cfg.workers,
-            )
+    curves = goodput_curves(
+        [(cfg.scheme_params(scheme), mode) for scheme in schemes for mode in modes],
+        cfg.frame_grid, cfg.bandwidth_hz, cfg.n_trials, cfg.master_seed,
+        rho=cfg.rho,
+        assume_perfect_control=cfg.perfect_control,
+        control_state=None if cfg.perfect_control else cfg.control_state(),
+        header_bits=cfg.header_bits,
+        ini_carries_full_codebook=cfg.ini_carries_full_codebook,
+        tti_ms=cfg.tti_ms,
+        codebook_seed=cfg.codebook_seed,
+        codebook_style=cfg.bsw_codebook_style,
+        workers=cfg.workers,
+    )
     lines = [GOODPUT_HEADER]
-    for i, frame in enumerate(cfg.frame_grid):
-        for scheme in schemes:
-            for mode in modes:
-                r = curves[(scheme, mode)][i]
-                lines.append(",".join([
-                    _fmt(r.frame_ms), r.scheme.value, r.mode.value,
-                    _fmt(r.goodput_mbps), _fmt(r.overhead_ms),
-                    _fmt(r.success_prob), str(r.n_trials), str(r.seed),
-                ]))
+    for i in range(len(cfg.frame_grid)):
+        for curve in curves:
+            r = curve[i]
+            lines.append(",".join([
+                _fmt(r.frame_ms), r.scheme.value, r.mode.value,
+                _fmt(r.goodput_mbps), _fmt(r.overhead_ms),
+                _fmt(r.success_prob), str(r.n_trials), str(r.seed),
+            ]))
     _write_lines(out_path, lines)
     print(f"wrote {out_path} ({len(lines) - 1} rows)", file=sys.stderr)
     return EXIT_OK

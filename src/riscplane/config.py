@@ -7,11 +7,12 @@ and a test pins the two together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .channel import DEFAULT_RHO
+from .channel import DEFAULT_RHO, MAX_QUANT_BITS
 from .control import ControlChannelState, Scheme, db_to_linear
 from .frames import SchemeParams
 
@@ -25,14 +26,22 @@ class ConfigError(Exception):
         self.message = message
 
 
+def _finite(raw: str, name: str) -> float:
+    """float(raw), rejecting nan and infinities; ValueError if it does not parse."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ConfigError(name, f"{raw!r} is not a finite number")
+    return value
+
+
 def parse_grid(text: str, name: str) -> tuple[float, ...]:
     """Parse 'START:STOP:STEP' (inclusive) or a single value."""
     parts = [p.strip() for p in text.split(":")]
     try:
         if len(parts) == 1:
-            return (float(parts[0]),)
+            return (_finite(parts[0], name),)
         if len(parts) == 3:
-            start, stop, step = (float(p) for p in parts)
+            start, stop, step = (_finite(p, name) for p in parts)
             if step <= 0 or stop < start:
                 raise ConfigError(name, "grid requires STOP >= START and STEP > 0")
             count = int((stop - start) / step + 1e-9) + 1
@@ -107,6 +116,8 @@ class RunConfig:
         for name in positive_ints:
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
+        if self.quant_bits > MAX_QUANT_BITS:
+            raise ConfigError("quant_bits", f"must be <= {MAX_QUANT_BITS}")
         for name in ["proc_ttis", "header_bits", "master_seed", "codebook_seed"]:
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be >= 0")
@@ -145,7 +156,7 @@ def _coerce(cfg: RunConfig, key: str, raw: str) -> None:
         elif isinstance(current, int):
             value = int(raw)
         elif isinstance(current, float):
-            value = float(raw)
+            value = _finite(raw, key)
         elif isinstance(current, tuple):
             value = parse_grid(raw, key)
         else:

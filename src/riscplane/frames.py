@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
+from .channel import MAX_QUANT_BITS
 from .control import ControlMessage, ControlMode, MsgPhase, Recipient, Scheme
 from .errors import InvalidParameterError
 
@@ -96,6 +97,8 @@ class SchemeParams:
     def __post_init__(self):
         if self.n_elements < 1 or self.bsw_codebook_size < 1 or self.quant_bits < 1:
             raise InvalidParameterError("counts must be >= 1")
+        if self.quant_bits > MAX_QUANT_BITS:
+            raise InvalidParameterError(f"quant_bits must be <= {MAX_QUANT_BITS}")
         if self.proc_ttis < 0:
             raise InvalidParameterError("proc_ttis must be >= 0")
         if self.switch_ttis < 1:

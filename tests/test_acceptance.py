@@ -42,8 +42,9 @@ from riscplane.frames import (
     validate_causality,
 )
 from riscplane.metrics import (
-    _SweepTask,
-    _chunk_outcomes,
+    _bsw_outcomes,
+    _cascade,
+    _codebook_matrix,
     crossover_frame,
     goodput_sweep,
     reliability_grid,
@@ -248,16 +249,12 @@ def test_criterion_9_early_stopping_contract():
                                   GRID, BW, n_trials, seed)
             for a, b in zip(plain, early):
                 assert a.success_prob == b.success_prob
-            task = _SweepTask(scheme=Scheme.BSW_ES, n_elements=100, rho=DEFAULT_RHO,
-                              quant_bits=2, target_snr=10.0, codebook_size=c_size,
-                              codebook_seed=7, codebook_style="random", seed=seed,
-                              n_trials=n_trials, frames_ttis=(200,),
-                              fixed_overhead_ttis=5, alg_const_ttis=0,
-                              es_per_eval_ttis=2)
+            entry_matrix = _codebook_matrix(100, c_size, 2, 7, "random")
             chunks = -(-n_trials // 4096)
             for c in range(chunks):
                 m = min(4096, n_trials - c * 4096)
-                _, success, evals = _chunk_outcomes(task, c, m)
+                _, success, evals = _bsw_outcomes(_cascade(seed, c, m, 100), DEFAULT_RHO,
+                                                  10.0, entry_matrix)
                 alg_spans = 2 * evals
                 assert np.all(alg_spans <= 2 * c_size)
                 exhausted = evals == c_size

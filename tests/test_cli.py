@@ -1,6 +1,8 @@
+import hashlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from riscplane.cli import (
@@ -48,10 +50,9 @@ def test_unknown_config_key_is_an_error(tmp_path):
 def test_parse_grid_forms():
     assert parse_grid("4", "g") == (4.0,)
     assert parse_grid("10:20:5", "g") == (10.0, 15.0, 20.0)
-    with pytest.raises(ConfigError):
-        parse_grid("10:20", "g")
-    with pytest.raises(ConfigError):
-        parse_grid("abc", "g")
+    for bad in ("10:20", "abc", "nan", "inf", "-inf", "0:inf:5", "0:10:nan"):
+        with pytest.raises(ConfigError):
+            parse_grid(bad, "g")
 
 
 def test_validation_names_offending_field():
@@ -60,6 +61,16 @@ def test_validation_names_offending_field():
     with pytest.raises(ConfigError) as err:
         cfg.validate()
     assert err.value.field_name == "n_elements"
+
+
+def test_validation_bounds_phase_bits():
+    cfg = RunConfig()
+    cfg.quant_bits = 16
+    cfg.validate()
+    cfg.quant_bits = 17
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert err.value.field_name == "quant_bits"
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +121,31 @@ def test_resolved_parameters_logged(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "# resolved rho = 0.0268" in err
     assert "# resolved master_seed = 1" in err
+
+
+# sha256 of goodput CSVs written before the batch path replaced one sweep per
+# curve; the draws come from numpy's random stream, so they hold per numpy version
+PINNED_NUMPY = "2.4.6"
+PINNED_GOODPUT = [
+    (["--seed", "1", "--frame-grid", "5:100:5"], "",
+     "5ecd4288558d803b89bfd4d1d08ffee46d33636570d625aab47df4f268101336"),
+    (["--seed", "5"],
+     "n_elements = 16\nbsw_codebook_size = 8\nrho = 0.286\nperfect_control = false\n"
+     "es_reservation = false\nframe_grid = 2:40:1.5\nquant_bits = 3\n",
+     "595ae5c9ee199bc7852c00f802700708a686addf72aabd296e9ce030ec30efb0"),
+]
+
+
+@pytest.mark.parametrize("args, config, digest", PINNED_GOODPUT)
+def test_goodput_csv_bytes_pinned(tmp_path, capsys, args, config, digest):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"digests pinned with numpy {PINNED_NUMPY}, running {np.__version__}")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "g.csv"
+    argv = ["goodput", "--trials", "5000", "--config", str(cfg), "--out", str(out), *args]
+    assert run_cli(argv, capsys) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -202,3 +238,24 @@ def test_module_invocation_smoke(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.read_text().splitlines()[0] == GOODPUT_HEADER
+
+
+@pytest.mark.parametrize("args, config", [
+    (["goodput", "--frame-grid", "nan"], ""),
+    (["goodput", "--frame-grid", "inf"], ""),
+    (["goodput", "--frame-grid", "10:inf:5"], ""),
+    (["goodput"], "target_snr_db = nan\n"),
+    (["reliability"], "snr_grid_db = nan\n"),
+    (["goodput"], "rho = inf\n"),
+    (["goodput"], "quant_bits = 64\n"),
+])
+def test_bad_numbers_exit_config_without_traceback(tmp_path, args, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "riscplane", *args, "--config", str(cfg),
+         "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: ")

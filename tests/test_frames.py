@@ -123,6 +123,13 @@ def test_frame_must_be_tti_multiple():
     assert frame_ttis(4.0) == 8
 
 
+def test_scheme_params_bound_phase_bits():
+    assert default_params(Scheme.OCE, quant_bits=16).quant_bits == 16
+    for bits in (0, 17, 64):
+        with pytest.raises(InvalidParameterError):
+            default_params(Scheme.OCE, quant_bits=bits)
+
+
 def test_stop_index_only_for_early_stopping():
     with pytest.raises(InvalidParameterError):
         build_frame(default_params(Scheme.BSW), ControlMode.IB_C, 60.0,

@@ -7,12 +7,20 @@ from riscplane.channel import DEFAULT_RHO, ChannelRealization, effective_snr, op
 from riscplane.control import ControlChannelState, ControlMode, Scheme, control_reliability, message_catalog
 from riscplane.errors import InvalidParameterError
 from riscplane.frames import SchemeParams, build_frame
+from riscplane import metrics
+from riscplane.cli import main
 from riscplane.metrics import (
-    _SweepTask,
-    _chunk_outcomes,
+    _FRAME_BLOCK,
+    _bsw_outcomes,
+    _cascade,
+    _codebook_matrix,
+    _Curve,
+    _oce_outcomes,
+    _reduce,
     calibrate_rho,
     crossover_frame,
     goodput,
+    goodput_curves,
     goodput_sweep,
     reliability_grid,
     select_config,
@@ -73,12 +81,7 @@ def test_bsw_and_early_stop_share_the_qualifying_event():
 
 
 def test_vectorized_oce_matches_public_channel_ops():
-    task = _SweepTask(scheme=Scheme.OCE, n_elements=16, rho=0.5, quant_bits=2,
-                      target_snr=10.0, codebook_size=32, codebook_seed=7,
-                      codebook_style="random", seed=11, n_trials=8,
-                      frames_ttis=(120,), fixed_overhead_ttis=0,
-                      alg_const_ttis=0, es_per_eval_ttis=0)
-    rate, success, _ = _chunk_outcomes(task, 0, 8)
+    rate, success, _ = _oce_outcomes(_cascade(11, 0, 8, 16), 0.5, 2)
     rng = np.random.default_rng([11, 0])
     draws = rng.standard_normal((4, 8, 16))
     inv = 1.0 / math.sqrt(2.0)
@@ -91,14 +94,8 @@ def test_vectorized_oce_matches_public_channel_ops():
 
 
 def test_vectorized_bsw_matches_select_config():
-    task = _SweepTask(scheme=Scheme.BSW, n_elements=16, rho=0.5, quant_bits=2,
-                      target_snr=4.0, codebook_size=8, codebook_seed=7,
-                      codebook_style="random", seed=13, n_trials=32,
-                      frames_ttis=(120,), fixed_overhead_ttis=0,
-                      alg_const_ttis=0, es_per_eval_ttis=0)
-    from riscplane.metrics import _codebook_matrix
-    _, success, evals = _chunk_outcomes(task, 0, 32)
     entry_matrix = _codebook_matrix(16, 8, 2, 7, "random")
+    _, success, evals = _bsw_outcomes(_cascade(13, 0, 32, 16), 0.5, 4.0, entry_matrix)
     rng = np.random.default_rng([13, 0])
     draws = rng.standard_normal((4, 32, 16))
     inv = 1.0 / math.sqrt(2.0)
@@ -117,16 +114,126 @@ def test_vectorized_bsw_matches_select_config():
 def test_early_stop_payload_matches_frame_plans():
     params = SchemeParams(scheme=Scheme.BSW_ES)
     catalog = message_catalog(Scheme.BSW_ES, 100, 2, 32, 16)
-    task = _SweepTask(scheme=Scheme.BSW_ES, n_elements=100, rho=DEFAULT_RHO,
-                      quant_bits=2, target_snr=10.0, codebook_size=32,
-                      codebook_seed=7, codebook_style="random", seed=21,
-                      n_trials=256, frames_ttis=(120,), fixed_overhead_ttis=5,
-                      alg_const_ttis=0, es_per_eval_ttis=2)
-    _, success, evals = _chunk_outcomes(task, 0, 256)
+    _, success, evals = _bsw_outcomes(_cascade(21, 0, 256, 100), DEFAULT_RHO, 10.0,
+                                      _codebook_matrix(100, 32, 2, 7, "random"))
     for i in range(0, 256, 17):
         stop = int(evals[i]) if success[i] else None
         plan = build_frame(params, ControlMode.IB_C, 60.0, catalog, stop_index=stop)
         assert plan.pay_ttis == max(0, 120 - (5 + 2 * int(evals[i])))
+
+
+# ---------------------------------------------------------------------------
+# Batch path: one draw per chunk for every curve
+# ---------------------------------------------------------------------------
+
+SIX_SPECS = [(SchemeParams(scheme=scheme), mode)
+             for scheme in (Scheme.OCE, Scheme.BSW, Scheme.BSW_ES)
+             for mode in (ControlMode.IB_C, ControlMode.OB_C)]
+
+
+def test_cascade_matches_one_block_draw():
+    # reference: the (4, m, N) draw [Re f, Im f, Re g, Im g] in one call
+    for seed, chunk, m, n in ((1, 0, 4096, 100), (5, 3, 904, 16), (9, 1, 7, 3)):
+        draws = np.random.default_rng([seed, chunk]).standard_normal((4, m, n))
+        f = (draws[0] + 1j * draws[1]) * (1.0 / np.sqrt(2.0))
+        g = (draws[2] + 1j * draws[3]) * (1.0 / np.sqrt(2.0))
+        assert np.array_equal(_cascade(seed, chunk, m, n), f * g)
+
+
+def test_batch_curves_equal_single_spec_sweeps():
+    grid = [1.0, 4.0] + list(GRID) + [250.0]
+    state = ControlChannelState(avg_snr_ue=100.0, avg_snr_ris=50.0)
+    kw = dict(assume_perfect_control=False, control_state=state)
+    curves = goodput_curves(SIX_SPECS, grid, BW, 9000, 4, **kw)
+    assert len(curves) == 6
+    for (params, mode), curve in zip(SIX_SPECS, curves):
+        assert curve == goodput_sweep(params, mode, grid, BW, 9000, 4, **kw)
+
+
+def _frame_loop_partials(curve, frames, rate, success, evals):
+    """Reference reducer: one frame at a time, one trial vector per frame."""
+    m = rate.shape[0]
+    out = np.zeros((len(frames), 4))
+    for i, total in enumerate(frames):
+        if curve.es_per_eval_ttis:
+            oh = curve.fixed_overhead_ttis + curve.es_per_eval_ttis * evals
+            pay = np.maximum(0, total - oh)
+            overhead_sum = float(np.minimum(oh, total).sum())
+        else:
+            oh = curve.fixed_overhead_ttis + curve.alg_const_ttis
+            pay = max(0, total - oh)
+            overhead_sum = float(min(oh, total)) * m
+        rsp = rate * success * pay
+        out[i] = rsp.sum(), (rsp * rsp).sum(), success.sum(), overhead_sum
+    return out
+
+
+def test_blocked_reducer_matches_frame_loop():
+    fg = _cascade(3, 0, 4096, 100)
+    outcomes = {
+        Scheme.OCE: _oce_outcomes(fg, DEFAULT_RHO, 2),
+        Scheme.BSW: _bsw_outcomes(fg, DEFAULT_RHO, 10.0, _codebook_matrix(100, 32, 2, 7, "random")),
+    }
+    frames = np.arange(2, 2 + 10 * (2 * _FRAME_BLOCK + 3), 10)    # not a whole number of blocks
+    for curve in (_Curve(Scheme.OCE, 3, 102, 0), _Curve(Scheme.BSW, 5, 34, 0),
+                  _Curve(Scheme.BSW, 4, 0, 2), _Curve(Scheme.BSW, 6, 0, 1)):
+        blocked = _reduce(curve, frames, *outcomes[curve.kernel])
+        assert np.array_equal(blocked, _frame_loop_partials(curve, frames, *outcomes[curve.kernel]))
+
+
+@pytest.mark.parametrize("field, value", [("n_elements", 64), ("quant_bits", 3),
+                                          ("target_snr", 5.0), ("bsw_codebook_size", 16)])
+def test_batch_rejects_specs_that_disagree_on_the_channel(field, value):
+    odd = (SchemeParams(scheme=Scheme.BSW, **{field: value}), ControlMode.IB_C)
+    with pytest.raises(InvalidParameterError):
+        goodput_curves(SIX_SPECS + [odd], GRID, BW, 100, 1)
+    with pytest.raises(InvalidParameterError):
+        goodput_curves([], GRID, BW, 100, 1)
+
+
+def test_default_cli_run_draws_once_per_chunk(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(seed, chunk_index, m, n_elements):
+        calls.append(chunk_index)
+        return _cascade(seed, chunk_index, m, n_elements)
+
+    monkeypatch.setattr(metrics, "_cascade", counting)
+    assert main(["goodput", "--trials", "9000", "--out", str(tmp_path / "g.csv")]) == 0
+    capsys.readouterr()
+    assert calls == [0, 1, 2]       # three chunks, six curves
+
+
+class _RecordingPool:
+    """ProcessPoolExecutor stand-in that maps in process and records its size."""
+
+    opened: list = []
+
+    def __init__(self, max_workers):
+        self.opened.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cores, size", [(2, 2), (16, 3)])
+def test_one_pool_per_run_sized_by_chunks_and_cores(tmp_path, capsys, monkeypatch, cores, size):
+    monkeypatch.setattr(_RecordingPool, "opened", [])
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(metrics.os, "cpu_count", lambda: cores)
+    argv = ["goodput", "--trials", "9000"]         # three chunks
+    assert main(argv + ["--workers", "8", "--out", str(tmp_path / "pool.csv")]) == 0
+    assert _RecordingPool.opened == [size]
+    assert main(argv + ["--out", str(tmp_path / "one.csv")]) == 0
+    assert _RecordingPool.opened == [size]        # one process: no pool
+    capsys.readouterr()
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
