@@ -41,7 +41,6 @@ from .frames import (
 )
 from .metrics import (
     GoodputResult,
-    ReliabilityCell,
     calibrate_rho,
     crossover_frame,
     goodput,

@@ -1,6 +1,6 @@
 """Command-line front end: goodput sweeps, reliability grids, plan checks.
 
-Exit codes: 0 ok, 2 configuration error, 3 output I/O error.
+Exit codes: 0 ok, 1 plan check failed, 2 configuration error, 3 output I/O error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .frames import ChannelUse, build_frame, overhead_ms, validate_causality
 from .metrics import goodput_curves, reliability_grid
 
 EXIT_OK = 0
+EXIT_PLAN = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
@@ -117,14 +118,11 @@ def cmd_goodput(cfg: RunConfig, schemes, modes) -> int:
     return EXIT_OK
 
 
-def _grid_threshold_db(cells, grid_db, axis: str, threshold: float) -> float:
+def _grid_threshold_db(m, grid_db, axis: str, threshold: float) -> float:
     """Minimum grid SNR on one axis reaching the threshold, other axis at grid max."""
-    if axis == "ris":
-        line = [row[-1] for row in cells]          # ue axis pinned at its max
-    else:
-        line = list(cells[-1])                     # ris axis pinned at its max
-    for snr_db, cell in zip(grid_db, line):
-        if cell.reliability >= threshold:
+    line = m[:, -1] if axis == "ris" else m[-1, :]    # other axis pinned at its max
+    for snr_db, reliability in zip(grid_db, line.tolist()):
+        if reliability >= threshold:
             return snr_db
     return math.inf
 
@@ -132,27 +130,30 @@ def _grid_threshold_db(cells, grid_db, axis: str, threshold: float) -> float:
 def cmd_reliability(cfg: RunConfig, schemes, modes, threshold) -> int:
     out_path = cfg.output_path or "reliability.csv"
     grid = cfg.snr_grid_db
-    lines = [RELIABILITY_HEADER]
+    grid_s = [format(v, ".12g") for v in grid]
+    n_rows = 0
     summary = [THRESHOLD_HEADER]
-    for scheme in schemes:
-        catalog = message_catalog(
-            scheme, cfg.n_elements, cfg.quant_bits, cfg.bsw_codebook_size,
-            cfg.header_bits, cfg.ini_carries_full_codebook,
-        )
-        for mode in modes:
-            cells = reliability_grid(catalog, mode, grid, grid, cfg.symbols_per_tti)
-            for row in cells:
-                for cell in row:
-                    lines.append(",".join([
-                        _fmt(cell.snr_ris_db), _fmt(cell.snr_ue_db),
-                        scheme.value, mode.value, _fmt(cell.reliability),
-                    ]))
-            if threshold is not None:
-                for axis in ("ris", "ue"):
-                    min_db = _grid_threshold_db(cells, grid, axis, threshold)
-                    summary.append(",".join([scheme.value, mode.value, axis, _fmt(min_db)]))
-    _write_lines(out_path, lines)
-    print(f"wrote {out_path} ({len(lines) - 1} rows)", file=sys.stderr)
+    with open(out_path, "w", newline="") as fh:
+        fh.write(RELIABILITY_HEADER + "\n")
+        for scheme in schemes:
+            catalog = message_catalog(
+                scheme, cfg.n_elements, cfg.quant_bits, cfg.bsw_codebook_size,
+                cfg.header_bits, cfg.ini_carries_full_codebook,
+            )
+            for mode in modes:
+                m = reliability_grid(catalog, mode, grid, grid, cfg.symbols_per_tti)
+                tag = f",{scheme.value},{mode.value},"
+                rows = []
+                for ris_s, values in zip(grid_s, m.tolist()):
+                    rows.extend(ris_s + "," + ue_s + tag + format(v, ".12g")
+                                for ue_s, v in zip(grid_s, values))
+                fh.write("\n".join(rows) + "\n")
+                n_rows += len(rows)
+                if threshold is not None:
+                    for axis in ("ris", "ue"):
+                        min_db = _grid_threshold_db(m, grid, axis, threshold)
+                        summary.append(",".join([scheme.value, mode.value, axis, _fmt(min_db)]))
+    print(f"wrote {out_path} ({n_rows} rows)", file=sys.stderr)
     if threshold is not None:
         summary_path = _threshold_path(out_path)
         _write_lines(summary_path, summary)
@@ -196,7 +197,7 @@ def cmd_validate(cfg: RunConfig) -> int:
                 failures += 1
             if plan.pay_ttis == 0:
                 print("  warning: null rate (control phases fill the whole frame)")
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_PLAN
 
 
 def main(argv=None) -> int:

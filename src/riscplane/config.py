@@ -16,6 +16,10 @@ from .channel import DEFAULT_RHO, MAX_QUANT_BITS
 from .control import ControlChannelState, Scheme, db_to_linear
 from .frames import SchemeParams
 
+# Most points a START:STOP:STEP grid may have; the finest packaged benchmark
+# grid has 991, and the bound keeps a typo from allocating without limit.
+MAX_GRID_POINTS = 10_000
+
 
 class ConfigError(Exception):
     """A configuration field is missing, unknown or out of contract."""
@@ -44,7 +48,10 @@ def parse_grid(text: str, name: str) -> tuple[float, ...]:
             start, stop, step = (_finite(p, name) for p in parts)
             if step <= 0 or stop < start:
                 raise ConfigError(name, "grid requires STOP >= START and STEP > 0")
-            count = int((stop - start) / step + 1e-9) + 1
+            span = (stop - start) / step + 1e-9
+            if not span < MAX_GRID_POINTS:    # also catches an infinite span
+                raise ConfigError(name, f"grid has more than {MAX_GRID_POINTS} points")
+            count = int(span) + 1
             return tuple(start + i * step for i in range(count))
     except ValueError:
         pass

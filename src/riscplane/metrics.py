@@ -36,10 +36,12 @@ from .control import (
     ControlChannelState,
     ControlMessage,
     ControlMode,
+    Recipient,
     Scheme,
     control_reliability,
     db_to_linear,
     message_catalog,
+    msg_success_prob,
 )
 from .errors import InvalidParameterError
 from .frames import TTI_MS, SchemeParams, alg_ttis, control_spans, frame_ttis
@@ -64,13 +66,6 @@ class GoodputResult:
     n_trials: int
     seed: int
     goodput_se: float = 0.0   # Monte Carlo standard error of goodput_mbps
-
-
-@dataclass(frozen=True)
-class ReliabilityCell:
-    snr_ris_db: float
-    snr_ue_db: float
-    reliability: float
 
 
 @dataclass(frozen=True)
@@ -417,26 +412,29 @@ def reliability_grid(
     snr_ris_grid_db: Sequence[float],
     snr_ue_grid_db: Sequence[float],
     symbols_per_tti: int = DEFAULT_SYMBOLS_PER_TTI,
-) -> list[list[ReliabilityCell]]:
-    """Closed-form control reliability on a dB grid, rows over the RIS axis."""
+) -> np.ndarray:
+    """Closed-form control reliability on a dB grid, rows over the RIS axis.
+
+    Reliability is a product of per-message factors, each depending on one
+    axis only, so every factor is computed once per point of its own axis
+    and the (len(ris), len(ue)) matrix is their broadcast product. The
+    factors are multiplied in `control_reliability`'s order, so every cell
+    equals it bit for bit.
+    """
     _validate_grid(snr_ris_grid_db, "snr_ris_grid_db")
     _validate_grid(snr_ue_grid_db, "snr_ue_grid_db")
-    rows = []
-    for ris_db in snr_ris_grid_db:
-        row = []
-        for ue_db in snr_ue_grid_db:
-            state = ControlChannelState(
-                avg_snr_ue=db_to_linear(ue_db),
-                avg_snr_ris=db_to_linear(ris_db),
-                symbols_per_tti=symbols_per_tti,
-            )
-            row.append(ReliabilityCell(
-                snr_ris_db=float(ris_db),
-                snr_ue_db=float(ue_db),
-                reliability=control_reliability(catalog, state, mode),
-            ))
-        rows.append(row)
-    return rows
+    if len(catalog) != 4:
+        raise InvalidParameterError("catalog must contain exactly 4 messages")
+    grid = np.ones((len(snr_ris_grid_db), len(snr_ue_grid_db)))
+    for msg in catalog:
+        if msg.recipient is Recipient.RISC and mode is ControlMode.OB_C:
+            continue
+        axis_db = snr_ue_grid_db if msg.recipient is Recipient.UE else snr_ris_grid_db
+        symbols = msg.tti_cost * symbols_per_tti
+        factor = np.array([msg_success_prob(msg.payload_bits, symbols, db_to_linear(db))
+                           for db in axis_db])
+        grid *= factor[None, :] if msg.recipient is Recipient.UE else factor[:, None]
+    return grid
 
 
 def calibrate_rho(

@@ -139,7 +139,7 @@ def test_criterion_4_reliability_orderings():
             ob = reliability_grid(c, ControlMode.OB_C, axis, axis)
             for i in range(31):
                 for j in range(31):
-                    assert ob[i][j].reliability >= ib[i][j].reliability
+                    assert ob[i, j] >= ib[i, j]
 
 
 def test_criterion_5_outage_model_matches_monte_carlo():

@@ -5,16 +5,19 @@ import sys
 import numpy as np
 import pytest
 
+from riscplane import cli
 from riscplane.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    EXIT_PLAN,
     GOODPUT_HEADER,
     RELIABILITY_HEADER,
     THRESHOLD_HEADER,
     main,
 )
 from riscplane.config import RunConfig, load_config, parse_grid, ConfigError
+from riscplane.frames import CausalityViolation, PhaseKind
 
 
 def run_cli(args, capsys=None):
@@ -50,7 +53,8 @@ def test_unknown_config_key_is_an_error(tmp_path):
 def test_parse_grid_forms():
     assert parse_grid("4", "g") == (4.0,)
     assert parse_grid("10:20:5", "g") == (10.0, 15.0, 20.0)
-    for bad in ("10:20", "abc", "nan", "inf", "-inf", "0:inf:5", "0:10:nan"):
+    for bad in ("10:20", "abc", "nan", "inf", "-inf", "0:inf:5", "0:10:nan",
+                "0.5:1e308:1e-10", "0.5:1e9:0.5"):
         with pytest.raises(ConfigError):
             parse_grid(bad, "g")
 
@@ -148,6 +152,26 @@ def test_goodput_csv_bytes_pinned(tmp_path, capsys, args, config, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of both reliability CSVs written before the grid became a product of
+# per-axis factors
+PINNED_RELIABILITY = {
+    "r.csv": "906fd4c7066a629a48843b927a3f3696b797a2beaa45ace8118a7b2426e2f882",
+    "r_thresholds.csv": "cd720403d7b5ce83b48e9be0ed5a5e0f1dce839f83eaab78a3fb32bcf945e927",
+}
+
+
+def test_reliability_csv_bytes_pinned(tmp_path, capsys):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"digests pinned with numpy {PINNED_NUMPY}, running {np.__version__}")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("snr_grid_db = 0:30:0.5\n")
+    argv = ["reliability", "--threshold", "0.99", "--config", str(cfg),
+            "--out", str(tmp_path / "r.csv")]
+    assert run_cli(argv, capsys) == EXIT_OK
+    for name, digest in PINNED_RELIABILITY.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # reliability command
 # ---------------------------------------------------------------------------
@@ -218,6 +242,13 @@ def test_validate_warns_on_null_rate(tmp_path, capsys):
     assert "null rate" in capsys.readouterr().out
 
 
+def test_validate_failed_plan_check_exits_1(monkeypatch, capsys):
+    violation = CausalityViolation(pair=(PhaseKind.SET, PhaseKind.ALG), detail="forced")
+    monkeypatch.setattr(cli, "validate_causality", lambda plan: violation)
+    assert main(["validate"]) == EXIT_PLAN == 1
+    assert "causality violation" in capsys.readouterr().out
+
+
 def test_validate_corrupted_config(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("rho = banana\n")
@@ -248,6 +279,8 @@ def test_module_invocation_smoke(tmp_path):
     (["reliability"], "snr_grid_db = nan\n"),
     (["goodput"], "rho = inf\n"),
     (["goodput"], "quant_bits = 64\n"),
+    (["goodput", "--frame-grid", "0.5:1e308:1e-10"], ""),
+    (["goodput", "--frame-grid", "0.5:1e9:0.5"], ""),
 ])
 def test_bad_numbers_exit_config_without_traceback(tmp_path, args, config):
     cfg = tmp_path / "run.cfg"

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from riscplane.channel import DEFAULT_RHO, ChannelRealization, effective_snr, optimal_config
-from riscplane.control import ControlChannelState, ControlMode, Scheme, control_reliability, message_catalog
+from riscplane.control import (
+    ControlChannelState, ControlMode, Scheme, control_reliability, db_to_linear, message_catalog,
+)
 from riscplane.errors import InvalidParameterError
 from riscplane.frames import SchemeParams, build_frame
 from riscplane import metrics
@@ -368,23 +371,23 @@ def grid_matrix(scheme, mode):
 
 
 def test_out_of_band_grid_constant_along_ris_axis():
-    cells = grid_matrix(Scheme.OCE, ControlMode.OB_C)
+    m = grid_matrix(Scheme.OCE, ControlMode.OB_C)
     for j in range(31):
-        column = {cells[i][j].reliability for i in range(31)}
+        column = {m[i, j] for i in range(31)}
         assert len(column) == 1
 
 
 def test_grid_cells_bounded_and_monotone():
     for mode in (ControlMode.IB_C, ControlMode.OB_C):
-        cells = grid_matrix(Scheme.BSW, mode)
+        m = grid_matrix(Scheme.BSW, mode)
         for i in range(31):
             for j in range(31):
-                r = cells[i][j].reliability
+                r = m[i, j]
                 assert 0.0 <= r <= 1.0
                 if i:
-                    assert r >= cells[i - 1][j].reliability - 1e-15
+                    assert r >= m[i - 1, j] - 1e-15
                 if j:
-                    assert r >= cells[i][j - 1].reliability - 1e-15
+                    assert r >= m[i, j - 1] - 1e-15
 
 
 def test_out_of_band_dominates_in_band_cellwise():
@@ -393,7 +396,7 @@ def test_out_of_band_dominates_in_band_cellwise():
         ob = grid_matrix(scheme, ControlMode.OB_C)
         for i in range(31):
             for j in range(31):
-                assert ob[i][j].reliability >= ib[i][j].reliability
+                assert ob[i, j] >= ib[i, j]
 
 
 def test_oce_grid_below_bsw_grid_in_band():
@@ -401,7 +404,31 @@ def test_oce_grid_below_bsw_grid_in_band():
     bsw = grid_matrix(Scheme.BSW, ControlMode.IB_C)
     for i in range(31):
         for j in range(31):
-            assert oce[i][j].reliability <= bsw[i][j].reliability + 1e-15
+            assert oce[i, j] <= bsw[i, j] + 1e-15
+
+
+def test_grid_equals_control_reliability_bitwise():
+    axis = tuple(0.5 * k - 3.0 for k in range(31))
+    cases = [(message_catalog(s, 100, 2, 32, 16), 84) for s in Scheme]
+    # a full codebook in the RIS INI message: 4 symbols per TTI underflow its factor to 0
+    full = message_catalog(Scheme.BSW, 1000, 4, 1024, 16, ini_carries_full_codebook=True)
+    # a RIS SET message above 1000 bit per symbol, where msg_success_prob returns 0 directly
+    bsw = cases[1][0]
+    guarded = bsw[:3] + [replace(bsw[3], payload_bits=5000, tti_cost=1)]
+    cases += [(full, 4), (guarded, 4)]
+    zeros = 0
+    for catalog, symbols_per_tti in cases:
+        for mode in ControlMode:
+            m = reliability_grid(catalog, mode, axis, axis, symbols_per_tti)
+            assert m.shape == (31, 31)
+            for i, ris_db in enumerate(axis):
+                for j, ue_db in enumerate(axis):
+                    state = ControlChannelState(avg_snr_ue=db_to_linear(ue_db),
+                                                avg_snr_ris=db_to_linear(ris_db),
+                                                symbols_per_tti=symbols_per_tti)
+                    assert m[i, j] == control_reliability(catalog, state, mode)
+            zeros += int((m == 0.0).sum())
+    assert zeros > 0
 
 
 def test_grid_rejects_bad_axes():
