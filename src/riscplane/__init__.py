@@ -47,7 +47,6 @@ from .metrics import (
     goodput_curves,
     goodput_sweep,
     reliability_grid,
-    select_config,
 )
 from .config import ConfigError, RunConfig, load_config
 

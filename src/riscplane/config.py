@@ -38,6 +38,16 @@ def _finite(raw: str, name: str) -> float:
     return value
 
 
+def _check_db(name: str, db: float) -> None:
+    """Reject a dB value whose linear value is not a positive finite number."""
+    try:
+        linear = db_to_linear(db)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ConfigError(name, f"{db:g} dB has no positive finite linear value")
+
+
 def parse_grid(text: str, name: str) -> tuple[float, ...]:
     """Parse 'START:STOP:STEP' (inclusive) or a single value."""
     parts = [p.strip() for p in text.split(":")]
@@ -146,6 +156,10 @@ class RunConfig:
             raise ConfigError("snr_grid_db", "must be non-empty")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ConfigError("snr_grid_db", "must be strictly increasing")
+        for db in self.snr_grid_db:
+            _check_db("snr_grid_db", db)
+        for name in ["target_snr_db", "snr_ue_db", "snr_ris_db"]:
+            _check_db(name, getattr(self, name))
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,

@@ -6,7 +6,8 @@ partial sums are reduced in chunk order, so results are bit-identical for a
 given seed no matter how many workers evaluate the chunks. The channel
 stream does not depend on the scheme or the control mode, so every curve of
 a batch is reduced from one draw per chunk, and plain beam sweeping and its
-early-stopping variant share the qualifying event of every trial.
+early-stopping variant share the qualifying event of every trial. Curves of
+one kernel also share their payload rows, each reduced once per chunk.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ from .control import (
     msg_success_prob,
 )
 from .errors import InvalidParameterError
-from .frames import TTI_MS, SchemeParams, alg_ttis, control_spans, frame_ttis
+from .frames import TTI_MS, SchemeParams, alg_ttis, frame_ttis, overhead_ttis
 
 CHUNK_TRIALS = 4096
 DEFAULT_CODEBOOK_SEED = 7
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-# Frames reduced together: the (block, CHUNK_TRIALS) temporaries stay at
-# 256 KiB each, small enough for cache, and more frames per block only add
+# Payload rows reduced together: the (block, CHUNK_TRIALS) temporaries stay
+# at 256 KiB each, small enough for cache, and more rows per block only add
 # memory without speeding up the reduction.
 _FRAME_BLOCK = 8
 
@@ -73,9 +74,53 @@ class _Curve:
     """Per-trial overhead model of one (scheme, mode) curve."""
 
     kernel: Scheme              # OCE or BSW; early stopping reduces the BSW outcomes
-    fixed_overhead_ttis: int    # INI + SET message TTIs in band + switch time
-    alg_const_ttis: int         # full ALG span (unused for early stopping)
-    es_per_eval_ttis: int       # 0 unless early stopping
+    overhead_ttis: int          # frame TTIs before PAY, early-stopping evaluations excluded
+    es_per_eval_ttis: int       # TTIs per early-stopping evaluation, 0 for a fixed overhead
+
+
+@dataclass(frozen=True, eq=False)
+class _RowGroup:
+    """The distinct payload rows that the curves of one kernel share.
+
+    A row is keyed by (es, D) and its per-trial payload is max(0, D - es * evals):
+    early stopping has es = es_per_eval_ttis and D = frame - overhead_ttis, a
+    fixed overhead es = 0 and D = max(0, frame - overhead_ttis). Curves whose
+    overheads differ by a shift of the frame grid share their rows.
+    """
+
+    kernel: Scheme
+    es: np.ndarray              # (rows,) key part es; keys are sorted
+    budget: np.ndarray          # (rows,) key part D
+    live: np.ndarray            # rows that can carry payload: D > es, as evals >= 1
+    members: tuple[int, ...]    # batch positions of the group's curves
+    rows: np.ndarray            # (members, frames) row of each member curve and frame
+
+
+def _row_groups(curves: Sequence[_Curve], frames_ttis: Sequence[int]) -> tuple[_RowGroup, ...]:
+    """One row group per kernel, with every curve's row index per frame."""
+    members: dict[Scheme, list[int]] = {}
+    for position, curve in enumerate(curves):
+        members.setdefault(curve.kernel, []).append(position)
+    groups = []
+    for kernel, positions in members.items():
+        curve_keys = []
+        for position in positions:
+            es, overhead = curves[position].es_per_eval_ttis, curves[position].overhead_ttis
+            curve_keys.append([(es, total - overhead) if es else (0, max(0, total - overhead))
+                               for total in frames_ttis])
+        keys = sorted(set().union(*curve_keys))
+        index = {key: i for i, key in enumerate(keys)}
+        es = np.array([key[0] for key in keys], dtype=np.int64)
+        budget = np.array([key[1] for key in keys], dtype=np.int64)
+        groups.append(_RowGroup(
+            kernel=kernel,
+            es=es,
+            budget=budget,
+            live=np.flatnonzero(budget > es),
+            members=tuple(positions),
+            rows=np.array([[index[key] for key in row] for row in curve_keys], dtype=np.intp),
+        ))
+    return tuple(groups)
 
 
 @dataclass(frozen=True)
@@ -92,7 +137,7 @@ class _Batch:
     seed: int
     n_trials: int
     frames_ttis: tuple[int, ...]
-    curves: tuple[_Curve, ...]
+    groups: tuple[_RowGroup, ...]
 
 
 @lru_cache(maxsize=16)
@@ -161,38 +206,60 @@ def _bsw_outcomes(fg: np.ndarray, rho: float, target_snr: float, entry_matrix: n
     return rate, success, evals
 
 
-def _reduce(curve: _Curve, frames: np.ndarray, rate, success, evals) -> np.ndarray:
-    """Per-frame partial sums [sum rsp, sum rsp^2, sum success, sum overhead_ttis].
+def _payload_rows(rs: np.ndarray, pay: np.ndarray):
+    """[sum rsp, sum rsp^2] of a block of payload rows; rsp = rs * pay, one row per key.
 
-    rsp is the per-trial rate * success * payload TTIs. Frames are reduced a
-    block at a time, each trial row summed along its contiguous axis.
+    pay is (rows, 1) for fixed payloads or (rows, trials); each trial row is
+    summed along its contiguous axis.
     """
-    m = rate.shape[0]
-    rs = rate * success
-    out = np.empty((frames.shape[0], 4))
-    out[:, 2] = success.sum()
-    if curve.es_per_eval_ttis:
-        oh = curve.fixed_overhead_ttis + curve.es_per_eval_ttis * evals
-    else:
-        oh = curve.fixed_overhead_ttis + curve.alg_const_ttis
-        out[:, 3] = np.minimum(oh, frames) * m
-    for lo in range(0, frames.shape[0], _FRAME_BLOCK):
-        block = slice(lo, lo + _FRAME_BLOCK)
-        totals = frames[block, None]
-        rsp = rs[None, :] * np.maximum(0, totals - oh)
-        out[block, 0] = rsp.sum(axis=1)
-        out[block, 1] = (rsp * rsp).sum(axis=1)
-        if curve.es_per_eval_ttis:
-            out[block, 3] = np.minimum(oh, totals).sum(axis=1)
+    rsp = rs[None, :] * pay
+    return rsp.sum(axis=1), (rsp * rsp).sum(axis=1)
+
+
+def _reduce_groups(groups: Sequence[_RowGroup], frames_ttis: Sequence[int], outcomes) -> np.ndarray:
+    """Per-curve, per-frame partial sums [sum rsp, sum rsp^2, sum success, sum overhead_ttis].
+
+    rsp is the per-trial rate * success * payload TTIs. Each distinct row of
+    a group is reduced once, _FRAME_BLOCK rows at a time, and gathered into
+    every curve and frame that uses it; rows with no payload are exactly 0
+    and take no pass over the trials. Overhead sums are frame * trials minus
+    the integer payload sum, exact from the evaluation-count histogram.
+    """
+    frames = np.array(frames_ttis, dtype=np.int64)
+    out = np.empty((sum(len(g.members) for g in groups), frames.shape[0], 4))
+    for group in groups:
+        rate, success, evals = outcomes[group.kernel]
+        m = rate.shape[0]
+        rs = rate * success
+        es, budget = group.es, group.budget
+        sums = np.zeros((es.shape[0], 2))
+        if es.any():
+            hist = np.bincount(evals)
+            per_evals = np.maximum(0, budget[:, None] - es[:, None] * np.arange(hist.shape[0]))
+            pay_sum = per_evals @ hist
+        else:
+            pay_sum = budget * m
+        for lo in range(0, group.live.shape[0], _FRAME_BLOCK):
+            block = group.live[lo:lo + _FRAME_BLOCK]
+            if es[block].any():
+                pay = np.maximum(0, budget[block, None] - es[block, None] * evals)
+            else:
+                pay = budget[block, None]
+            sums[block, 0], sums[block, 1] = _payload_rows(rs, pay)
+        success_sum = success.sum()
+        for position, rows in zip(group.members, group.rows):
+            out[position, :, :2] = sums[rows]
+            out[position, :, 2] = success_sum
+            out[position, :, 3] = frames * m - pay_sum[rows]
     return out
 
 
 def _chunk_partials(batch: _Batch, chunk_index: int) -> np.ndarray:
-    """Partial sums of one chunk, shape (curves, frames, 4); see _reduce."""
+    """Partial sums of one chunk, shape (curves, frames, 4); see _reduce_groups."""
     start = chunk_index * CHUNK_TRIALS
     m = min(CHUNK_TRIALS, batch.n_trials - start)
     fg = _cascade(batch.seed, chunk_index, m, batch.n_elements)
-    kernels = {curve.kernel for curve in batch.curves}
+    kernels = {group.kernel for group in batch.groups}
     outcomes = {}
     if Scheme.OCE in kernels:
         outcomes[Scheme.OCE] = _oce_outcomes(fg, batch.rho, batch.quant_bits)
@@ -203,25 +270,7 @@ def _chunk_partials(batch: _Batch, chunk_index: int) -> np.ndarray:
         )
         outcomes[Scheme.BSW] = _bsw_outcomes(fg, batch.rho, batch.target_snr, entry_matrix)
     del fg
-    frames = np.array(batch.frames_ttis)
-    return np.stack([_reduce(curve, frames, *outcomes[curve.kernel])
-                     for curve in batch.curves])
-
-
-def select_config(entry_snrs: Sequence[float], target_snr: float):
-    """Beam-sweeping selection: (success, best qualifying index, first qualifying index).
-
-    Indices are 0-based positions in the codebook, None on outage. The best
-    qualifying entry is what the setup message signals; the first qualifying
-    entry is where an early-stopped sweep ends.
-    """
-    snrs = np.asarray(entry_snrs, dtype=float)
-    qualifying = snrs >= target_snr
-    if not qualifying.any():
-        return False, None, None
-    best = int(np.argmax(np.where(qualifying, snrs, -np.inf)))
-    first = int(np.argmax(qualifying))
-    return True, best, first
+    return _reduce_groups(batch.groups, batch.frames_ttis, outcomes)
 
 
 # SchemeParams fields that decide the per-trial channel outcomes; the
@@ -250,7 +299,8 @@ def goodput_curves(
 
     Returns one curve per spec, in spec order. Every curve and grid point is
     reduced from the same per-trial channel outcomes: each chunk is drawn
-    once and each scheme kernel runs at most once per chunk, so a curve is
+    once, each scheme kernel runs at most once per chunk and each distinct
+    payload row of a kernel is reduced once per chunk, so a curve is
     exactly what goodput_sweep gives for its spec alone. The specs must
     agree on n_elements, quant_bits, target_snr and bsw_codebook_size. With
     workers > 1 the chunks run on one process pool of at most
@@ -283,13 +333,11 @@ def goodput_curves(
             params.scheme, params.n_elements, params.quant_bits,
             params.bsw_codebook_size, header_bits, ini_carries_full_codebook,
         )
-        spans = control_spans(catalog, mode)
-        fixed = spans.ini_in_band + spans.set_in_band + params.switch_ttis
         if params.scheme is Scheme.BSW_ES:
-            curve = _Curve(Scheme.BSW, fixed, 0, 2 if params.es_reservation else 1)
+            curves.append(_Curve(Scheme.BSW, overhead_ttis(params, mode, catalog, stop_index=0),
+                                 alg_ttis(params, 1)))
         else:
-            curve = _Curve(params.scheme, fixed, alg_ttis(params), 0)
-        curves.append(curve)
+            curves.append(_Curve(params.scheme, overhead_ttis(params, mode, catalog), 0))
         reliabilities.append(1.0 if assume_perfect_control
                              else control_reliability(catalog, control_state, mode))
 
@@ -304,7 +352,7 @@ def goodput_curves(
         seed=seed,
         n_trials=n_trials,
         frames_ttis=frames,
-        curves=tuple(curves),
+        groups=_row_groups(curves, frames),
     )
 
     # Partials are summed in place in chunk order, which keeps the reduction

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riscplane import cli
 from riscplane.cli import (
@@ -17,6 +18,7 @@ from riscplane.cli import (
     main,
 )
 from riscplane.config import RunConfig, load_config, parse_grid, ConfigError
+from riscplane.control import ControlChannelState, Scheme, db_to_linear
 from riscplane.frames import CausalityViolation, PhaseKind
 
 
@@ -65,6 +67,26 @@ def test_validation_names_offending_field():
     with pytest.raises(ConfigError) as err:
         cfg.validate()
     assert err.value.field_name == "n_elements"
+
+
+_DB = st.floats() | st.floats(-4000.0, 4000.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(target=_DB, ue=_DB, ris=_DB, grid=st.lists(_DB, min_size=1, max_size=4).map(sorted),
+       quant_bits=st.integers(-2, 70))
+def test_validated_config_builds_domain_objects(target, ue, ris, grid, quant_bits):
+    cfg = RunConfig(target_snr_db=target, snr_ue_db=ue, snr_ris_db=ris,
+                    snr_grid_db=tuple(grid), quant_bits=quant_bits)
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    for scheme in Scheme:
+        cfg.scheme_params(scheme)
+    cfg.control_state()
+    for db in cfg.snr_grid_db:
+        ControlChannelState(avg_snr_ue=db_to_linear(db), avg_snr_ris=db_to_linear(db))
 
 
 def test_validation_bounds_phase_bits():
@@ -128,7 +150,8 @@ def test_resolved_parameters_logged(tmp_path, capsys):
 
 
 # sha256 of goodput CSVs written before the batch path replaced one sweep per
-# curve; the draws come from numpy's random stream, so they hold per numpy version
+# curve (the third before payload rows were shared between curves); the draws
+# come from numpy's random stream, so they hold per numpy version
 PINNED_NUMPY = "2.4.6"
 PINNED_GOODPUT = [
     (["--seed", "1", "--frame-grid", "5:100:5"], "",
@@ -137,6 +160,11 @@ PINNED_GOODPUT = [
      "n_elements = 16\nbsw_codebook_size = 8\nrho = 0.286\nperfect_control = false\n"
      "es_reservation = false\nframe_grid = 2:40:1.5\nquant_bits = 3\n",
      "595ae5c9ee199bc7852c00f802700708a686addf72aabd296e9ce030ec30efb0"),
+    # a 1-TTI frame step, where the IB and OB curves of a scheme share payload rows
+    (["--seed", "3"],
+     "n_elements = 16\nbsw_codebook_size = 8\nrho = 0.286\nperfect_control = false\n"
+     "es_reservation = true\nframe_grid = 2:60:0.5\n",
+     "b206e683bd3c89797eb7a476aef7fbd105a31377fb401081da9eaf77866824c3"),
 ]
 
 
@@ -281,6 +309,11 @@ def test_module_invocation_smoke(tmp_path):
     (["goodput"], "quant_bits = 64\n"),
     (["goodput", "--frame-grid", "0.5:1e308:1e-10"], ""),
     (["goodput", "--frame-grid", "0.5:1e9:0.5"], ""),
+    (["reliability"], "snr_grid_db = -4000:0:1000\n"),
+    (["goodput"], "target_snr_db = -4000\n"),
+    (["goodput"], "target_snr_db = 4000\n"),
+    (["goodput"], "perfect_control = false\nsnr_ue_db = -4000\n"),
+    (["goodput"], "perfect_control = false\nsnr_ris_db = -4000\n"),
 ])
 def test_bad_numbers_exit_config_without_traceback(tmp_path, args, config):
     cfg = tmp_path / "run.cfg"

@@ -19,14 +19,15 @@ from riscplane.metrics import (
     _codebook_matrix,
     _Curve,
     _oce_outcomes,
-    _reduce,
+    _payload_rows,
+    _reduce_groups,
+    _row_groups,
     calibrate_rho,
     crossover_frame,
     goodput,
     goodput_curves,
     goodput_sweep,
     reliability_grid,
-    select_config,
 )
 
 BW = 180000.0
@@ -74,6 +75,22 @@ def test_different_seeds_give_different_estimates():
 # ---------------------------------------------------------------------------
 # Per-trial contracts
 # ---------------------------------------------------------------------------
+
+def select_config(entry_snrs, target_snr):
+    """Beam-sweeping selection: (success, best qualifying index, first qualifying index).
+
+    Indices are 0-based positions in the codebook, None on outage. The best
+    qualifying entry is what the setup message signals; the first qualifying
+    entry is where an early-stopped sweep ends.
+    """
+    snrs = np.asarray(entry_snrs, dtype=float)
+    qualifying = snrs >= target_snr
+    if not qualifying.any():
+        return False, None, None
+    best = int(np.argmax(np.where(qualifying, snrs, -np.inf)))
+    first = int(np.argmax(qualifying))
+    return True, best, first
+
 
 def test_bsw_and_early_stop_share_the_qualifying_event():
     for seed in (1, 2, 3):
@@ -159,11 +176,11 @@ def _frame_loop_partials(curve, frames, rate, success, evals):
     out = np.zeros((len(frames), 4))
     for i, total in enumerate(frames):
         if curve.es_per_eval_ttis:
-            oh = curve.fixed_overhead_ttis + curve.es_per_eval_ttis * evals
+            oh = curve.overhead_ttis + curve.es_per_eval_ttis * evals
             pay = np.maximum(0, total - oh)
             overhead_sum = float(np.minimum(oh, total).sum())
         else:
-            oh = curve.fixed_overhead_ttis + curve.alg_const_ttis
+            oh = curve.overhead_ttis
             pay = max(0, total - oh)
             overhead_sum = float(min(oh, total)) * m
         rsp = rate * success * pay
@@ -177,11 +194,42 @@ def test_blocked_reducer_matches_frame_loop():
         Scheme.OCE: _oce_outcomes(fg, DEFAULT_RHO, 2),
         Scheme.BSW: _bsw_outcomes(fg, DEFAULT_RHO, 10.0, _codebook_matrix(100, 32, 2, 7, "random")),
     }
-    frames = np.arange(2, 2 + 10 * (2 * _FRAME_BLOCK + 3), 10)    # not a whole number of blocks
-    for curve in (_Curve(Scheme.OCE, 3, 102, 0), _Curve(Scheme.BSW, 5, 34, 0),
-                  _Curve(Scheme.BSW, 4, 0, 2), _Curve(Scheme.BSW, 6, 0, 1)):
-        blocked = _reduce(curve, frames, *outcomes[curve.kernel])
+    # IB/OB-like pairs two TTIs apart on a 1-TTI grid share rows; frames start
+    # below every overhead, and the grid is not a whole number of blocks
+    frames = tuple(range(2, 2 + 14 * _FRAME_BLOCK + 3))
+    curves = (_Curve(Scheme.OCE, 105, 0), _Curve(Scheme.OCE, 103, 0),
+              _Curve(Scheme.BSW, 39, 0), _Curve(Scheme.BSW, 37, 0),
+              _Curve(Scheme.BSW, 5, 2), _Curve(Scheme.BSW, 3, 2), _Curve(Scheme.BSW, 6, 1))
+    groups = _row_groups(curves, frames)
+    assert sum(g.es.shape[0] for g in groups) < len(curves) * len(frames)
+    partials = _reduce_groups(groups, frames, outcomes)
+    assert partials.shape == (len(curves), len(frames), 4)
+    for curve, blocked in zip(curves, partials):
         assert np.array_equal(blocked, _frame_loop_partials(curve, frames, *outcomes[curve.kernel]))
+
+
+def test_default_curves_reduce_each_distinct_row_once_per_chunk(monkeypatch):
+    grid = [0.5 * k for k in range(1, 301)]     # 1-TTI grid: IB and OB rows coincide
+    reduced = []
+
+    def counting(rs, pay):
+        reduced.append(pay.shape[0])
+        return _payload_rows(rs, pay)
+
+    monkeypatch.setattr(metrics, "_payload_rows", counting)
+    goodput_curves(SIX_SPECS, grid, BW, 9000, 1)      # three chunks, one process
+    # a row is the payload a frame plan leaves; early stopping keys on its
+    # payload after one evaluation, since each further one costs the same
+    keys = set()
+    for params, mode in SIX_SPECS:
+        catalog = message_catalog(params.scheme, 100, 2, 32, 16)
+        stop = 1 if params.scheme is Scheme.BSW_ES else None
+        for f_ms in grid:
+            pay = build_frame(params, mode, f_ms, catalog, stop_index=stop).pay_ttis
+            if pay > 0:
+                keys.add((params.scheme, pay))
+    assert 0 < len(keys) < 3 * len(grid)
+    assert sum(reduced) == 3 * len(keys)
 
 
 @pytest.mark.parametrize("field, value", [("n_elements", 64), ("quant_bits", 3),
