@@ -1,17 +1,6 @@
 """Protocol- and link-level simulator for surface-aided uplink control planes."""
 
-from .channel import (
-    DEFAULT_RHO,
-    ChannelRealization,
-    Codebook,
-    CodebookRole,
-    RisConfiguration,
-    effective_snr,
-    make_codebook,
-    optimal_config,
-    sample_realization,
-    snr_upper_bound,
-)
+from .channel import DEFAULT_RHO, make_codebook
 from .control import (
     ControlChannelState,
     ControlMessage,
@@ -43,7 +32,6 @@ from .metrics import (
     GoodputResult,
     calibrate_rho,
     crossover_frame,
-    goodput,
     goodput_curves,
     goodput_sweep,
     reliability_grid,

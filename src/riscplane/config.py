@@ -14,7 +14,8 @@ from pathlib import Path
 
 from .channel import DEFAULT_RHO, MAX_QUANT_BITS
 from .control import ControlChannelState, Scheme, db_to_linear
-from .frames import SchemeParams
+from .errors import InvalidParameterError
+from .frames import SchemeParams, frame_ttis
 
 # Most points a START:STOP:STEP grid may have; the finest packaged benchmark
 # grid has 991, and the bound keeps a typo from allocating without limit.
@@ -146,12 +147,10 @@ class RunConfig:
         if len(self.frame_grid) == 0:
             raise ConfigError("frame_grid", "must be non-empty")
         for f_ms in self.frame_grid:
-            ratio = f_ms / self.tti_ms
-            if f_ms <= 0 or abs(ratio - round(ratio)) > 1e-9:
-                raise ConfigError(
-                    "frame_grid",
-                    f"{f_ms} ms is not a positive multiple of tti_ms={self.tti_ms}",
-                )
+            try:
+                frame_ttis(f_ms, self.tti_ms)
+            except InvalidParameterError as exc:
+                raise ConfigError("frame_grid", str(exc)) from None
         if len(self.snr_grid_db) == 0:
             raise ConfigError("snr_grid_db", "must be non-empty")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):

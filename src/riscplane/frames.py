@@ -18,6 +18,10 @@ from .control import ControlMessage, ControlMode, MsgPhase, Recipient, Scheme
 from .errors import InvalidParameterError
 
 TTI_MS = 0.5
+# Most TTIs a frame may span. A 4096-trial chunk (metrics.CHUNK_TRIALS) then
+# sums at most 2^52 payload TTIs per frame, which int64 holds and float64
+# represents exactly.
+MAX_FRAME_TTIS = 2 ** 40
 
 
 class PhaseKind(Enum):
@@ -155,10 +159,14 @@ def alg_ttis(params: SchemeParams, stop_index: Optional[int] = None) -> int:
 
 
 def frame_ttis(frame_ms: float, tti_ms: float = TTI_MS) -> int:
-    """Frame length in TTIs; rejects durations that are not TTI multiples."""
+    """Frame length in TTIs; rejects all but a whole number of 1 to MAX_FRAME_TTIS TTIs."""
     if not frame_ms > 0:
         raise InvalidParameterError("frame_ms must be > 0")
     ratio = frame_ms / tti_ms
+    if not ratio <= MAX_FRAME_TTIS:     # also catches an infinite ratio
+        raise InvalidParameterError(
+            f"frame_ms={frame_ms} spans more than {MAX_FRAME_TTIS} TTIs of tti_ms={tti_ms}"
+        )
     total = round(ratio)
     if abs(ratio - total) > 1e-9 or total < 1:
         raise InvalidParameterError(

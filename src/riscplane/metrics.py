@@ -23,14 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import (
-    DEFAULT_RHO,
-    TWO_PI,
-    CodebookRole,
-    grid_step,
-    make_codebook,
-    phase_indices,
-)
+from .channel import DEFAULT_RHO, TWO_PI, grid_step, make_codebook, phase_indices
 from .control import (
     DEFAULT_HEADER_BITS,
     DEFAULT_SYMBOLS_PER_TTI,
@@ -144,15 +137,14 @@ class _Batch:
 def _codebook_matrix(
     n_elements: int, size: int, quant_bits: int, seed: int, style: str
 ) -> np.ndarray:
-    cb = make_codebook(CodebookRole.BSW, n_elements, size, quant_bits, seed, style)
-    matrix = np.exp(1j * np.stack([e.phases for e in cb.entries]))
+    matrix = _phase_table(quant_bits)[make_codebook(n_elements, size, quant_bits, seed, style)]
     matrix.setflags(write=False)    # cached and shared across calls
     return matrix
 
 
 @lru_cache(maxsize=16)
 def _phase_table(quant_bits: int) -> np.ndarray:
-    """exp(j * k * step) for every grid index k; equals exp(1j * quantize_phases(...))."""
+    """exp(j * k * step) for every grid level k."""
     table = np.exp(1j * (np.arange(1 << quant_bits) * grid_step(quant_bits)))
     table.setflags(write=False)     # cached and shared across calls
     return table
@@ -408,20 +400,6 @@ def goodput_sweep(
     """
     return goodput_curves([(params, mode)], frame_grid_ms, bandwidth_hz, n_trials,
                           seed, **kwargs)[0]
-
-
-def goodput(
-    params: SchemeParams,
-    mode: ControlMode,
-    frame_ms: float,
-    bandwidth_hz: float,
-    n_trials: int,
-    seed: int,
-    **kwargs,
-) -> GoodputResult:
-    """Single-frame goodput estimate; see goodput_curves for keyword options."""
-    return goodput_sweep(params, mode, [frame_ms], bandwidth_hz, n_trials, seed,
-                         **kwargs)[0]
 
 
 def crossover_frame(

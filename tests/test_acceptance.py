@@ -11,14 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from riscplane.channel import (
-    DEFAULT_RHO,
-    effective_snr,
-    grid_step,
-    optimal_config,
-    sample_realization,
-    snr_upper_bound,
-)
+from riscplane.channel import DEFAULT_RHO, grid_step
 from riscplane.cli import main
 from riscplane.control import (
     ControlMode,
@@ -45,6 +38,7 @@ from riscplane.metrics import (
     _bsw_outcomes,
     _cascade,
     _codebook_matrix,
+    _oce_outcomes,
     crossover_frame,
     goodput_sweep,
     reliability_grid,
@@ -170,17 +164,16 @@ def test_criterion_5_outage_model_matches_monte_carlo():
 
 def test_criterion_6_brute_force_optimality():
     with criterion(6, "rounded optimum within quantization loss of 256-entry exhaustive max"):
-        rng = np.random.default_rng(606)
         levels = 1 << 2
         step = grid_step(2)
         grids = np.indices((levels,) * 4).reshape(4, -1).T * step
         phase_matrix = np.exp(1j * grids)                  # 256 x 4
         loss = math.cos(math.pi / 2 ** 2) ** 2             # half-step residual worst case
-        for _ in range(100):
-            ch = sample_realization(4, 1.0, rng)
-            brute = float((np.abs(phase_matrix @ (ch.f * ch.g)) ** 2).max())
-            rounded = effective_snr(ch, optimal_config(ch, 2))
-            bound = snr_upper_bound(ch)
+        fg = _cascade(606, 0, 100, 4)                      # 100 trials of f * g at rho = 1
+        rate, _, _ = _oce_outcomes(fg, 1.0, 2)             # the goodput kernel's compensation
+        for ch, rounded in zip(fg, 2.0 ** rate - 1.0):
+            brute = float((np.abs(phase_matrix @ ch) ** 2).max())
+            bound = float(np.sum(np.abs(ch))) ** 2
             assert brute <= bound * (1 + 1e-12)
             assert rounded <= bound * (1 + 1e-12)
             assert rounded <= brute * (1 + 1e-12)

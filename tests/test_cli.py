@@ -150,8 +150,9 @@ def test_resolved_parameters_logged(tmp_path, capsys):
 
 
 # sha256 of goodput CSVs written before the batch path replaced one sweep per
-# curve (the third before payload rows were shared between curves); the draws
-# come from numpy's random stream, so they hold per numpy version
+# curve (the third before payload rows were shared between curves, the fourth
+# before codebooks became phase-level matrices); the draws come from numpy's
+# random stream, so they hold per numpy version
 PINNED_NUMPY = "2.4.6"
 PINNED_GOODPUT = [
     (["--seed", "1", "--frame-grid", "5:100:5"], "",
@@ -165,6 +166,12 @@ PINNED_GOODPUT = [
      "n_elements = 16\nbsw_codebook_size = 8\nrho = 0.286\nperfect_control = false\n"
      "es_reservation = true\nframe_grid = 2:60:0.5\n",
      "b206e683bd3c89797eb7a476aef7fbd105a31377fb401081da9eaf77866824c3"),
+    # a DFT-subset sweeping codebook on a 3-bit grid; about half the 30 ms
+    # trials qualify, so the sweep decides the BSW rows
+    (["--seed", "2"],
+     "n_elements = 64\nbsw_codebook_size = 16\nbsw_codebook_style = dft\nquant_bits = 3\n"
+     "rho = 0.05\nframe_grid = 10:60:5\n",
+     "b88f1198d1d53cd15146a8f2267d1ecd205dcffef0f4b64b86c36ee3cc6a9fed"),
 ]
 
 
@@ -314,6 +321,8 @@ def test_module_invocation_smoke(tmp_path):
     (["goodput"], "target_snr_db = 4000\n"),
     (["goodput"], "perfect_control = false\nsnr_ue_db = -4000\n"),
     (["goodput"], "perfect_control = false\nsnr_ris_db = -4000\n"),
+    (["goodput", "--frame-grid", "1e-12"], ""),
+    (["goodput"], "tti_ms = 1e-300\n"),
 ])
 def test_bad_numbers_exit_config_without_traceback(tmp_path, args, config):
     cfg = tmp_path / "run.cfg"

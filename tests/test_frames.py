@@ -4,6 +4,7 @@ import pytest
 from riscplane.control import ControlMode, Scheme, message_catalog
 from riscplane.errors import InvalidParameterError
 from riscplane.frames import (
+    MAX_FRAME_TTIS,
     ChannelUse,
     FramePhase,
     FramePlan,
@@ -121,6 +122,16 @@ def test_frame_must_be_tti_multiple():
     with pytest.raises(InvalidParameterError):
         frame_ttis(-5.0)
     assert frame_ttis(4.0) == 8
+
+
+def test_frame_ttis_bounded():
+    # below half a TTI rounds to no TTI; above MAX_FRAME_TTIS the per-chunk
+    # payload sums would leave float64's exact integers
+    assert frame_ttis(float(MAX_FRAME_TTIS), 1.0) == MAX_FRAME_TTIS
+    for frame_ms, tti_ms in ((1e-12, 0.5), (float(MAX_FRAME_TTIS + 1), 1.0),
+                             (10.0, 1e-300), (10.0, 1e-320)):
+        with pytest.raises(InvalidParameterError):
+            frame_ttis(frame_ms, tti_ms)
 
 
 def test_scheme_params_bound_phase_bits():

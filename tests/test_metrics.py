@@ -1,10 +1,11 @@
+import cmath
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from riscplane.channel import DEFAULT_RHO, ChannelRealization, effective_snr, optimal_config
+from riscplane.channel import DEFAULT_RHO, TWO_PI
 from riscplane.control import (
     ControlChannelState, ControlMode, Scheme, control_reliability, db_to_linear, message_catalog,
 )
@@ -24,7 +25,6 @@ from riscplane.metrics import (
     _row_groups,
     calibrate_rho,
     crossover_frame,
-    goodput,
     goodput_curves,
     goodput_sweep,
     reliability_grid,
@@ -36,6 +36,12 @@ GRID = tuple(float(f) for f in range(10, 101, 5))
 
 def sweep(scheme, mode, n_trials=2000, seed=1, **kw):
     return goodput_sweep(SchemeParams(scheme=scheme), mode, GRID, BW, n_trials, seed, **kw)
+
+
+def goodput(params, mode, frame_ms, bandwidth_hz, n_trials, seed, **kwargs):
+    """Single-frame goodput estimate; see goodput_curves for keyword options."""
+    return goodput_sweep(params, mode, [frame_ms], bandwidth_hz, n_trials, seed,
+                         **kwargs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +108,19 @@ def test_bsw_and_early_stop_share_the_qualifying_event():
 
 def test_vectorized_oce_matches_public_channel_ops():
     rate, success, _ = _oce_outcomes(_cascade(11, 0, 8, 16), 0.5, 2)
+    # reference: the one-block draw, each element's phase rounded to the
+    # nearest 2-bit level of its compensation -(arg f + arg g), summed in cmath
     rng = np.random.default_rng([11, 0])
     draws = rng.standard_normal((4, 8, 16))
     inv = 1.0 / math.sqrt(2.0)
+    step = TWO_PI / 4
     for i in range(8):
-        ch = ChannelRealization(f=(draws[0, i] + 1j * draws[1, i]) * inv,
-                                g=(draws[2, i] + 1j * draws[3, i]) * inv, rho=0.5)
-        snr = effective_snr(ch, optimal_config(ch, 2))
+        s = 0j
+        for n in range(16):
+            fg = complex(draws[0, i, n], draws[1, i, n]) * complex(draws[2, i, n], draws[3, i, n])
+            level = round(((-cmath.phase(fg)) % TWO_PI) / step) % 4
+            s += fg * inv * inv * cmath.exp(1j * level * step)
+        snr = 0.5 * abs(s) ** 2
         assert rate[i] == pytest.approx(math.log2(1.0 + snr), rel=1e-12)
         assert success[i] == 1.0
 
