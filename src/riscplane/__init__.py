@@ -1,5 +1,11 @@
 """Protocol- and link-level simulator for surface-aided uplink control planes."""
 
+import os
+
+# One BLAS thread per process, so pool workers do not oversubscribe the cores;
+# OpenBLAS reads this only when numpy loads, which the imports below do.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .channel import DEFAULT_RHO, make_codebook
 from .control import (
     ControlChannelState,

@@ -39,11 +39,23 @@ def grid_step(quant_bits: int) -> float:
     return TWO_PI / (1 << quant_bits)
 
 
-def phase_indices(phases: np.ndarray, quant_bits: int) -> np.ndarray:
-    """Index k in [0, 2^quant_bits) of the grid point k * step nearest each phase."""
+def phase_indices(
+    phases: np.ndarray, quant_bits: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Index k in [0, 2^quant_bits) of the grid point k * step nearest each phase.
+
+    With out, an int64 array of the phases' shape, the indices are written
+    there and phases, then a float64 array, is overwritten on the way.
+    """
     step = grid_step(quant_bits)
-    idx = np.round(np.asarray(phases, dtype=float) / step).astype(np.int64)
-    return idx % (1 << quant_bits)
+    if out is None:
+        phases = np.array(phases, dtype=float)      # a copy, for the in-place steps
+        out = np.empty(phases.shape, dtype=np.int64)
+    phases /= step
+    np.rint(phases, out=phases)
+    out[...] = phases
+    out %= 1 << quant_bits
+    return out
 
 
 def make_codebook(

@@ -13,9 +13,9 @@ from importlib import resources
 from pathlib import Path
 
 from .channel import DEFAULT_RHO, MAX_QUANT_BITS
-from .control import ControlChannelState, Scheme, db_to_linear
+from .control import ControlChannelState, ControlMode, Scheme, db_to_linear, message_catalog
 from .errors import InvalidParameterError
-from .frames import SchemeParams, frame_ttis
+from .frames import MAX_FRAME_TTIS, SchemeParams, frame_ttis, overhead_ttis
 
 # Most points a START:STOP:STEP grid may have; the finest packaged benchmark
 # grid has 991, and the bound keeps a typo from allocating without limit.
@@ -159,6 +159,15 @@ class RunConfig:
             _check_db("snr_grid_db", db)
         for name in ["target_snr_db", "snr_ue_db", "snr_ris_db"]:
             _check_db(name, getattr(self, name))
+        for scheme in Scheme:
+            catalog = message_catalog(
+                scheme, self.n_elements, self.quant_bits, self.bsw_codebook_size,
+                self.header_bits, self.ini_carries_full_codebook,
+            )
+            for mode in ControlMode:
+                if overhead_ttis(self.scheme_params(scheme), mode, catalog) > MAX_FRAME_TTIS:
+                    raise ConfigError("config", f"{scheme.value} {mode.value} frame overhead "
+                                      f"spans more than {MAX_FRAME_TTIS} TTIs")
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,

@@ -96,7 +96,7 @@ class ControlChannelState:
 
 
 def _tti_cost(payload_bits: int) -> int:
-    return max(1, math.ceil(payload_bits / CONTROL_BITS_PER_TTI))
+    return max(1, -(-payload_bits // CONTROL_BITS_PER_TTI))
 
 
 def message_catalog(

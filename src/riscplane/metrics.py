@@ -150,34 +150,84 @@ def _phase_table(quant_bits: int) -> np.ndarray:
     return table
 
 
-def _cascade(seed: int, chunk_index: int, m: int, n_elements: int) -> np.ndarray:
+class _Scratch:
+    """Buffers for the (trials, N) arrays of a chunk, reused from chunk to chunk.
+
+    Fresh multi-MiB temporaries in every chunk leave it to glibc's malloc
+    whether they come from the brk heap or from new mappings, and the place
+    of unrelated small allocations decides that: the length of the checkout
+    path alone moved a pool worker's peak RSS by 6 MiB. Fixed buffers keep
+    the peak the same from run to run and spare the page faults of fresh
+    mappings.
+    """
+
+    def __init__(self, trials: int, n_elements: int):
+        size = trials * n_elements
+        self.draws = np.empty(2 * size)             # one hop's normals, then phases and levels
+        self.fg = np.empty(size, dtype=complex)     # the cascaded gains
+        self.h = np.empty(size, dtype=complex)      # the second hop, then compensated gains
+
+
+@lru_cache(maxsize=1)
+def _worker_scratch(n_elements: int) -> _Scratch:
+    """A pool worker's buffers, kept across its chunks; it runs one chunk at a time."""
+    return _Scratch(CHUNK_TRIALS, n_elements)
+
+
+def _shaped(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading elements of a flat buffer as a C-contiguous array of shape."""
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
+def _cascade(
+    seed: int, chunk_index: int, m: int, n_elements: int, scratch: Optional[_Scratch] = None
+) -> np.ndarray:
     """Cascaded gains f * g of m trials of i.i.d. CN(0, 1) hops, from the (seed, chunk) stream.
 
     The normals are the (4, m, N) block [Re f, Im f, Re g, Im g] of the
     stream, drawn as two consecutive (2, m, N) halves (the same values) and
     combined in place, so no more than one hop's draws are alive at a time.
+    The result is a view of scratch's fg buffer; without scratch, new
+    buffers are made.
     """
     rng = np.random.default_rng([seed, chunk_index])
+    if scratch is None:
+        scratch = _Scratch(m, n_elements)
+    draws = _shaped(scratch.draws, 2, m, n_elements)
 
-    def hop():
-        draws = rng.standard_normal((2, m, n_elements))
-        h = 1j * draws[1]
+    def hop(h):
+        rng.standard_normal(out=draws)
+        np.multiply(1j, draws[1], out=h)
         h += draws[0]
         h *= _INV_SQRT2
         return h
 
-    fg = hop()
-    fg *= hop()
+    fg = hop(_shaped(scratch.fg, m, n_elements))
+    fg *= hop(_shaped(scratch.h, m, n_elements))
     return fg
 
 
-def _oce_outcomes(fg: np.ndarray, rho: float, quant_bits: int):
+def _oce_outcomes(fg: np.ndarray, rho: float, quant_bits: int, scratch: Optional[_Scratch] = None):
     """Per-trial (rate, success, None) of rate adaptation on quantized phase compensation.
 
-    rate is in bit/s/Hz; rate adaptation always succeeds.
+    rate is in bit/s/Hz; rate adaptation always succeeds. The draws and h
+    buffers of scratch (new ones without it) hold the intermediates, so fg
+    must not be a view of them.
     """
-    idx = phase_indices((-np.angle(fg)) % TWO_PI, quant_bits)
-    s = np.sum(fg * _phase_table(quant_bits)[idx], axis=1)
+    m, n_elements = fg.shape
+    if scratch is None:
+        scratch = _Scratch(m, n_elements)
+    size = m * n_elements
+    phases = _shaped(scratch.draws, m, n_elements)
+    levels = _shaped(scratch.draws[size:].view(np.int64), m, n_elements)
+    np.arctan2(fg.imag, fg.real, out=phases)        # np.angle(fg)
+    np.negative(phases, out=phases)
+    np.remainder(phases, TWO_PI, out=phases)
+    phase_indices(phases, quant_bits, out=levels)
+    compensated = _shaped(scratch.h, m, n_elements)
+    np.take(_phase_table(quant_bits), levels, out=compensated, mode="clip")  # levels are in range
+    np.multiply(fg, compensated, out=compensated)
+    s = np.sum(compensated, axis=1)
     snr = rho * np.abs(s) ** 2
     return np.log2(1.0 + snr), np.ones(fg.shape[0]), None
 
@@ -246,23 +296,37 @@ def _reduce_groups(groups: Sequence[_RowGroup], frames_ttis: Sequence[int], outc
     return out
 
 
-def _chunk_partials(batch: _Batch, chunk_index: int) -> np.ndarray:
-    """Partial sums of one chunk, shape (curves, frames, 4); see _reduce_groups."""
+def _chunk_partials(
+    batch: _Batch, chunk_index: int, scratch: Optional[_Scratch] = None
+) -> np.ndarray:
+    """Partial sums of one chunk, shape (curves, frames, 4); see _reduce_groups.
+
+    scratch holds the chunk's (trials, N) arrays; pool workers pass none and
+    use their own.
+    """
     start = chunk_index * CHUNK_TRIALS
     m = min(CHUNK_TRIALS, batch.n_trials - start)
-    fg = _cascade(batch.seed, chunk_index, m, batch.n_elements)
+    if scratch is None:
+        scratch = _worker_scratch(batch.n_elements)
+    fg = _cascade(batch.seed, chunk_index, m, batch.n_elements, scratch)
     kernels = {group.kernel for group in batch.groups}
     outcomes = {}
     if Scheme.OCE in kernels:
-        outcomes[Scheme.OCE] = _oce_outcomes(fg, batch.rho, batch.quant_bits)
+        outcomes[Scheme.OCE] = _oce_outcomes(fg, batch.rho, batch.quant_bits, scratch)
     if Scheme.BSW in kernels:
         entry_matrix = _codebook_matrix(
             batch.n_elements, batch.codebook_size, batch.quant_bits,
             batch.codebook_seed, batch.codebook_style,
         )
         outcomes[Scheme.BSW] = _bsw_outcomes(fg, batch.rho, batch.target_snr, entry_matrix)
-    del fg
     return _reduce_groups(batch.groups, batch.frames_ttis, outcomes)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # SchemeParams fields that decide the per-trial channel outcomes; the
@@ -296,7 +360,7 @@ def goodput_curves(
     exactly what goodput_sweep gives for its spec alone. The specs must
     agree on n_elements, quant_bits, target_snr and bsw_codebook_size. With
     workers > 1 the chunks run on one process pool of at most
-    min(workers, chunks, CPU count) processes.
+    min(workers, chunks, available CPUs) processes.
     """
     if len(specs) == 0:
         raise InvalidParameterError("specs must be non-empty")
@@ -351,9 +415,10 @@ def goodput_curves(
     # deterministic whatever the number of processes.
     n_chunks = math.ceil(n_trials / CHUNK_TRIALS)
     tasks = (repeat(batch, n_chunks), range(n_chunks))
-    pool_size = min(workers, n_chunks, os.cpu_count() or 1)
+    pool_size = min(workers, n_chunks, _available_cpus())
     if pool_size <= 1:
-        sums = reduce(operator.iadd, map(_chunk_partials, *tasks))
+        scratch = _Scratch(min(n_trials, CHUNK_TRIALS), first.n_elements)
+        sums = reduce(operator.iadd, map(_chunk_partials, *tasks, repeat(scratch, n_chunks)))
     else:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             sums = reduce(operator.iadd, pool.map(_chunk_partials, *tasks))

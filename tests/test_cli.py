@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -306,6 +307,51 @@ def test_module_invocation_smoke(tmp_path):
     assert out.read_text().splitlines()[0] == GOODPUT_HEADER
 
 
+_BLAS_PROBE = """
+import ctypes, glob, os
+import riscplane
+import numpy
+print(os.environ["OPENBLAS_NUM_THREADS"])
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+    get = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        print(get())
+"""
+
+
+def test_import_defaults_blas_to_one_thread():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    variable, *library = proc.stdout.split()
+    assert variable == "1"
+    if not library:
+        pytest.skip("numpy's bundled OpenBLAS or its thread-count symbol not found")
+    assert library == ["1"]
+
+
+def test_import_keeps_a_preset_blas_thread_count():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split()[0] == "2"
+
+
+def test_goodput_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        for workers in ("1", "2"):
+            out = tmp_path / f"blas{threads}_workers{workers}.csv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run(
+                [sys.executable, "-m", "riscplane", "goodput", "--trials", "5000",
+                 "--workers", workers, "--out", str(out)],   # two chunks, N = 100, C = 32
+                env=env, capture_output=True, check=True)
+            outputs.append(out.read_bytes())
+    assert all(output == outputs[0] for output in outputs[1:])
+
+
 @pytest.mark.parametrize("args, config", [
     (["goodput", "--frame-grid", "nan"], ""),
     (["goodput", "--frame-grid", "inf"], ""),
@@ -323,6 +369,8 @@ def test_module_invocation_smoke(tmp_path):
     (["goodput"], "perfect_control = false\nsnr_ris_db = -4000\n"),
     (["goodput", "--frame-grid", "1e-12"], ""),
     (["goodput"], "tti_ms = 1e-300\n"),
+    (["goodput"], "switch_ttis = 100000000000000000000000\n"),
+    (["goodput"], "header_bits = 1000000000000000000000000000000\n"),
 ])
 def test_bad_numbers_exit_config_without_traceback(tmp_path, args, config):
     cfg = tmp_path / "run.cfg"

@@ -257,9 +257,9 @@ def test_batch_rejects_specs_that_disagree_on_the_channel(field, value):
 def test_default_cli_run_draws_once_per_chunk(tmp_path, capsys, monkeypatch):
     calls = []
 
-    def counting(seed, chunk_index, m, n_elements):
+    def counting(seed, chunk_index, m, n_elements, scratch=None):
         calls.append(chunk_index)
-        return _cascade(seed, chunk_index, m, n_elements)
+        return _cascade(seed, chunk_index, m, n_elements, scratch)
 
     monkeypatch.setattr(metrics, "_cascade", counting)
     assert main(["goodput", "--trials", "9000", "--out", str(tmp_path / "g.csv")]) == 0
@@ -289,12 +289,37 @@ class _RecordingPool:
 def test_one_pool_per_run_sized_by_chunks_and_cores(tmp_path, capsys, monkeypatch, cores, size):
     monkeypatch.setattr(_RecordingPool, "opened", [])
     monkeypatch.setattr(metrics, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(metrics.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(metrics, "_available_cpus", lambda: cores)
     argv = ["goodput", "--trials", "9000"]         # three chunks
     assert main(argv + ["--workers", "8", "--out", str(tmp_path / "pool.csv")]) == 0
     assert _RecordingPool.opened == [size]
     assert main(argv + ["--out", str(tmp_path / "one.csv")]) == 0
     assert _RecordingPool.opened == [size]        # one process: no pool
+    capsys.readouterr()
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_chunk_buffers_made_once_per_process(tmp_path, capsys, monkeypatch):
+    made = []
+
+    class CountingScratch(metrics._Scratch):
+        def __init__(self, trials, n_elements):
+            made.append((trials, n_elements))
+            super().__init__(trials, n_elements)
+
+    monkeypatch.setattr(metrics, "_Scratch", CountingScratch)
+    argv = ["goodput", "--trials", "9000"]         # three chunks
+    assert main(argv + ["--out", str(tmp_path / "one.csv")]) == 0
+    assert made == [(metrics.CHUNK_TRIALS, 100)]
+    # a pool worker keeps its buffers across chunks; the stand-in pool is one process
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(metrics, "_available_cpus", lambda: 2)
+    metrics._worker_scratch.cache_clear()
+    try:
+        assert main(argv + ["--workers", "2", "--out", str(tmp_path / "pool.csv")]) == 0
+    finally:
+        metrics._worker_scratch.cache_clear()
+    assert made == [(metrics.CHUNK_TRIALS, 100)] * 2
     capsys.readouterr()
     assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
