@@ -44,8 +44,12 @@ def phase_indices(
 ) -> np.ndarray:
     """Index k in [0, 2^quant_bits) of the grid point k * step nearest each phase.
 
-    With out, an int64 array of the phases' shape, the indices are written
-    there and phases, then a float64 array, is overwritten on the way.
+    That is rint(phases / step) mod 2^quant_bits. The wrap is a bitmask with
+    2^quant_bits - 1, which on two's-complement int64 equals floor-mod by
+    the power of two for every value, negative ones included, so any real
+    phase is wrapped as `%` would. With out, an int64 array of the phases'
+    shape, the indices are written there and phases, then a float64 array,
+    is overwritten on the way.
     """
     step = grid_step(quant_bits)
     if out is None:
@@ -54,7 +58,7 @@ def phase_indices(
     phases /= step
     np.rint(phases, out=phases)
     out[...] = phases
-    out %= 1 << quant_bits
+    out &= (1 << quant_bits) - 1
     return out
 
 

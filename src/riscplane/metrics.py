@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import repeat
@@ -43,8 +42,8 @@ from .frames import TTI_MS, SchemeParams, alg_ttis, frame_ttis, overhead_ttis
 CHUNK_TRIALS = 4096
 DEFAULT_CODEBOOK_SEED = 7
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-# Payload rows reduced together: the (block, CHUNK_TRIALS) temporaries stay
-# at 256 KiB each, small enough for cache, and more rows per block only add
+# Payload rows reduced together: the (block, CHUNK_TRIALS) row buffer stays
+# at 256 KiB, small enough for cache, and more rows per block only add
 # memory without speeding up the reduction.
 _FRAME_BLOCK = 8
 
@@ -151,7 +150,7 @@ def _phase_table(quant_bits: int) -> np.ndarray:
 
 
 class _Scratch:
-    """Buffers for the (trials, N) arrays of a chunk, reused from chunk to chunk.
+    """Buffers for a chunk's (trials, N) arrays and payload rows, reused from chunk to chunk.
 
     Fresh multi-MiB temporaries in every chunk leave it to glibc's malloc
     whether they come from the brk heap or from new mappings, and the place
@@ -166,6 +165,7 @@ class _Scratch:
         self.draws = np.empty(2 * size)             # one hop's normals, then phases and levels
         self.fg = np.empty(size, dtype=complex)     # the cascaded gains
         self.h = np.empty(size, dtype=complex)      # the second hop, then compensated gains
+        self.rows = np.empty(_FRAME_BLOCK * trials)  # a block of payload rows
 
 
 @lru_cache(maxsize=1)
@@ -185,10 +185,12 @@ def _cascade(
     """Cascaded gains f * g of m trials of i.i.d. CN(0, 1) hops, from the (seed, chunk) stream.
 
     The normals are the (4, m, N) block [Re f, Im f, Re g, Im g] of the
-    stream, drawn as two consecutive (2, m, N) halves (the same values) and
-    combined in place, so no more than one hop's draws are alive at a time.
-    The result is a view of scratch's fg buffer; without scratch, new
-    buffers are made.
+    stream, drawn as two consecutive (2, m, N) halves (the same values), so
+    no more than one hop's draws are alive at a time. A hop is
+    (Re + 1j * Im) / sqrt(2), written as its two scaled parts: the same
+    bits, except that an exactly zero draw may keep its sign, which no
+    product, sum or modulus downstream can tell. The result is a view of
+    scratch's fg buffer; without scratch, new buffers are made.
     """
     rng = np.random.default_rng([seed, chunk_index])
     if scratch is None:
@@ -197,9 +199,8 @@ def _cascade(
 
     def hop(h):
         rng.standard_normal(out=draws)
-        np.multiply(1j, draws[1], out=h)
-        h += draws[0]
-        h *= _INV_SQRT2
+        np.multiply(draws[0], _INV_SQRT2, out=h.real)
+        np.multiply(draws[1], _INV_SQRT2, out=h.imag)
         return h
 
     fg = hop(_shaped(scratch.fg, m, n_elements))
@@ -210,19 +211,27 @@ def _cascade(
 def _oce_outcomes(fg: np.ndarray, rho: float, quant_bits: int, scratch: Optional[_Scratch] = None):
     """Per-trial (rate, success, None) of rate adaptation on quantized phase compensation.
 
-    rate is in bit/s/Hz; rate adaptation always succeeds. The draws and h
-    buffers of scratch (new ones without it) hold the intermediates, so fg
-    must not be a view of them.
+    rate is in bit/s/Hz; rate adaptation always succeeds. Each element is
+    compensated by the level nearest x = -angle(fg) mod 2*pi. x lies in
+    [-pi, pi], where np.remainder(x, 2*pi) is the single IEEE addition
+    x + 2*pi for x < 0 and x itself otherwise (+0.0 for -0.0). Adding
+    2*pi * (x < 0) performs that addition and adds 0.0 elsewhere, so it
+    gives the same bits, signed zeros included, in three plain passes. The
+    draws and h buffers of scratch (new ones without it) hold the
+    intermediates, so fg must not be a view of them.
     """
     m, n_elements = fg.shape
     if scratch is None:
         scratch = _Scratch(m, n_elements)
     size = m * n_elements
     phases = _shaped(scratch.draws, m, n_elements)
-    levels = _shaped(scratch.draws[size:].view(np.int64), m, n_elements)
+    wrap = _shaped(scratch.draws[size:], m, n_elements)
+    levels = _shaped(scratch.draws[size:].view(np.int64), m, n_elements)    # wrap's memory
     np.arctan2(fg.imag, fg.real, out=phases)        # np.angle(fg)
     np.negative(phases, out=phases)
-    np.remainder(phases, TWO_PI, out=phases)
+    np.less(phases, 0.0, out=wrap)
+    wrap *= TWO_PI
+    phases += wrap                                  # np.remainder(phases, TWO_PI)
     phase_indices(phases, quant_bits, out=levels)
     compensated = _shaped(scratch.h, m, n_elements)
     np.take(_phase_table(quant_bits), levels, out=compensated, mode="clip")  # levels are in range
@@ -251,21 +260,31 @@ def _bsw_outcomes(fg: np.ndarray, rho: float, target_snr: float, entry_matrix: n
 def _payload_rows(rs: np.ndarray, pay: np.ndarray):
     """[sum rsp, sum rsp^2] of a block of payload rows; rsp = rs * pay, one row per key.
 
-    pay is (rows, 1) for fixed payloads or (rows, trials); each trial row is
-    summed along its contiguous axis.
+    pay is a C-contiguous (rows, trials) float64 block of per-trial payload
+    TTIs and is overwritten with rsp, then rsp^2. Each row is summed along
+    its contiguous axis; numpy's pairwise sums of another layout (an
+    F-ordered block, say) can differ in the last bits.
     """
-    rsp = rs[None, :] * pay
-    return rsp.sum(axis=1), (rsp * rsp).sum(axis=1)
+    pay *= rs
+    sum_rsp = pay.sum(axis=1)
+    pay *= pay
+    return sum_rsp, pay.sum(axis=1)
 
 
-def _reduce_groups(groups: Sequence[_RowGroup], frames_ttis: Sequence[int], outcomes) -> np.ndarray:
+def _reduce_groups(
+    groups: Sequence[_RowGroup], frames_ttis: Sequence[int], outcomes,
+    scratch: Optional[_Scratch] = None,
+) -> np.ndarray:
     """Per-curve, per-frame partial sums [sum rsp, sum rsp^2, sum success, sum overhead_ttis].
 
     rsp is the per-trial rate * success * payload TTIs. Each distinct row of
-    a group is reduced once, _FRAME_BLOCK rows at a time, and gathered into
-    every curve and frame that uses it; rows with no payload are exactly 0
-    and take no pass over the trials. Overhead sums are frame * trials minus
-    the integer payload sum, exact from the evaluation-count histogram.
+    a group is reduced once, _FRAME_BLOCK rows at a time in scratch's rows
+    buffer (a new one without it), and gathered into every curve and frame
+    that uses it; rows with no payload are exactly 0 and take no pass over
+    the trials. An early-stopping row's payload depends on the trial only
+    through its evaluation count, so it is gathered from the row's payload
+    per count. Overhead sums are frame * trials minus the integer payload
+    sum, exact from the evaluation-count histogram.
     """
     frames = np.array(frames_ttis, dtype=np.int64)
     out = np.empty((sum(len(g.members) for g in groups), frames.shape[0], 4))
@@ -279,14 +298,18 @@ def _reduce_groups(groups: Sequence[_RowGroup], frames_ttis: Sequence[int], outc
             hist = np.bincount(evals)
             per_evals = np.maximum(0, budget[:, None] - es[:, None] * np.arange(hist.shape[0]))
             pay_sum = per_evals @ hist
+            table = per_evals.astype(float)     # exact: payloads stay below 2**53
         else:
             pay_sum = budget * m
+        row_buffer = scratch.rows if scratch is not None else np.empty(_FRAME_BLOCK * m)
         for lo in range(0, group.live.shape[0], _FRAME_BLOCK):
             block = group.live[lo:lo + _FRAME_BLOCK]
+            pay = _shaped(row_buffer, block.shape[0], m)
             if es[block].any():
-                pay = np.maximum(0, budget[block, None] - es[block, None] * evals)
+                # evals index the histogram, so they are in range
+                np.take(table[block], evals, axis=1, out=pay, mode="clip")
             else:
-                pay = budget[block, None]
+                pay[...] = budget[block, None]
             sums[block, 0], sums[block, 1] = _payload_rows(rs, pay)
         success_sum = success.sum()
         for position, rows in zip(group.members, group.rows):
@@ -319,7 +342,7 @@ def _chunk_partials(
             batch.codebook_seed, batch.codebook_style,
         )
         outcomes[Scheme.BSW] = _bsw_outcomes(fg, batch.rho, batch.target_snr, entry_matrix)
-    return _reduce_groups(batch.groups, batch.frames_ttis, outcomes)
+    return _reduce_groups(batch.groups, batch.frames_ttis, outcomes, scratch)
 
 
 def _available_cpus() -> int:
@@ -420,6 +443,8 @@ def goodput_curves(
         scratch = _Scratch(min(n_trials, CHUNK_TRIALS), first.n_elements)
         sums = reduce(operator.iadd, map(_chunk_partials, *tasks, repeat(scratch, n_chunks)))
     else:
+        # imported here: it is a sizeable part of the CLI's start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             sums = reduce(operator.iadd, pool.map(_chunk_partials, *tasks))
 
@@ -552,9 +577,10 @@ def calibrate_rho(
     )
     maxima = []
     n_chunks = math.ceil(n_trials / CHUNK_TRIALS)
+    scratch = _Scratch(min(n_trials, CHUNK_TRIALS), n_elements)
     for c in range(n_chunks):
         m = min(CHUNK_TRIALS, n_trials - c * CHUNK_TRIALS)
-        stat = np.abs(_cascade(seed, c, m, n_elements) @ entry_matrix.T) ** 2
+        stat = np.abs(_cascade(seed, c, m, n_elements, scratch) @ entry_matrix.T) ** 2
         maxima.append(stat.max(axis=1))
     best = np.concatenate(maxima)
     return float(target_snr / np.quantile(best, 1.0 - target_success))

@@ -179,6 +179,29 @@ def test_phase_indices_round_to_the_nearest_level_and_wrap():
     assert phase_indices(phases, 2).dtype == np.int64
 
 
+@pytest.mark.parametrize("quant_bits", [1, 2, 3, 16])
+def test_phase_indices_bitmask_wrap_matches_floor_mod(quant_bits):
+    step = grid_step(quant_bits)
+    ties = (np.arange(1 << quant_bits) + 0.5) * step
+    on_grid = np.concatenate([[0.0, -0.0, np.pi, -np.pi], ties,
+                              np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf)])
+    rng = np.random.default_rng(quant_bits)
+    off_grid = np.concatenate([rng.uniform(-40.0, 0.0, 1000), rng.uniform(TWO_PI, 40.0, 1000)])
+    # the formula with %: exact for every input, ties outside [0, 2*pi) included
+    shifted = np.concatenate([-ties, ties + TWO_PI, ties - 3 * TWO_PI])
+    for phases in (on_grid, off_grid, shifted):
+        expected = np.rint(phases / step).astype(np.int64) % 2 ** quant_bits
+        assert np.array_equal(phase_indices(phases, quant_bits), expected)
+        out = np.empty(phases.shape, dtype=np.int64)
+        phase_indices(phases.copy(), quant_bits, out=out)
+        assert np.array_equal(out, expected)
+    # the level of the phase mod 2*pi; at ties outside [0, 2*pi) np.remainder's
+    # own rounding can cross the tie, so only the inputs above are compared
+    for phases in (on_grid, off_grid):
+        expected = np.rint(np.remainder(phases, TWO_PI) / step).astype(np.int64) % 2 ** quant_bits
+        assert np.array_equal(phase_indices(phases, quant_bits), expected)
+
+
 def test_ce_codebook_is_dft_exact_on_two_bit_grid():
     # the full channel-estimation sweep is the dft style with one entry per element
     levels = make_codebook(4, 4, 2, bsw_style="dft")

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,17 @@ from riscplane.cli import (
 from riscplane.config import RunConfig, load_config, parse_grid, ConfigError
 from riscplane.control import ControlChannelState, Scheme, db_to_linear
 from riscplane.frames import CausalityViolation, PhaseKind
+
+
+# child interpreters import riscplane from the tree this suite imports it from
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def child_env(env=None):
+    """env (default: this process's) with the package's source tree first on PYTHONPATH."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(args, capsys=None):
@@ -302,7 +314,7 @@ def test_module_invocation_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "riscplane", "goodput", "--trials", "50",
          "--frame-grid", "20", "--scheme", "bsw", "--out", str(out)],
-        capture_output=True, text=True)
+        env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.read_text().splitlines()[0] == GOODPUT_HEADER
 
@@ -322,7 +334,7 @@ for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
 
 def test_import_defaults_blas_to_one_thread():
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=child_env(env),
                           capture_output=True, text=True, check=True)
     variable, *library = proc.stdout.split()
     assert variable == "1"
@@ -333,9 +345,17 @@ def test_import_defaults_blas_to_one_thread():
 
 def test_import_keeps_a_preset_blas_thread_count():
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
-    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=child_env(env),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split()[0] == "2"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool module is imported only when a run opens a pool
+    probe = "import sys, riscplane.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]
 
 
 def test_goodput_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path):
@@ -343,7 +363,7 @@ def test_goodput_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path):
     for threads in ("1", "2"):
         for workers in ("1", "2"):
             out = tmp_path / f"blas{threads}_workers{workers}.csv"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env = child_env({**os.environ, "OPENBLAS_NUM_THREADS": threads})
             subprocess.run(
                 [sys.executable, "-m", "riscplane", "goodput", "--trials", "5000",
                  "--workers", workers, "--out", str(out)],   # two chunks, N = 100, C = 32
@@ -378,7 +398,7 @@ def test_bad_numbers_exit_config_without_traceback(tmp_path, args, config):
     proc = subprocess.run(
         [sys.executable, "-m", "riscplane", *args, "--config", str(cfg),
          "--out", str(tmp_path / "out.csv")],
-        capture_output=True, text=True)
+        env=child_env(), capture_output=True, text=True)
     assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: ")

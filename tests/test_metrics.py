@@ -1,4 +1,5 @@
 import cmath
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -15,12 +16,14 @@ from riscplane import metrics
 from riscplane.cli import main
 from riscplane.metrics import (
     _FRAME_BLOCK,
+    _INV_SQRT2,
     _bsw_outcomes,
     _cascade,
     _codebook_matrix,
     _Curve,
     _oce_outcomes,
     _payload_rows,
+    _phase_table,
     _reduce_groups,
     _row_groups,
     calibrate_rho,
@@ -125,6 +128,47 @@ def test_vectorized_oce_matches_public_channel_ops():
         assert success[i] == 1.0
 
 
+def remainder_oce_rates(fg, rho, quant_bits):
+    """The rate-adaptive kernel as written with np.angle, np.remainder and %."""
+    step = TWO_PI / 2 ** quant_bits
+    phases = np.remainder(-np.angle(fg), TWO_PI)
+    levels = np.rint(phases / step).astype(np.int64) % 2 ** quant_bits
+    # fg first: complex products are not bitwise commutative, and the
+    # operator form may swap the operands of a temporary
+    s = np.sum(np.multiply(fg, _phase_table(quant_bits)[levels]), axis=1)
+    return np.log2(1.0 + rho * np.abs(s) ** 2)
+
+
+def boundary_gains(quant_bits):
+    """Three-element trials whose first gain has its compensation on a level boundary.
+
+    The first gains are exp(j * angle) for every half-step tie of the
+    compensation, the same with the imaginary part one float either way,
+    the diagonals and the axes with both signed zeros; the other two fixed
+    gains make the rate depend on the first one's level.
+    """
+    angles = -(np.arange(2 ** quant_bits) + 0.5) * (TWO_PI / 2 ** quant_bits)
+    tie = np.exp(1j * angles)
+    axes = [complex(re, im) for re in (1.0, -1.0, 0.0, -0.0) for im in (0.0, -0.0)]
+    axes += [1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]
+    first = np.concatenate([tie, tie.real + 1j * np.nextafter(tie.imag, np.inf),
+                            tie.real + 1j * np.nextafter(tie.imag, -np.inf), axes])
+    return np.stack([first, np.full_like(first, 0.3 + 0.7j),
+                     np.full_like(first, -0.45 + 0.2j)], axis=1)
+
+
+@pytest.mark.parametrize("quant_bits", [1, 2, 3, 16])
+def test_oce_kernel_matches_remainder_formula_bitwise(quant_bits):
+    hand = boundary_gains(quant_bits)
+    compensation = np.remainder(-np.angle(hand[:, 0]), TWO_PI) / (TWO_PI / 2 ** quant_bits)
+    assert np.any(compensation % 1.0 == 0.5)        # some sit exactly on a tie
+    for fg in (_cascade(29, 1, 4096, 100), hand):
+        rate, success, evals = _oce_outcomes(fg, DEFAULT_RHO, quant_bits)
+        expected = remainder_oce_rates(fg, DEFAULT_RHO, quant_bits)
+        assert np.array_equal(rate.view(np.uint64), expected.view(np.uint64))
+        assert np.all(success == 1.0) and evals is None
+
+
 def test_vectorized_bsw_matches_select_config():
     entry_matrix = _codebook_matrix(16, 8, 2, 7, "random")
     _, success, evals = _bsw_outcomes(_cascade(13, 0, 32, 16), 0.5, 4.0, entry_matrix)
@@ -170,6 +214,25 @@ def test_cascade_matches_one_block_draw():
         f = (draws[0] + 1j * draws[1]) * (1.0 / np.sqrt(2.0))
         g = (draws[2] + 1j * draws[3]) * (1.0 / np.sqrt(2.0))
         assert np.array_equal(_cascade(seed, chunk, m, n), f * g)
+
+
+def test_cascade_hops_match_the_complex_formula_bitwise():
+    # reference: each hop as (1j * Im + Re) * (1 / sqrt 2) in complex arithmetic
+    scratch = metrics._Scratch(4096, 100)
+    for seed, chunk, m, n in ((1, 0, 4096, 100), (5, 3, 904, 100), (9, 1, 7, 3)):
+        rng = np.random.default_rng([seed, chunk])
+        hops = []
+        for _ in range(2):
+            draws = rng.standard_normal((2, m, n))
+            hop = np.multiply(1j, draws[1])
+            hop += draws[0]
+            hop *= _INV_SQRT2
+            hops.append(hop)
+        expected = np.multiply(hops[0], hops[1]).view(np.uint64)
+        assert np.array_equal(_cascade(seed, chunk, m, n).view(np.uint64), expected)
+        if n == 100:
+            fg = _cascade(seed, chunk, m, n, scratch)
+            assert np.array_equal(fg.view(np.uint64), expected)
 
 
 def test_batch_curves_equal_single_spec_sweeps():
@@ -288,7 +351,7 @@ class _RecordingPool:
 @pytest.mark.parametrize("cores, size", [(2, 2), (16, 3)])
 def test_one_pool_per_run_sized_by_chunks_and_cores(tmp_path, capsys, monkeypatch, cores, size):
     monkeypatch.setattr(_RecordingPool, "opened", [])
-    monkeypatch.setattr(metrics, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(metrics, "_available_cpus", lambda: cores)
     argv = ["goodput", "--trials", "9000"]         # three chunks
     assert main(argv + ["--workers", "8", "--out", str(tmp_path / "pool.csv")]) == 0
@@ -312,7 +375,7 @@ def test_chunk_buffers_made_once_per_process(tmp_path, capsys, monkeypatch):
     assert main(argv + ["--out", str(tmp_path / "one.csv")]) == 0
     assert made == [(metrics.CHUNK_TRIALS, 100)]
     # a pool worker keeps its buffers across chunks; the stand-in pool is one process
-    monkeypatch.setattr(metrics, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(metrics, "_available_cpus", lambda: 2)
     metrics._worker_scratch.cache_clear()
     try:
@@ -417,6 +480,24 @@ def test_calibrated_rho_hits_target_success_band():
 def test_calibrate_rho_reproduces_default():
     est = calibrate_rho(n_trials=20_000, seed=0)
     assert est == pytest.approx(DEFAULT_RHO, rel=0.05)
+
+
+def test_calibrate_rho_reuses_one_set_of_buffers(monkeypatch):
+    # reference: fresh buffers for every chunk's draw
+    entries = _codebook_matrix(100, 32, 2, 7, "random")
+    best = np.concatenate([
+        (np.abs(_cascade(4, c, m, 100) @ entries.T) ** 2).max(axis=1)
+        for c, m in enumerate((4096, 4096, 808))])
+    made = []
+
+    class CountingScratch(metrics._Scratch):
+        def __init__(self, trials, n_elements):
+            made.append((trials, n_elements))
+            super().__init__(trials, n_elements)
+
+    monkeypatch.setattr(metrics, "_Scratch", CountingScratch)
+    assert calibrate_rho(n_trials=9000, seed=4) == float(10.0 / np.quantile(best, 0.5))
+    assert made == [(metrics.CHUNK_TRIALS, 100)]     # three chunks, one set of buffers
 
 
 # ---------------------------------------------------------------------------
