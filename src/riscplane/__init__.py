@@ -6,7 +6,7 @@ import os
 # OpenBLAS reads this only when numpy loads, which the imports below do.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .channel import DEFAULT_RHO, make_codebook
+from .channel import make_codebook
 from .control import (
     ControlChannelState,
     ControlMessage,
@@ -16,14 +16,12 @@ from .control import (
     Scheme,
     control_reliability,
     db_to_linear,
-    linear_to_db,
     message_catalog,
     min_snr_for_reliability,
     msg_success_prob,
 )
 from .errors import InvalidParameterError
 from .frames import (
-    TTI_MS,
     CausalityViolation,
     ChannelUse,
     FramePhase,
@@ -39,7 +37,6 @@ from .metrics import (
     calibrate_rho,
     crossover_frame,
     goodput_curves,
-    goodput_sweep,
     reliability_grid,
 )
 from .config import ConfigError, RunConfig, load_config

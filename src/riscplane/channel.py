@@ -1,4 +1,4 @@
-"""Phase grid, codebooks as phase-level matrices and the calibrated reference SNR.
+"""Phase grid and codebooks as phase-level matrices.
 
 The uplink signal reaches the base station only through an N-element
 reflecting surface. With per-element phase shifts phi_n the end-to-end
@@ -25,11 +25,6 @@ TWO_PI = 2.0 * np.pi
 # Largest bits per element phase. A 2^b-entry phase table is built per run,
 # so this also bounds its memory (2^16 complex entries, 1 MiB).
 MAX_QUANT_BITS = 16
-
-# Calibrated so that the default 32-entry beam-sweeping codebook at N = 100
-# meets the 10 dB target in about half of the coherence blocks; see
-# metrics.calibrate_rho and the committed default config file.
-DEFAULT_RHO = 2.68e-2
 
 
 def grid_step(quant_bits: int) -> float:
@@ -66,8 +61,8 @@ def make_codebook(
     n_elements: int,
     size: int,
     quant_bits: int,
-    seed: int = 0,
-    bsw_style: str = "random",
+    seed: int,
+    bsw_style: str,
 ) -> np.ndarray:
     """Beam-sweeping codebook as a (size, n_elements) int64 matrix of phase levels.
 

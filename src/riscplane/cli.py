@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .config import ConfigError, RunConfig, load_config, parse_grid
-from .control import ControlMode, Scheme, message_catalog
+from .control import ControlMode, Scheme
 from .frames import ChannelUse, build_frame, overhead_ms, validate_causality
 from .metrics import goodput_curves, reliability_grid
 
@@ -91,19 +92,7 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 def cmd_goodput(cfg: RunConfig, schemes, modes) -> int:
     out_path = cfg.output_path or "goodput.csv"
-    curves = goodput_curves(
-        [(cfg.scheme_params(scheme), mode) for scheme in schemes for mode in modes],
-        cfg.frame_grid, cfg.bandwidth_hz, cfg.n_trials, cfg.master_seed,
-        rho=cfg.rho,
-        assume_perfect_control=cfg.perfect_control,
-        control_state=None if cfg.perfect_control else cfg.control_state(),
-        header_bits=cfg.header_bits,
-        ini_carries_full_codebook=cfg.ini_carries_full_codebook,
-        tti_ms=cfg.tti_ms,
-        codebook_seed=cfg.codebook_seed,
-        codebook_style=cfg.bsw_codebook_style,
-        workers=cfg.workers,
-    )
+    curves = goodput_curves(cfg, [(scheme, mode) for scheme in schemes for mode in modes])
     lines = [GOODPUT_HEADER]
     for i in range(len(cfg.frame_grid)):
         for curve in curves:
@@ -136,10 +125,7 @@ def cmd_reliability(cfg: RunConfig, schemes, modes, threshold) -> int:
     with open(out_path, "w", newline="") as fh:
         fh.write(RELIABILITY_HEADER + "\n")
         for scheme in schemes:
-            catalog = message_catalog(
-                scheme, cfg.n_elements, cfg.quant_bits, cfg.bsw_codebook_size,
-                cfg.header_bits, cfg.ini_carries_full_codebook,
-            )
+            catalog = cfg.catalog(scheme)
             for mode in modes:
                 m = reliability_grid(catalog, mode, grid, grid, cfg.symbols_per_tti)
                 tag = f",{scheme.value},{mode.value},"
@@ -162,9 +148,10 @@ def cmd_reliability(cfg: RunConfig, schemes, modes, threshold) -> int:
 
 
 def _threshold_path(out_path: str) -> str:
-    stem, dot, ext = out_path.rpartition(".")
-    if not dot:
+    """out_path with _thresholds before the file name's extension, or appended if it has none."""
+    if "." not in os.path.basename(out_path):
         return out_path + "_thresholds"
+    stem, _, ext = out_path.rpartition(".")
     return f"{stem}_thresholds.{ext}"
 
 
@@ -172,13 +159,9 @@ def cmd_validate(cfg: RunConfig) -> int:
     frame = max(cfg.frame_grid)
     failures = 0
     for scheme in (Scheme.OCE, Scheme.BSW, Scheme.BSW_ES):
-        params = cfg.scheme_params(scheme)
-        catalog = message_catalog(
-            scheme, cfg.n_elements, cfg.quant_bits, cfg.bsw_codebook_size,
-            cfg.header_bits, cfg.ini_carries_full_codebook,
-        )
+        params, catalog = cfg.scheme_params(scheme), cfg.catalog(scheme)
         for mode in (ControlMode.IB_C, ControlMode.OB_C):
-            plan = build_frame(params, mode, frame, catalog, tti_ms=cfg.tti_ms)
+            plan = build_frame(params, mode, frame, cfg.tti_ms, catalog)
             pieces = " + ".join(
                 f"{p.kind.value.upper()}[{p.tti_span}{'*' if p.channel_usage is ChannelUse.OUT_OF_BAND else ''}]"
                 for p in plan.phases
@@ -187,13 +170,8 @@ def cmd_validate(cfg: RunConfig) -> int:
                   f"= {plan.total_ttis} TTIs ({plan.frame_ms:g} ms), "
                   f"overhead {overhead_ms(plan):g} ms")
             violation = validate_causality(plan)
-            inband = sum(p.tti_span for p in plan.phases
-                         if p.channel_usage is not ChannelUse.OUT_OF_BAND)
             if violation is not None:
                 print(f"  causality violation: {violation.pair} ({violation.detail})")
-                failures += 1
-            if inband != plan.total_ttis:
-                print(f"  conservation violation: {inband} != {plan.total_ttis}")
                 failures += 1
             if plan.pay_ttis == 0:
                 print("  warning: null rate (control phases fill the whole frame)")

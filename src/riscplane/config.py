@@ -1,19 +1,21 @@
 """Run configuration: plain key = value files, defaults, validation.
 
-The canonical defaults (including the calibrated reference SNR) are
-committed as data/default.cfg; RunConfig's field defaults mirror that file
-and a test pins the two together.
+RunConfig's field defaults are the package's only default values. The
+domain constructors take every value as an argument, RunConfig builds them
+(scheme_params, catalog, control_state), and each CLI run logs the
+resolved values as `# resolved` lines.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from importlib import resources
 from pathlib import Path
 
-from .channel import DEFAULT_RHO, MAX_QUANT_BITS
-from .control import ControlChannelState, ControlMode, Scheme, db_to_linear, message_catalog
+from .channel import MAX_QUANT_BITS
+from .control import (
+    ControlChannelState, ControlMessage, ControlMode, Scheme, db_to_linear, message_catalog,
+)
 from .errors import InvalidParameterError
 from .frames import MAX_FRAME_TTIS, SchemeParams, frame_ttis, overhead_ttis
 
@@ -77,7 +79,10 @@ class RunConfig:
     bsw_codebook_style: str = "random"
     codebook_seed: int = 7
     target_snr_db: float = 10.0
-    rho: float = DEFAULT_RHO
+    # Per-element reference SNR (linear), calibrated so that the default
+    # 32-entry beam-sweeping codebook at N = 100 meets the 10 dB target in
+    # about half of the coherence blocks; see metrics.calibrate_rho.
+    rho: float = 2.68e-2
     tti_ms: float = 0.5
     proc_ttis: int = 2
     switch_ttis: int = 1
@@ -108,6 +113,12 @@ class RunConfig:
             es_reservation=self.es_reservation,
         )
 
+    def catalog(self, scheme: Scheme) -> list[ControlMessage]:
+        return message_catalog(
+            scheme, self.n_elements, self.quant_bits, self.bsw_codebook_size,
+            self.header_bits, self.ini_carries_full_codebook,
+        )
+
     def control_state(self) -> ControlChannelState:
         return ControlChannelState(
             avg_snr_ue=db_to_linear(self.snr_ue_db),
@@ -116,15 +127,14 @@ class RunConfig:
         )
 
     def resolved_items(self) -> list[tuple[str, str]]:
+        """(key, value) of every field; floats in shortest round-trip form (repr)."""
         out = []
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, tuple):
-                value = ",".join(format(v, "g") for v in value)
+                value = ",".join(map(repr, value))
             elif isinstance(value, bool):
                 value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = format(value, "g")
             out.append((f.name, str(value)))
         return out
 
@@ -160,10 +170,7 @@ class RunConfig:
         for name in ["target_snr_db", "snr_ue_db", "snr_ris_db"]:
             _check_db(name, getattr(self, name))
         for scheme in Scheme:
-            catalog = message_catalog(
-                scheme, self.n_elements, self.quant_bits, self.bsw_codebook_size,
-                self.header_bits, self.ini_carries_full_codebook,
-            )
+            catalog = self.catalog(scheme)
             for mode in ControlMode:
                 if overhead_ttis(self.scheme_params(scheme), mode, catalog) > MAX_FRAME_TTIS:
                     raise ConfigError("config", f"{scheme.value} {mode.value} frame overhead "
@@ -211,20 +218,15 @@ def parse_config_text(text: str, cfg: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
-def default_config_text() -> str:
-    return resources.files("riscplane").joinpath("data/default.cfg").read_text()
-
-
 def load_config(path: str | None = None) -> RunConfig:
-    """Parse a config file over the built-in defaults (packaged file if None)."""
+    """Parse a config file over the RunConfig defaults (the defaults alone if None)."""
     if path is None:
-        text = default_config_text()
-    else:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError("config", f"no such file: {path}")
-        try:
-            text = p.read_text()
-        except OSError as exc:
-            raise ConfigError("config", f"cannot read {path}: {exc}") from exc
+        return RunConfig()
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError("config", f"no such file: {path}")
+    try:
+        text = p.read_text()
+    except OSError as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     return parse_config_text(text)

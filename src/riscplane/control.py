@@ -46,11 +46,9 @@ class MsgPhase(Enum):
 PILOT_SCHEDULE_BITS = 32
 CODEBOOK_ID_BITS = 16
 MCS_FIELD_BITS = 16
-DEFAULT_HEADER_BITS = 16
 
-# One TTI carries 84 control symbols (12 subcarriers x 7 OFDM symbols per
-# 0.5 ms); message TTI costs assume a nominal 2 bit/symbol control rate.
-DEFAULT_SYMBOLS_PER_TTI = 84
+# Message TTI costs assume a nominal 2 bit/symbol control rate over the 84
+# control symbols of a TTI (12 subcarriers x 7 OFDM symbols per 0.5 ms).
 CONTROL_BITS_PER_TTI = 168
 
 # Search window for minimum-SNR queries (dB).
@@ -60,10 +58,6 @@ SNR_CAP_DB = 60.0
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -86,7 +80,7 @@ class ControlChannelState:
 
     avg_snr_ue: float
     avg_snr_ris: float
-    symbols_per_tti: int = DEFAULT_SYMBOLS_PER_TTI
+    symbols_per_tti: int
 
     def __post_init__(self):
         if not (self.avg_snr_ue > 0 and self.avg_snr_ris > 0):
@@ -104,8 +98,8 @@ def message_catalog(
     n_elements: int,
     quant_bits: int,
     codebook_size: int,
-    header_bits: int = DEFAULT_HEADER_BITS,
-    ini_carries_full_codebook: bool = False,
+    header_bits: int,
+    ini_carries_full_codebook: bool,
 ) -> list[ControlMessage]:
     """The four control messages of one frame, in transmission order.
 
@@ -187,7 +181,7 @@ def min_snr_for_reliability(
     fixed_other_snr: float,
     which_axis: Recipient,
     mode: ControlMode,
-    symbols_per_tti: int = DEFAULT_SYMBOLS_PER_TTI,
+    symbols_per_tti: int,
 ) -> float:
     """Smallest average SNR (dB) on one axis reaching the reliability target.
 

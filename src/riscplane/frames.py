@@ -17,7 +17,6 @@ from .channel import MAX_QUANT_BITS
 from .control import ControlMessage, ControlMode, MsgPhase, Recipient, Scheme
 from .errors import InvalidParameterError
 
-TTI_MS = 0.5
 # Most TTIs a frame may span. A 4096-trial chunk (metrics.CHUNK_TRIALS) then
 # sums at most 2^52 payload TTIs per frame, which int64 holds and float64
 # represents exactly.
@@ -90,13 +89,13 @@ class FramePlan:
 @dataclass(frozen=True)
 class SchemeParams:
     scheme: Scheme
-    n_elements: int = 100
-    bsw_codebook_size: int = 32
-    quant_bits: int = 2
-    target_snr: float = 10.0       # linear; beam-sweeping qualification threshold
-    proc_ttis: int = 2             # ALG processing time
-    switch_ttis: int = 1           # surface configuration load time
-    es_reservation: bool = True    # reserve a SET slot after each sweep evaluation
+    n_elements: int
+    bsw_codebook_size: int
+    quant_bits: int
+    target_snr: float       # linear; beam-sweeping qualification threshold
+    proc_ttis: int          # ALG processing time
+    switch_ttis: int        # surface configuration load time
+    es_reservation: bool    # reserve a SET slot after each sweep evaluation
 
     def __post_init__(self):
         if self.n_elements < 1 or self.bsw_codebook_size < 1 or self.quant_bits < 1:
@@ -158,7 +157,7 @@ def alg_ttis(params: SchemeParams, stop_index: Optional[int] = None) -> int:
     return per_eval * evals
 
 
-def frame_ttis(frame_ms: float, tti_ms: float = TTI_MS) -> int:
+def frame_ttis(frame_ms: float, tti_ms: float) -> int:
     """Frame length in TTIs; rejects all but a whole number of 1 to MAX_FRAME_TTIS TTIs."""
     if not frame_ms > 0:
         raise InvalidParameterError("frame_ms must be > 0")
@@ -179,9 +178,9 @@ def build_frame(
     params: SchemeParams,
     mode: ControlMode,
     frame_ms: float,
+    tti_ms: float,
     catalog: list[ControlMessage],
     stop_index: Optional[int] = None,
-    tti_ms: float = TTI_MS,
 ) -> FramePlan:
     """Assemble the INI/ALG/SET/PAY timeline of one frame.
 

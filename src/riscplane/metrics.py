@@ -22,25 +22,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import DEFAULT_RHO, TWO_PI, grid_step, make_codebook, phase_indices
+from .channel import TWO_PI, grid_step, make_codebook, phase_indices
+from .config import RunConfig
 from .control import (
-    DEFAULT_HEADER_BITS,
-    DEFAULT_SYMBOLS_PER_TTI,
-    ControlChannelState,
     ControlMessage,
     ControlMode,
     Recipient,
     Scheme,
     control_reliability,
     db_to_linear,
-    message_catalog,
     msg_success_prob,
 )
 from .errors import InvalidParameterError
-from .frames import TTI_MS, SchemeParams, alg_ttis, frame_ttis, overhead_ttis
+from .frames import alg_ttis, frame_ttis, overhead_ttis
 
 CHUNK_TRIALS = 4096
-DEFAULT_CODEBOOK_SEED = 7
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # Payload rows reduced together: the (block, CHUNK_TRIALS) row buffer stays
 # at 256 KiB, small enough for cache, and more rows per block only add
@@ -119,15 +115,7 @@ def _row_groups(curves: Sequence[_Curve], frames_ttis: Sequence[int]) -> tuple[_
 class _Batch:
     """Everything a worker needs to evaluate one chunk of trials for every curve."""
 
-    n_elements: int
-    rho: float
-    quant_bits: int
-    target_snr: float
-    codebook_size: int
-    codebook_seed: int
-    codebook_style: str
-    seed: int
-    n_trials: int
+    cfg: RunConfig
     frames_ttis: tuple[int, ...]
     groups: tuple[_RowGroup, ...]
 
@@ -139,6 +127,12 @@ def _codebook_matrix(
     matrix = _phase_table(quant_bits)[make_codebook(n_elements, size, quant_bits, seed, style)]
     matrix.setflags(write=False)    # cached and shared across calls
     return matrix
+
+
+def _entry_matrix(cfg: RunConfig) -> np.ndarray:
+    """The complex matrix of cfg's beam-sweeping codebook, one row per entry."""
+    return _codebook_matrix(cfg.n_elements, cfg.bsw_codebook_size, cfg.quant_bits,
+                            cfg.codebook_seed, cfg.bsw_codebook_style)
 
 
 @lru_cache(maxsize=16)
@@ -327,21 +321,18 @@ def _chunk_partials(
     scratch holds the chunk's (trials, N) arrays; pool workers pass none and
     use their own.
     """
-    start = chunk_index * CHUNK_TRIALS
-    m = min(CHUNK_TRIALS, batch.n_trials - start)
+    cfg = batch.cfg
+    m = min(CHUNK_TRIALS, cfg.n_trials - chunk_index * CHUNK_TRIALS)
     if scratch is None:
-        scratch = _worker_scratch(batch.n_elements)
-    fg = _cascade(batch.seed, chunk_index, m, batch.n_elements, scratch)
+        scratch = _worker_scratch(cfg.n_elements)
+    fg = _cascade(cfg.master_seed, chunk_index, m, cfg.n_elements, scratch)
     kernels = {group.kernel for group in batch.groups}
     outcomes = {}
     if Scheme.OCE in kernels:
-        outcomes[Scheme.OCE] = _oce_outcomes(fg, batch.rho, batch.quant_bits, scratch)
+        outcomes[Scheme.OCE] = _oce_outcomes(fg, cfg.rho, cfg.quant_bits, scratch)
     if Scheme.BSW in kernels:
-        entry_matrix = _codebook_matrix(
-            batch.n_elements, batch.codebook_size, batch.quant_bits,
-            batch.codebook_seed, batch.codebook_style,
-        )
-        outcomes[Scheme.BSW] = _bsw_outcomes(fg, batch.rho, batch.target_snr, entry_matrix)
+        outcomes[Scheme.BSW] = _bsw_outcomes(fg, cfg.rho, db_to_linear(cfg.target_snr_db),
+                                             _entry_matrix(cfg))
     return _reduce_groups(batch.groups, batch.frames_ttis, outcomes, scratch)
 
 
@@ -352,95 +343,44 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# SchemeParams fields that decide the per-trial channel outcomes; the
-# curves of one batch share those outcomes, so they must agree on these.
-_SHARED_FIELDS = ("n_elements", "quant_bits", "target_snr", "bsw_codebook_size")
-
-
 def goodput_curves(
-    specs: Sequence[tuple[SchemeParams, ControlMode]],
-    frame_grid_ms: Sequence[float],
-    bandwidth_hz: float,
-    n_trials: int,
-    seed: int,
-    *,
-    rho: float = DEFAULT_RHO,
-    assume_perfect_control: bool = True,
-    control_state: Optional[ControlChannelState] = None,
-    header_bits: int = DEFAULT_HEADER_BITS,
-    ini_carries_full_codebook: bool = False,
-    tti_ms: float = TTI_MS,
-    codebook_seed: int = DEFAULT_CODEBOOK_SEED,
-    codebook_style: str = "random",
-    workers: int = 1,
+    cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]]
 ) -> list[list[GoodputResult]]:
-    """Estimate goodput for every (scheme, mode) spec and frame length of a grid.
+    """Estimate goodput for every (scheme, mode) spec and every frame of cfg.frame_grid.
 
     Returns one curve per spec, in spec order. Every curve and grid point is
     reduced from the same per-trial channel outcomes: each chunk is drawn
     once, each scheme kernel runs at most once per chunk and each distinct
     payload row of a kernel is reduced once per chunk, so a curve is
-    exactly what goodput_sweep gives for its spec alone. The specs must
-    agree on n_elements, quant_bits, target_snr and bsw_codebook_size. With
-    workers > 1 the chunks run on one process pool of at most
-    min(workers, chunks, available CPUs) processes.
+    exactly what a batch of its spec alone gives. With cfg.workers > 1 the
+    chunks run on one process pool of at most min(workers, chunks,
+    available CPUs) processes. An invalid cfg raises ConfigError.
     """
     if len(specs) == 0:
         raise InvalidParameterError("specs must be non-empty")
-    first = specs[0][0]
-    for params, _ in specs[1:]:
-        for name in _SHARED_FIELDS:
-            if getattr(params, name) != getattr(first, name):
-                raise InvalidParameterError(f"specs must agree on {name}")
-    if n_trials < 1:
-        raise InvalidParameterError("n_trials must be >= 1")
-    if not bandwidth_hz > 0:
-        raise InvalidParameterError("bandwidth_hz must be > 0")
-    if not rho > 0:
-        raise InvalidParameterError("rho must be > 0")
-    if len(frame_grid_ms) == 0:
-        raise InvalidParameterError("frame grid must be non-empty")
-    frames = tuple(frame_ttis(f, tti_ms) for f in frame_grid_ms)
-    if not assume_perfect_control and control_state is None:
-        raise InvalidParameterError(
-            "control_state is required when assume_perfect_control is off"
-        )
+    cfg.validate()
+    frames = tuple(frame_ttis(f, cfg.tti_ms) for f in cfg.frame_grid)
+    state = None if cfg.perfect_control else cfg.control_state()
 
     curves, reliabilities = [], []
-    for params, mode in specs:
-        catalog = message_catalog(
-            params.scheme, params.n_elements, params.quant_bits,
-            params.bsw_codebook_size, header_bits, ini_carries_full_codebook,
-        )
-        if params.scheme is Scheme.BSW_ES:
+    for scheme, mode in specs:
+        params, catalog = cfg.scheme_params(scheme), cfg.catalog(scheme)
+        if scheme is Scheme.BSW_ES:
             curves.append(_Curve(Scheme.BSW, overhead_ttis(params, mode, catalog, stop_index=0),
                                  alg_ttis(params, 1)))
         else:
-            curves.append(_Curve(params.scheme, overhead_ttis(params, mode, catalog), 0))
-        reliabilities.append(1.0 if assume_perfect_control
-                             else control_reliability(catalog, control_state, mode))
-
-    batch = _Batch(
-        n_elements=first.n_elements,
-        rho=rho,
-        quant_bits=first.quant_bits,
-        target_snr=first.target_snr,
-        codebook_size=first.bsw_codebook_size,
-        codebook_seed=codebook_seed,
-        codebook_style=codebook_style,
-        seed=seed,
-        n_trials=n_trials,
-        frames_ttis=frames,
-        groups=_row_groups(curves, frames),
-    )
+            curves.append(_Curve(scheme, overhead_ttis(params, mode, catalog), 0))
+        reliabilities.append(1.0 if state is None else control_reliability(catalog, state, mode))
+    batch = _Batch(cfg, frames, _row_groups(curves, frames))
 
     # Partials are summed in place in chunk order, which keeps the reduction
     # deterministic whatever the number of processes.
+    n_trials = cfg.n_trials
     n_chunks = math.ceil(n_trials / CHUNK_TRIALS)
     tasks = (repeat(batch, n_chunks), range(n_chunks))
-    pool_size = min(workers, n_chunks, _available_cpus())
+    pool_size = min(cfg.workers, n_chunks, _available_cpus())
     if pool_size <= 1:
-        scratch = _Scratch(min(n_trials, CHUNK_TRIALS), first.n_elements)
+        scratch = _Scratch(min(n_trials, CHUNK_TRIALS), cfg.n_elements)
         sums = reduce(operator.iadd, map(_chunk_partials, *tasks, repeat(scratch, n_chunks)))
     else:
         # imported here: it is a sizeable part of the CLI's start-up
@@ -449,47 +389,26 @@ def goodput_curves(
             sums = reduce(operator.iadd, pool.map(_chunk_partials, *tasks))
 
     results = []
-    for (params, mode), reliability, curve_sums in zip(specs, reliabilities, sums):
+    for (scheme, mode), reliability, curve_sums in zip(specs, reliabilities, sums):
         curve = []
-        for i, f_ms in enumerate(frame_grid_ms):
-            total = frames[i]
-            sum_rsp, sum_rsp2, sum_success, sum_oh = curve_sums[i]
-            scale = bandwidth_hz * reliability / (total * 1e6)
+        for f_ms, total, (sum_rsp, sum_rsp2, sum_success, sum_oh) in zip(
+                cfg.frame_grid, frames, curve_sums):
+            scale = cfg.bandwidth_hz * reliability / (total * 1e6)
             mean_rsp = sum_rsp / n_trials
             var_rsp = max(0.0, sum_rsp2 / n_trials - mean_rsp * mean_rsp)
             curve.append(GoodputResult(
                 frame_ms=float(f_ms),
-                scheme=params.scheme,
+                scheme=scheme,
                 mode=mode,
                 goodput_mbps=scale * mean_rsp,
-                overhead_ms=sum_oh / n_trials * tti_ms,
+                overhead_ms=sum_oh / n_trials * cfg.tti_ms,
                 success_prob=reliability * sum_success / n_trials,
                 n_trials=n_trials,
-                seed=seed,
+                seed=cfg.master_seed,
                 goodput_se=scale * math.sqrt(var_rsp / n_trials),
             ))
         results.append(curve)
     return results
-
-
-def goodput_sweep(
-    params: SchemeParams,
-    mode: ControlMode,
-    frame_grid_ms: Sequence[float],
-    bandwidth_hz: float,
-    n_trials: int,
-    seed: int,
-    **kwargs,
-) -> list[GoodputResult]:
-    """Estimate goodput for every frame length of a grid with one trial set.
-
-    All grid points share the same per-trial channel outcomes, which is
-    exactly what element-wise calls with a common master seed would produce
-    since the trial streams depend only on (seed, chunk). See goodput_curves
-    for keyword options.
-    """
-    return goodput_curves([(params, mode)], frame_grid_ms, bandwidth_hz, n_trials,
-                          seed, **kwargs)[0]
 
 
 def crossover_frame(
@@ -527,7 +446,7 @@ def reliability_grid(
     mode: ControlMode,
     snr_ris_grid_db: Sequence[float],
     snr_ue_grid_db: Sequence[float],
-    symbols_per_tti: int = DEFAULT_SYMBOLS_PER_TTI,
+    symbols_per_tti: int,
 ) -> np.ndarray:
     """Closed-form control reliability on a dB grid, rows over the RIS axis.
 
@@ -554,33 +473,24 @@ def reliability_grid(
 
 
 def calibrate_rho(
-    n_elements: int = 100,
-    quant_bits: int = 2,
-    codebook_size: int = 32,
-    target_snr: float = 10.0,
-    codebook_seed: int = DEFAULT_CODEBOOK_SEED,
-    codebook_style: str = "random",
-    n_trials: int = 100_000,
-    seed: int = 0,
-    target_success: float = 0.5,
+    cfg: RunConfig, n_trials: int = 100_000, seed: int = 0, target_success: float = 0.5
 ) -> float:
     """Reference SNR making beam sweeping succeed at a chosen rate.
 
-    The per-entry SNR scales linearly in rho, so success(rho) is the
+    The surface, the codebook and the target SNR are cfg's; its rho is not
+    read. The per-entry SNR scales linearly in rho, so success(rho) is the
     fraction of trials whose best entry statistic exceeds target/rho and the
     calibrated value is read off the empirical quantile directly.
     """
     if not 0.0 < target_success < 1.0:
         raise InvalidParameterError("target_success must be in (0, 1)")
-    entry_matrix = _codebook_matrix(
-        n_elements, codebook_size, quant_bits, codebook_seed, codebook_style
-    )
+    entry_matrix = _entry_matrix(cfg)
     maxima = []
     n_chunks = math.ceil(n_trials / CHUNK_TRIALS)
-    scratch = _Scratch(min(n_trials, CHUNK_TRIALS), n_elements)
+    scratch = _Scratch(min(n_trials, CHUNK_TRIALS), cfg.n_elements)
     for c in range(n_chunks):
         m = min(CHUNK_TRIALS, n_trials - c * CHUNK_TRIALS)
-        stat = np.abs(_cascade(seed, c, m, n_elements, scratch) @ entry_matrix.T) ** 2
+        stat = np.abs(_cascade(seed, c, m, cfg.n_elements, scratch) @ entry_matrix.T) ** 2
         maxima.append(stat.max(axis=1))
     best = np.concatenate(maxima)
-    return float(target_snr / np.quantile(best, 1.0 - target_success))
+    return float(db_to_linear(cfg.target_snr_db) / np.quantile(best, 1.0 - target_success))

@@ -7,12 +7,14 @@ lines as they complete.
 
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from riscplane.channel import DEFAULT_RHO, grid_step
+from riscplane.channel import grid_step
 from riscplane.cli import main
+from riscplane.config import RunConfig
 from riscplane.control import (
     ControlMode,
     Recipient,
@@ -29,7 +31,6 @@ from riscplane.frames import (
     FramePhase,
     FramePlan,
     PhaseKind,
-    SchemeParams,
     build_frame,
     overhead_ms,
     validate_causality,
@@ -40,12 +41,11 @@ from riscplane.metrics import (
     _codebook_matrix,
     _oce_outcomes,
     crossover_frame,
-    goodput_sweep,
+    goodput_curves,
     reliability_grid,
 )
 
-BW = 180000.0
-GRID = tuple(float(f) for f in range(10, 101, 5))
+CFG = RunConfig()      # N = 100, C = 32, b = 2, 180 kHz, frames 10:100:5 ms
 SCHEMES = (Scheme.OCE, Scheme.BSW, Scheme.BSW_ES)
 MODES = (ControlMode.IB_C, ControlMode.OB_C)
 
@@ -61,11 +61,9 @@ def criterion(num, description):
 
 
 def run_sweeps(n_trials, schemes=SCHEMES, seed=1):
-    return {
-        (scheme, mode): goodput_sweep(SchemeParams(scheme=scheme), mode, GRID,
-                                      BW, n_trials, seed)
-        for scheme in schemes for mode in MODES
-    }
+    specs = [(scheme, mode) for scheme in schemes for mode in MODES]
+    curves = goodput_curves(RunConfig(n_trials=n_trials, master_seed=seed), specs)
+    return dict(zip(specs, curves))
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +83,8 @@ def min_nonnull(curve):
 def test_criterion_1_overhead_gap_between_control_modes():
     with criterion(1, "per-scheme |overhead(IB) - overhead(OB)| <= 2 ms"):
         for scheme in SCHEMES:
-            params = SchemeParams(scheme=scheme)
-            catalog = message_catalog(scheme, 100, 2, 32, 16)
-            oh = {mode: overhead_ms(build_frame(params, mode, 100.0, catalog))
+            params, catalog = CFG.scheme_params(scheme), CFG.catalog(scheme)
+            oh = {mode: overhead_ms(build_frame(params, mode, 100.0, CFG.tti_ms, catalog))
                   for mode in MODES}
             gap = abs(oh[ControlMode.IB_C] - oh[ControlMode.OB_C])
             assert gap <= 2.0, f"{scheme}: gap {gap} ms"
@@ -116,21 +113,23 @@ def test_criterion_3_goodput_crossover(sweeps_100k):
 
 def test_criterion_4_reliability_orderings():
     with criterion(4, "99% thresholds: OB UE equality, IB RIS gap >= 3 dB, OB >= IB"):
-        catalogs = {s: message_catalog(s, 100, 2, 32, 16) for s in (Scheme.OCE, Scheme.BSW)}
+        catalogs = {s: CFG.catalog(s) for s in (Scheme.OCE, Scheme.BSW)}
         fixed = db_to_linear(30.0)
+        symbols = CFG.symbols_per_tti
         # (a) identical minimum UE-side SNR out of band, to 0.01 dB
-        ue = {s: min_snr_for_reliability(c, 0.99, fixed, Recipient.UE, ControlMode.OB_C)
+        ue = {s: min_snr_for_reliability(c, 0.99, fixed, Recipient.UE, ControlMode.OB_C, symbols)
               for s, c in catalogs.items()}
         assert abs(ue[Scheme.OCE] - ue[Scheme.BSW]) <= 0.01, f"UE thresholds {ue}"
         # (b) in-band RIS-side threshold gap of at least 3 dB
-        ris = {s: min_snr_for_reliability(c, 0.99, fixed, Recipient.RISC, ControlMode.IB_C)
+        ris = {s: min_snr_for_reliability(c, 0.99, fixed, Recipient.RISC, ControlMode.IB_C,
+                                          symbols)
                for s, c in catalogs.items()}
         assert ris[Scheme.OCE] - ris[Scheme.BSW] >= 3.0, f"RIS thresholds {ris}"
         # (c) out-of-band reliability dominates in-band on the full grid
         axis = tuple(float(v) for v in range(0, 31))
         for s, c in catalogs.items():
-            ib = reliability_grid(c, ControlMode.IB_C, axis, axis)
-            ob = reliability_grid(c, ControlMode.OB_C, axis, axis)
+            ib = reliability_grid(c, ControlMode.IB_C, axis, axis, symbols)
+            ob = reliability_grid(c, ControlMode.OB_C, axis, axis, symbols)
             for i in range(31):
                 for j in range(31):
                     assert ob[i, j] >= ib[i, j]
@@ -150,9 +149,10 @@ def test_criterion_5_outage_model_matches_monte_carlo():
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(emp - p) <= 3 * se, f"(bits={bits}, sym={symbols}): {emp} vs {p}"
         # joint catalog check, in-band rate adaptation at 30/30 dB
-        catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16)
+        catalog = CFG.catalog(Scheme.OCE)
         snr = db_to_linear(30.0)
-        p = control_reliability(catalog, ControlChannelState(snr, snr), ControlMode.IB_C)
+        state = ControlChannelState(snr, snr, CFG.symbols_per_tti)
+        p = control_reliability(catalog, state, ControlMode.IB_C)
         ok = np.ones(n, dtype=bool)
         for msg in catalog:
             t = (2.0 ** (msg.payload_bits / (msg.tti_cost * 84)) - 1.0) / snr
@@ -186,8 +186,8 @@ def test_criterion_7_causality_and_conservation():
         rng = np.random.default_rng(707)
         for _ in range(1000):
             scheme = rng.choice(SCHEMES)
-            params = SchemeParams(
-                scheme=scheme,
+            params = replace(
+                CFG.scheme_params(scheme),
                 n_elements=int(rng.integers(1, 200)),
                 bsw_codebook_size=int(rng.integers(1, 64)),
                 quant_bits=int(rng.integers(1, 5)),
@@ -195,13 +195,14 @@ def test_criterion_7_causality_and_conservation():
                 switch_ttis=int(rng.integers(1, 4)),
             )
             catalog = message_catalog(scheme, params.n_elements, params.quant_bits,
-                                      params.bsw_codebook_size, int(rng.integers(0, 64)))
+                                      params.bsw_codebook_size, int(rng.integers(0, 64)),
+                                      CFG.ini_carries_full_codebook)
             stop = None
             if scheme is Scheme.BSW_ES and rng.random() < 0.5:
                 stop = int(rng.integers(1, params.bsw_codebook_size + 1))
             mode = rng.choice(MODES)
             frame_ms = int(rng.integers(1, 300)) * 0.5
-            plan = build_frame(params, mode, frame_ms, catalog, stop_index=stop)
+            plan = build_frame(params, mode, frame_ms, CFG.tti_ms, catalog, stop_index=stop)
             inband = sum(p.tti_span for p in plan.phases
                          if p.channel_usage is not ChannelUse.OUT_OF_BAND)
             assert inband == plan.total_ttis
@@ -236,17 +237,16 @@ def test_criterion_9_early_stopping_contract():
     with criterion(9, "BSW and BSW-ES agree per trial; ES ALG span <= 2C, = only when exhausted"):
         n_trials, c_size = 10_000, 32
         for seed in (1, 17):
-            plain = goodput_sweep(SchemeParams(scheme=Scheme.BSW), ControlMode.OB_C,
-                                  GRID, BW, n_trials, seed)
-            early = goodput_sweep(SchemeParams(scheme=Scheme.BSW_ES), ControlMode.OB_C,
-                                  GRID, BW, n_trials, seed)
+            plain, early = goodput_curves(RunConfig(n_trials=n_trials, master_seed=seed),
+                                          [(Scheme.BSW, ControlMode.OB_C),
+                                           (Scheme.BSW_ES, ControlMode.OB_C)])
             for a, b in zip(plain, early):
                 assert a.success_prob == b.success_prob
             entry_matrix = _codebook_matrix(100, c_size, 2, 7, "random")
             chunks = -(-n_trials // 4096)
             for c in range(chunks):
                 m = min(4096, n_trials - c * 4096)
-                _, success, evals = _bsw_outcomes(_cascade(seed, c, m, 100), DEFAULT_RHO,
+                _, success, evals = _bsw_outcomes(_cascade(seed, c, m, 100), CFG.rho,
                                                   10.0, entry_matrix)
                 alg_spans = 2 * evals
                 assert np.all(alg_spans <= 2 * c_size)

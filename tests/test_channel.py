@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from riscplane.channel import TWO_PI, grid_step, make_codebook, phase_indices
+from riscplane.config import ConfigError, RunConfig
 from riscplane.control import ControlMode, Scheme
 from riscplane.errors import InvalidParameterError
-from riscplane.frames import SchemeParams
-from riscplane.metrics import _bsw_outcomes, _cascade, _oce_outcomes, _phase_table, goodput_sweep
+from riscplane.metrics import _bsw_outcomes, _cascade, _oce_outcomes, _phase_table, goodput_curves
 
 
 def compensated_snr(fg, rho, quant_bits):
@@ -54,9 +54,9 @@ def test_sampling_is_deterministic_in_seed():
 @pytest.mark.parametrize("n,rho", [(0, 1.0), (-3, 1.0), (4, 0.0), (4, -1.0)])
 def test_sampling_rejects_bad_parameters(n, rho):
     # no channel is drawn for an empty surface or a non-positive reference SNR
-    with pytest.raises(InvalidParameterError):
-        goodput_sweep(SchemeParams(scheme=Scheme.OCE, n_elements=n), ControlMode.IB_C,
-                      [60.0], 180e3, 10, 1, rho=rho)
+    cfg = RunConfig(n_elements=n, rho=rho, frame_grid=(60.0,), n_trials=10)
+    with pytest.raises(ConfigError):
+        goodput_curves(cfg, [(Scheme.OCE, ControlMode.IB_C)])
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_optimal_config_beats_every_bsw_entry_at_defaults():
     # no entry qualifies against the next float above the compensated SNR,
     # so every entry's SNR is at most that SNR
     fg = _cascade(5, 0, 1000, 100)
-    levels = make_codebook(100, 32, 2, seed=9)
+    levels = make_codebook(100, 32, 2, 9, "random")
     for ch, best in zip(fg, compensated_snr(fg, 1.0, 2)):
         assert not sweep_qualifies(ch, 1.0, levels, 2, np.nextafter(best, np.inf))
 
@@ -204,7 +204,7 @@ def test_phase_indices_bitmask_wrap_matches_floor_mod(quant_bits):
 
 def test_ce_codebook_is_dft_exact_on_two_bit_grid():
     # the full channel-estimation sweep is the dft style with one entry per element
-    levels = make_codebook(4, 4, 2, bsw_style="dft")
+    levels = make_codebook(4, 4, 2, 0, "dft")
     assert levels.shape == (4, 4)
     for k, row in enumerate(levels):
         expected = (TWO_PI * k * np.arange(4) / 4) % TWO_PI
@@ -213,33 +213,33 @@ def test_ce_codebook_is_dft_exact_on_two_bit_grid():
 
 def test_ctrl_codebook_is_single_zero_configuration():
     # a one-entry dft codebook is the all-zero wide-coverage configuration
-    levels = make_codebook(16, 1, 2, bsw_style="dft")
+    levels = make_codebook(16, 1, 2, 0, "dft")
     assert levels.shape == (1, 16)
     assert np.array_equal(levels[0], np.zeros(16))
 
 
 def test_bsw_codebook_deterministic_in_seed():
-    a = make_codebook(16, 32, 2, seed=7)
-    b = make_codebook(16, 32, 2, seed=7)
+    a = make_codebook(16, 32, 2, 7, "random")
+    b = make_codebook(16, 32, 2, 7, "random")
     assert np.array_equal(a, b)
-    c = make_codebook(16, 32, 2, seed=8)
+    c = make_codebook(16, 32, 2, 8, "random")
     assert not np.array_equal(a, c)
 
 
 def test_bsw_codebook_entries_lie_on_grid():
-    levels = make_codebook(8, 16, 3, seed=1)
+    levels = make_codebook(8, 16, 3, 1, "random")
     assert levels.shape == (16, 8) and levels.dtype == np.int64
     assert levels.min() >= 0 and levels.max() < 8
 
 
 def test_bsw_codebook_dft_subset_style():
-    levels = make_codebook(8, 4, 3, bsw_style="dft")
+    levels = make_codebook(8, 4, 3, 0, "dft")
     for i, row in enumerate(levels):
         k = (i * 8) // 4
         expected = phase_indices(TWO_PI * k * np.arange(8) / 8, 3)
         assert np.array_equal(row, expected)
     with pytest.raises(InvalidParameterError):
-        make_codebook(8, 4, 3, bsw_style="sobol")
+        make_codebook(8, 4, 3, 0, "sobol")
     for n, size in ((0, 4), (8, 0)):
         with pytest.raises(InvalidParameterError):
-            make_codebook(n, size, 3)
+            make_codebook(n, size, 3, 0, "random")

@@ -20,8 +20,8 @@ from riscplane.cli import (
     main,
 )
 from riscplane.config import RunConfig, load_config, parse_grid, ConfigError
-from riscplane.control import ControlChannelState, Scheme, db_to_linear
-from riscplane.frames import CausalityViolation, PhaseKind
+from riscplane.control import ControlChannelState, ControlMode, Scheme, db_to_linear
+from riscplane.frames import CausalityViolation, PhaseKind, build_frame
 
 
 # child interpreters import riscplane from the tree this suite imports it from
@@ -45,10 +45,6 @@ def run_cli(args, capsys=None):
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
-
-def test_packaged_default_config_matches_code_defaults():
-    assert load_config() == RunConfig()
-
 
 def test_config_file_overrides_and_comments(tmp_path):
     path = tmp_path / "run.cfg"
@@ -83,23 +79,30 @@ def test_validation_names_offending_field():
 
 
 _DB = st.floats() | st.floats(-4000.0, 4000.0)
+_COUNT = st.integers(-2, 2 ** 45)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(target=_DB, ue=_DB, ris=_DB, grid=st.lists(_DB, min_size=1, max_size=4).map(sorted),
-       quant_bits=st.integers(-2, 70))
-def test_validated_config_builds_domain_objects(target, ue, ris, grid, quant_bits):
+       quant_bits=st.integers(-2, 70), n_elements=_COUNT, bsw_codebook_size=_COUNT,
+       proc_ttis=_COUNT, switch_ttis=_COUNT, symbols_per_tti=_COUNT, header_bits=_COUNT)
+def test_validated_config_builds_domain_objects(target, ue, ris, grid, **counts):
+    # only objects are built, never a codebook or a chunk, so huge counts allocate nothing
     cfg = RunConfig(target_snr_db=target, snr_ue_db=ue, snr_ris_db=ris,
-                    snr_grid_db=tuple(grid), quant_bits=quant_bits)
+                    snr_grid_db=tuple(grid), **counts)
     try:
         cfg.validate()
     except ConfigError:
         return
+    frame = max(cfg.frame_grid)
     for scheme in Scheme:
-        cfg.scheme_params(scheme)
+        params, catalog = cfg.scheme_params(scheme), cfg.catalog(scheme)
+        for mode in ControlMode:
+            build_frame(params, mode, frame, cfg.tti_ms, catalog)
     cfg.control_state()
     for db in cfg.snr_grid_db:
-        ControlChannelState(avg_snr_ue=db_to_linear(db), avg_snr_ris=db_to_linear(db))
+        ControlChannelState(avg_snr_ue=db_to_linear(db), avg_snr_ris=db_to_linear(db),
+                            symbols_per_tti=cfg.symbols_per_tti)
 
 
 def test_validation_bounds_phase_bits():
@@ -156,10 +159,24 @@ def test_goodput_unwritable_output_is_io_error(tmp_path, capsys):
 
 def test_resolved_parameters_logged(tmp_path, capsys):
     out = tmp_path / "g.csv"
-    main(["goodput", "--trials", "50", "--frame-grid", "10", "--out", str(out)])
+    path = tmp_path / "run.cfg"
+    path.write_text("target_snr_db = 9.87654321\nsnr_grid_db = 0:1:0.1\n")
+    main(["goodput", "--config", str(path), "--trials", "50", "--frame-grid", "10",
+          "--out", str(out)])
     err = capsys.readouterr().err
     assert "# resolved rho = 0.0268" in err
     assert "# resolved master_seed = 1" in err
+    # every float, grid points included, is logged in a form float() restores exactly
+    logged = dict(line.removeprefix("# resolved ").split(" = ", 1)
+                  for line in err.splitlines() if line.startswith("# resolved "))
+    cfg = load_config(str(path))
+    cfg.frame_grid = (10.0,)
+    for key, value in logged.items():
+        field = getattr(cfg, key)
+        if isinstance(field, float):
+            assert float(value) == field, key
+        elif isinstance(field, tuple):
+            assert tuple(float(v) for v in value.split(",")) == field, key
 
 
 # sha256 of goodput CSVs written before the batch path replaced one sweep per
@@ -255,6 +272,20 @@ def test_reliability_threshold_summary(tmp_path, capsys):
     rows = {tuple(line.split(",")[:3]): line.split(",")[3] for line in summary[1:]}
     assert rows[("oce", "ob", "ris")] == "0"    # any grid SNR works out of band
     assert float(rows[("oce", "ib", "ris")]) > float(rows[("oce", "ob", "ris")])
+
+
+@pytest.mark.parametrize("out, summary", [
+    ("r.csv", "r_thresholds.csv"),
+    ("rel", "rel_thresholds"),
+    ("res.d/rel", "res.d/rel_thresholds"),        # the dot is in a directory name only
+    ("res.d/r.csv", "res.d/r_thresholds.csv"),
+])
+def test_reliability_threshold_summary_path(tmp_path, capsys, out, summary):
+    (tmp_path / "res.d").mkdir()
+    code = run_cli(["reliability", "--scheme", "oce", "--mode", "ob", "--threshold", "0.9",
+                    "--out", str(tmp_path / out)], capsys)
+    assert code == EXIT_OK
+    assert (tmp_path / summary).read_text().splitlines()[0] == THRESHOLD_HEADER
 
 
 def test_reliability_unreachable_threshold_emits_inf(tmp_path, capsys):

@@ -19,6 +19,8 @@ from riscplane.control import (
 )
 from riscplane.errors import InvalidParameterError
 
+SYMBOLS = 84    # control symbols per TTI, which the expected values below assume
+
 
 def catalog_by_key(catalog):
     return {(m.recipient, m.phase): m for m in catalog}
@@ -29,7 +31,7 @@ def catalog_by_key(catalog):
 # ---------------------------------------------------------------------------
 
 def test_catalog_has_four_messages_in_order():
-    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16)
+    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False)
     assert [(m.recipient, m.phase) for m in catalog] == [
         (Recipient.UE, MsgPhase.INI),
         (Recipient.RISC, MsgPhase.INI),
@@ -40,7 +42,7 @@ def test_catalog_has_four_messages_in_order():
 
 def test_oce_set_message_carries_full_phase_map():
     # header 16 + 100 elements * 2 bits = 216 bits
-    catalog = catalog_by_key(message_catalog(Scheme.OCE, 100, 2, 32, 16))
+    catalog = catalog_by_key(message_catalog(Scheme.OCE, 100, 2, 32, 16, False))
     msg = catalog[(Recipient.RISC, MsgPhase.SET)]
     assert msg.payload_bits == 216
     assert msg.tti_cost == math.ceil(216 / CONTROL_BITS_PER_TTI) == 2
@@ -48,12 +50,12 @@ def test_oce_set_message_carries_full_phase_map():
 
 @pytest.mark.parametrize("size,expected_bits", [(32, 21), (1, 16), (33, 22), (2, 17)])
 def test_bsw_set_message_carries_entry_index(size, expected_bits):
-    catalog = catalog_by_key(message_catalog(Scheme.BSW, 100, 2, size, 16))
+    catalog = catalog_by_key(message_catalog(Scheme.BSW, 100, 2, size, 16, False))
     assert catalog[(Recipient.RISC, MsgPhase.SET)].payload_bits == expected_bits
 
 
 def test_ini_budgets_and_floors():
-    catalog = catalog_by_key(message_catalog(Scheme.BSW_ES, 100, 2, 32, 16))
+    catalog = catalog_by_key(message_catalog(Scheme.BSW_ES, 100, 2, 32, 16, False))
     assert catalog[(Recipient.UE, MsgPhase.INI)].payload_bits == 48
     assert catalog[(Recipient.RISC, MsgPhase.INI)].payload_bits == 32
     assert catalog[(Recipient.UE, MsgPhase.SET)].payload_bits == 32
@@ -61,7 +63,7 @@ def test_ini_budgets_and_floors():
 
 
 def test_ini_can_carry_full_codebook_for_sweeping_schemes():
-    plain = catalog_by_key(message_catalog(Scheme.BSW, 100, 2, 32, 16))
+    plain = catalog_by_key(message_catalog(Scheme.BSW, 100, 2, 32, 16, False))
     full = catalog_by_key(
         message_catalog(Scheme.BSW, 100, 2, 32, 16, ini_carries_full_codebook=True))
     extra = 32 * 100 * 2
@@ -74,9 +76,9 @@ def test_ini_can_carry_full_codebook_for_sweeping_schemes():
 
 def test_catalog_rejects_bad_counts():
     with pytest.raises(InvalidParameterError):
-        message_catalog(Scheme.OCE, 0, 2, 32)
+        message_catalog(Scheme.OCE, 0, 2, 32, 16, False)
     with pytest.raises(InvalidParameterError):
-        message_catalog(Scheme.OCE, 4, 2, 32, header_bits=-1)
+        message_catalog(Scheme.OCE, 4, 2, 32, -1, False)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +125,8 @@ def test_success_prob_rejects_bad_arguments():
 # ---------------------------------------------------------------------------
 
 def test_out_of_band_reliability_is_ue_product():
-    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16)
-    state = ControlChannelState(avg_snr_ue=10.0, avg_snr_ris=10.0)
+    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False)
+    state = ControlChannelState(avg_snr_ue=10.0, avg_snr_ris=10.0, symbols_per_tti=SYMBOLS)
     expected = 1.0
     for msg in catalog:
         if msg.recipient is Recipient.UE:
@@ -133,8 +135,8 @@ def test_out_of_band_reliability_is_ue_product():
 
 
 def test_in_band_reliability_is_product_of_four():
-    catalog = message_catalog(Scheme.BSW, 100, 2, 32, 16)
-    state = ControlChannelState(avg_snr_ue=8.0, avg_snr_ris=3.0)
+    catalog = message_catalog(Scheme.BSW, 100, 2, 32, 16, False)
+    state = ControlChannelState(avg_snr_ue=8.0, avg_snr_ris=3.0, symbols_per_tti=SYMBOLS)
     expected = 1.0
     for msg in catalog:
         snr = 8.0 if msg.recipient is Recipient.UE else 3.0
@@ -143,9 +145,9 @@ def test_in_band_reliability_is_product_of_four():
 
 
 def test_reliability_matches_joint_monte_carlo():
-    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16)
+    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False)
     snr = db_to_linear(30.0)
-    state = ControlChannelState(avg_snr_ue=snr, avg_snr_ris=snr)
+    state = ControlChannelState(avg_snr_ue=snr, avg_snr_ris=snr, symbols_per_tti=SYMBOLS)
     p = control_reliability(catalog, state, ControlMode.IB_C)
     rng = np.random.default_rng(99)
     n = 200_000
@@ -168,15 +170,15 @@ def test_out_of_band_equals_in_band_when_risc_messages_are_free():
         ControlMessage(Recipient.UE, MsgPhase.SET, 32, 1),
         ControlMessage(Recipient.RISC, MsgPhase.SET, 0, 1),
     ]
-    state = ControlChannelState(avg_snr_ue=5.0, avg_snr_ris=2.0)
+    state = ControlChannelState(avg_snr_ue=5.0, avg_snr_ris=2.0, symbols_per_tti=SYMBOLS)
     ob = control_reliability(catalog, state, ControlMode.OB_C)
     ib = control_reliability(catalog, state, ControlMode.IB_C)
     assert ob == ib
 
 
 def test_reliability_rejects_wrong_catalog_size():
-    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16)
-    state = ControlChannelState(avg_snr_ue=10.0, avg_snr_ris=10.0)
+    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False)
+    state = ControlChannelState(avg_snr_ue=10.0, avg_snr_ris=10.0, symbols_per_tti=SYMBOLS)
     with pytest.raises(InvalidParameterError):
         control_reliability(catalog[:3], state, ControlMode.IB_C)
 
@@ -199,7 +201,7 @@ def single_message_catalog():
 def test_min_snr_single_message_analytic_inversion():
     # exp(-1/snr) >= 0.99  =>  snr = 1/ln(1/0.99) = 99.499 linear = 19.978 dB
     got = min_snr_for_reliability(single_message_catalog(), 0.99, 10.0,
-                                  Recipient.UE, ControlMode.IB_C)
+                                  Recipient.UE, ControlMode.IB_C, SYMBOLS)
     expected = 10 * math.log10(1.0 / math.log(1.0 / 0.99))
     assert got == pytest.approx(expected, abs=0.02)
     assert got == pytest.approx(19.98, abs=0.02)
@@ -209,20 +211,20 @@ def test_min_snr_tiny_target_returns_search_floor():
     # reliability at the -20 dB floor is exp(-100) ~ 3.7e-44, so any target
     # below that is met by the whole search range
     got = min_snr_for_reliability(single_message_catalog(), 1e-45, 10.0,
-                                  Recipient.UE, ControlMode.IB_C)
+                                  Recipient.UE, ControlMode.IB_C, SYMBOLS)
     assert got == SNR_FLOOR_DB
 
 
 def test_min_snr_out_of_band_ris_axis_is_floor():
-    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16)
+    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False)
     got = min_snr_for_reliability(catalog, 0.99, db_to_linear(30.0),
-                                  Recipient.RISC, ControlMode.OB_C)
+                                  Recipient.RISC, ControlMode.OB_C, SYMBOLS)
     assert got == SNR_FLOOR_DB
 
 
 def test_min_snr_unreachable_returns_sentinel():
     got = min_snr_for_reliability(single_message_catalog(), 0.999999999999,
-                                  10.0, Recipient.UE, ControlMode.IB_C)
+                                  10.0, Recipient.UE, ControlMode.IB_C, SYMBOLS)
     assert math.isinf(got)
 
 
@@ -230,24 +232,24 @@ def test_min_snr_rejects_bad_target():
     for target in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(InvalidParameterError):
             min_snr_for_reliability(single_message_catalog(), target, 10.0,
-                                    Recipient.UE, ControlMode.IB_C)
+                                    Recipient.UE, ControlMode.IB_C, SYMBOLS)
 
 
 def test_scheme_ordering_in_band_ris_threshold():
     # the full phase map costs OCE a strictly higher RIS-side SNR than the
     # index signaling of beam sweeping
     fixed_ue = db_to_linear(30.0)
-    oce = min_snr_for_reliability(message_catalog(Scheme.OCE, 100, 2, 32, 16),
-                                  0.99, fixed_ue, Recipient.RISC, ControlMode.IB_C)
-    bsw = min_snr_for_reliability(message_catalog(Scheme.BSW, 100, 2, 32, 16),
-                                  0.99, fixed_ue, Recipient.RISC, ControlMode.IB_C)
+    oce = min_snr_for_reliability(message_catalog(Scheme.OCE, 100, 2, 32, 16, False),
+                                  0.99, fixed_ue, Recipient.RISC, ControlMode.IB_C, SYMBOLS)
+    bsw = min_snr_for_reliability(message_catalog(Scheme.BSW, 100, 2, 32, 16, False),
+                                  0.99, fixed_ue, Recipient.RISC, ControlMode.IB_C, SYMBOLS)
     assert oce > bsw
 
 
 def test_ue_threshold_equal_across_schemes_out_of_band():
     fixed_ris = db_to_linear(30.0)
-    oce = min_snr_for_reliability(message_catalog(Scheme.OCE, 100, 2, 32, 16),
-                                  0.99, fixed_ris, Recipient.UE, ControlMode.OB_C)
-    bsw = min_snr_for_reliability(message_catalog(Scheme.BSW, 100, 2, 32, 16),
-                                  0.99, fixed_ris, Recipient.UE, ControlMode.OB_C)
+    oce = min_snr_for_reliability(message_catalog(Scheme.OCE, 100, 2, 32, 16, False),
+                                  0.99, fixed_ris, Recipient.UE, ControlMode.OB_C, SYMBOLS)
+    bsw = min_snr_for_reliability(message_catalog(Scheme.BSW, 100, 2, 32, 16, False),
+                                  0.99, fixed_ris, Recipient.UE, ControlMode.OB_C, SYMBOLS)
     assert oce == pytest.approx(bsw, abs=0.01)

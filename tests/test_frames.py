@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from riscplane.config import RunConfig
 from riscplane.control import ControlMode, Scheme, message_catalog
 from riscplane.errors import InvalidParameterError
 from riscplane.frames import (
@@ -9,7 +12,6 @@ from riscplane.frames import (
     FramePhase,
     FramePlan,
     PhaseKind,
-    SchemeParams,
     alg_ttis,
     build_frame,
     control_spans,
@@ -20,12 +22,15 @@ from riscplane.frames import (
 )
 
 
+CFG = RunConfig()
+
+
 def default_catalog(scheme):
-    return message_catalog(scheme, 100, 2, 32, 16)
+    return CFG.catalog(scheme)
 
 
 def default_params(scheme, **kw):
-    return SchemeParams(scheme=scheme, **kw)
+    return replace(CFG.scheme_params(scheme), **kw)
 
 
 def inband_total(plan):
@@ -39,7 +44,7 @@ def inband_total(plan):
 
 def test_oce_default_frame_budget_at_60ms():
     # INI 2 + ALG (100 pilots + 2 proc) + SET (3 messages + 1 switch) = 108 TTIs
-    plan = build_frame(default_params(Scheme.OCE), ControlMode.IB_C, 60.0,
+    plan = build_frame(default_params(Scheme.OCE), ControlMode.IB_C, 60.0, CFG.tti_ms,
                        default_catalog(Scheme.OCE))
     assert plan.total_ttis == 120
     assert plan.span(PhaseKind.INI) == 2
@@ -54,14 +59,14 @@ def test_bsw_default_overhead_arithmetic():
     params = default_params(Scheme.BSW)
     catalog = default_catalog(Scheme.BSW)
     assert overhead_ttis(params, ControlMode.IB_C, catalog) == 39
-    plan = build_frame(params, ControlMode.IB_C, 40.0, catalog)
+    plan = build_frame(params, ControlMode.IB_C, 40.0, CFG.tti_ms, catalog)
     assert overhead_ms(plan) == pytest.approx(19.5)
 
 
 def test_out_of_band_removes_risc_messages_from_frame():
     params = default_params(Scheme.OCE)
     catalog = default_catalog(Scheme.OCE)
-    plan = build_frame(params, ControlMode.OB_C, 60.0, catalog)
+    plan = build_frame(params, ControlMode.OB_C, 60.0, CFG.tti_ms, catalog)
     assert plan.span(PhaseKind.INI) == 1
     assert plan.span(PhaseKind.SET) == 2      # UE SET message + switch time
     assert plan.pay_ttis == 120 - 105
@@ -74,7 +79,7 @@ def test_overhead_gap_between_modes_is_small():
     for scheme in (Scheme.OCE, Scheme.BSW, Scheme.BSW_ES):
         params = default_params(scheme)
         catalog = default_catalog(scheme)
-        plans = {mode: build_frame(params, mode, 100.0, catalog)
+        plans = {mode: build_frame(params, mode, 100.0, CFG.tti_ms, catalog)
                  for mode in (ControlMode.IB_C, ControlMode.OB_C)}
         gap = abs(overhead_ms(plans[ControlMode.IB_C]) - overhead_ms(plans[ControlMode.OB_C]))
         assert gap <= 2.0
@@ -83,9 +88,9 @@ def test_overhead_gap_between_modes_is_small():
 def test_early_stop_alg_span():
     params = default_params(Scheme.BSW_ES)
     catalog = default_catalog(Scheme.BSW_ES)
-    plan = build_frame(params, ControlMode.IB_C, 60.0, catalog, stop_index=1)
+    plan = build_frame(params, ControlMode.IB_C, 60.0, CFG.tti_ms, catalog, stop_index=1)
     assert plan.span(PhaseKind.ALG) == 2
-    exhausted = build_frame(params, ControlMode.IB_C, 60.0, catalog)
+    exhausted = build_frame(params, ControlMode.IB_C, 60.0, CFG.tti_ms, catalog)
     assert exhausted.span(PhaseKind.ALG) == 64
     bsw_alg = alg_ttis(default_params(Scheme.BSW))
     assert 2 < bsw_alg    # early stop at the first entry beats the full sweep
@@ -107,7 +112,7 @@ def test_early_stop_span_bounds():
 
 
 def test_short_frame_clamps_payload_to_null_rate():
-    plan = build_frame(default_params(Scheme.OCE), ControlMode.IB_C, 10.0,
+    plan = build_frame(default_params(Scheme.OCE), ControlMode.IB_C, 10.0, CFG.tti_ms,
                        default_catalog(Scheme.OCE))
     assert plan.pay_ttis == 0
     assert overhead_ms(plan) == pytest.approx(10.0)
@@ -117,11 +122,11 @@ def test_short_frame_clamps_payload_to_null_rate():
 
 def test_frame_must_be_tti_multiple():
     with pytest.raises(InvalidParameterError):
-        build_frame(default_params(Scheme.OCE), ControlMode.IB_C, 10.3,
+        build_frame(default_params(Scheme.OCE), ControlMode.IB_C, 10.3, CFG.tti_ms,
                     default_catalog(Scheme.OCE))
     with pytest.raises(InvalidParameterError):
-        frame_ttis(-5.0)
-    assert frame_ttis(4.0) == 8
+        frame_ttis(-5.0, CFG.tti_ms)
+    assert frame_ttis(4.0, CFG.tti_ms) == 8
 
 
 def test_frame_ttis_bounded():
@@ -143,10 +148,10 @@ def test_scheme_params_bound_phase_bits():
 
 def test_stop_index_only_for_early_stopping():
     with pytest.raises(InvalidParameterError):
-        build_frame(default_params(Scheme.BSW), ControlMode.IB_C, 60.0,
+        build_frame(default_params(Scheme.BSW), ControlMode.IB_C, 60.0, CFG.tti_ms,
                     default_catalog(Scheme.BSW), stop_index=3)
     with pytest.raises(InvalidParameterError):
-        build_frame(default_params(Scheme.BSW_ES), ControlMode.IB_C, 60.0,
+        build_frame(default_params(Scheme.BSW_ES), ControlMode.IB_C, 60.0, CFG.tti_ms,
                     default_catalog(Scheme.BSW_ES), stop_index=0)
 
 
@@ -155,7 +160,7 @@ def test_stop_index_only_for_early_stopping():
 # ---------------------------------------------------------------------------
 
 def test_generated_plans_pass_causality():
-    plan = build_frame(default_params(Scheme.OCE), ControlMode.IB_C, 60.0,
+    plan = build_frame(default_params(Scheme.OCE), ControlMode.IB_C, 60.0, CFG.tti_ms,
                        default_catalog(Scheme.OCE))
     assert validate_causality(plan) is None
 
@@ -205,8 +210,8 @@ def test_plan_conservation_enforced_at_construction():
 
 def random_setup(rng):
     scheme = rng.choice([Scheme.OCE, Scheme.BSW, Scheme.BSW_ES])
-    params = SchemeParams(
-        scheme=scheme,
+    params = default_params(
+        scheme,
         n_elements=int(rng.integers(1, 200)),
         bsw_codebook_size=int(rng.integers(1, 64)),
         quant_bits=int(rng.integers(1, 5)),
@@ -214,7 +219,8 @@ def random_setup(rng):
         switch_ttis=int(rng.integers(1, 4)),
     )
     catalog = message_catalog(scheme, params.n_elements, params.quant_bits,
-                              params.bsw_codebook_size, int(rng.integers(0, 64)))
+                              params.bsw_codebook_size, int(rng.integers(0, 64)),
+                              CFG.ini_carries_full_codebook)
     mode = rng.choice([ControlMode.IB_C, ControlMode.OB_C])
     frame_ms = int(rng.integers(1, 300)) * 0.5
     stop = None
@@ -227,7 +233,7 @@ def test_random_plans_conserve_and_respect_causality():
     rng = np.random.default_rng(42)
     for _ in range(1000):
         params, mode, frame_ms, catalog, stop = random_setup(rng)
-        plan = build_frame(params, mode, frame_ms, catalog, stop_index=stop)
+        plan = build_frame(params, mode, frame_ms, CFG.tti_ms, catalog, stop_index=stop)
         assert inband_total(plan) == plan.total_ttis
         assert validate_causality(plan) is None
         assert plan.pay_ttis >= 0
@@ -236,7 +242,7 @@ def test_random_plans_conserve_and_respect_causality():
 def test_payload_monotone_in_frame_length():
     params = default_params(Scheme.BSW)
     catalog = default_catalog(Scheme.BSW)
-    spans = [build_frame(params, ControlMode.IB_C, f, catalog).pay_ttis
+    spans = [build_frame(params, ControlMode.IB_C, f, CFG.tti_ms, catalog).pay_ttis
              for f in np.arange(5.0, 100.5, 2.5)]
     assert all(b >= a for a, b in zip(spans, spans[1:]))
 
@@ -245,8 +251,8 @@ def test_out_of_band_payload_never_smaller():
     rng = np.random.default_rng(43)
     for _ in range(200):
         params, _, frame_ms, catalog, stop = random_setup(rng)
-        ib = build_frame(params, ControlMode.IB_C, frame_ms, catalog, stop_index=stop)
-        ob = build_frame(params, ControlMode.OB_C, frame_ms, catalog, stop_index=stop)
+        ib = build_frame(params, ControlMode.IB_C, frame_ms, CFG.tti_ms, catalog, stop_index=stop)
+        ob = build_frame(params, ControlMode.OB_C, frame_ms, CFG.tti_ms, catalog, stop_index=stop)
         assert ob.pay_ttis >= ib.pay_ttis
 
 

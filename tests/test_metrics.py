@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from riscplane.channel import DEFAULT_RHO, TWO_PI
+from riscplane.channel import TWO_PI
+from riscplane.config import ConfigError, RunConfig
 from riscplane.control import (
     ControlChannelState, ControlMode, Scheme, control_reliability, db_to_linear, message_catalog,
 )
 from riscplane.errors import InvalidParameterError
-from riscplane.frames import SchemeParams, build_frame
+from riscplane.frames import build_frame
 from riscplane import metrics
 from riscplane.cli import main
 from riscplane.metrics import (
@@ -29,22 +30,27 @@ from riscplane.metrics import (
     calibrate_rho,
     crossover_frame,
     goodput_curves,
-    goodput_sweep,
     reliability_grid,
 )
 
-BW = 180000.0
-GRID = tuple(float(f) for f in range(10, 101, 5))
+CFG = RunConfig()
+BW = CFG.bandwidth_hz
+GRID = CFG.frame_grid          # 10, 15, ..., 100 ms
+RHO = CFG.rho
 
 
-def sweep(scheme, mode, n_trials=2000, seed=1, **kw):
-    return goodput_sweep(SchemeParams(scheme=scheme), mode, GRID, BW, n_trials, seed, **kw)
+def sweep(scheme, mode, n_trials=2000, seed=1, **fields):
+    """One curve of a batch over RunConfig() with the given fields replaced."""
+    cfg = RunConfig(n_trials=n_trials, master_seed=seed, **fields)
+    return goodput_curves(cfg, [(scheme, mode)])[0]
 
 
-def goodput(params, mode, frame_ms, bandwidth_hz, n_trials, seed, **kwargs):
-    """Single-frame goodput estimate; see goodput_curves for keyword options."""
-    return goodput_sweep(params, mode, [frame_ms], bandwidth_hz, n_trials, seed,
-                         **kwargs)[0]
+def goodput(scheme, mode, frame_ms, n_trials, seed, **fields):
+    """Single-frame goodput estimate; fields replace RunConfig() fields."""
+    return sweep(scheme, mode, n_trials, seed, frame_grid=(frame_ms,), **fields)[0]
+
+# RunConfig fields of imperfect control channels at 20 dB (UE) and 17 dB (surface)
+LOSSY = dict(perfect_control=False, snr_ue_db=20.0, snr_ris_db=17.0)
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +58,14 @@ def goodput(params, mode, frame_ms, bandwidth_hz, n_trials, seed, **kwargs):
 # ---------------------------------------------------------------------------
 
 def test_goodput_identical_across_runs():
-    a = goodput(SchemeParams(scheme=Scheme.BSW), ControlMode.OB_C, 60.0, BW, 5000, 3)
-    b = goodput(SchemeParams(scheme=Scheme.BSW), ControlMode.OB_C, 60.0, BW, 5000, 3)
+    a = goodput(Scheme.BSW, ControlMode.OB_C, 60.0, 5000, 3)
+    b = goodput(Scheme.BSW, ControlMode.OB_C, 60.0, 5000, 3)
     assert a == b
 
 
 def test_goodput_identical_across_worker_counts():
-    params = SchemeParams(scheme=Scheme.BSW)
-    serial = goodput(params, ControlMode.IB_C, 60.0, BW, 100_000, 5)
-    pooled = goodput(params, ControlMode.IB_C, 60.0, BW, 100_000, 5, workers=2)
+    serial = goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 100_000, 5)
+    pooled = goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 100_000, 5, workers=2)
     assert serial == pooled
     kw = dict(n_trials=10_000, seed=5)
     assert sweep(Scheme.BSW_ES, ControlMode.IB_C, **kw) == \
@@ -70,14 +75,13 @@ def test_goodput_identical_across_worker_counts():
 def test_sweep_matches_element_wise_calls():
     curve = sweep(Scheme.BSW, ControlMode.IB_C, n_trials=3000, seed=9)
     for r in curve[::6]:
-        single = goodput(SchemeParams(scheme=Scheme.BSW), ControlMode.IB_C,
-                         r.frame_ms, BW, 3000, 9)
+        single = goodput(Scheme.BSW, ControlMode.IB_C, r.frame_ms, 3000, 9)
         assert single == r
 
 
 def test_different_seeds_give_different_estimates():
-    a = goodput(SchemeParams(scheme=Scheme.BSW), ControlMode.IB_C, 60.0, BW, 2000, 1)
-    b = goodput(SchemeParams(scheme=Scheme.BSW), ControlMode.IB_C, 60.0, BW, 2000, 2)
+    a = goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 2000, 1)
+    b = goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 2000, 2)
     assert a.goodput_mbps != b.goodput_mbps
 
 
@@ -163,8 +167,8 @@ def test_oce_kernel_matches_remainder_formula_bitwise(quant_bits):
     compensation = np.remainder(-np.angle(hand[:, 0]), TWO_PI) / (TWO_PI / 2 ** quant_bits)
     assert np.any(compensation % 1.0 == 0.5)        # some sit exactly on a tie
     for fg in (_cascade(29, 1, 4096, 100), hand):
-        rate, success, evals = _oce_outcomes(fg, DEFAULT_RHO, quant_bits)
-        expected = remainder_oce_rates(fg, DEFAULT_RHO, quant_bits)
+        rate, success, evals = _oce_outcomes(fg, RHO, quant_bits)
+        expected = remainder_oce_rates(fg, RHO, quant_bits)
         assert np.array_equal(rate.view(np.uint64), expected.view(np.uint64))
         assert np.all(success == 1.0) and evals is None
 
@@ -188,13 +192,13 @@ def test_vectorized_bsw_matches_select_config():
 
 
 def test_early_stop_payload_matches_frame_plans():
-    params = SchemeParams(scheme=Scheme.BSW_ES)
-    catalog = message_catalog(Scheme.BSW_ES, 100, 2, 32, 16)
-    _, success, evals = _bsw_outcomes(_cascade(21, 0, 256, 100), DEFAULT_RHO, 10.0,
+    params = CFG.scheme_params(Scheme.BSW_ES)
+    catalog = CFG.catalog(Scheme.BSW_ES)
+    _, success, evals = _bsw_outcomes(_cascade(21, 0, 256, 100), RHO, 10.0,
                                       _codebook_matrix(100, 32, 2, 7, "random"))
     for i in range(0, 256, 17):
         stop = int(evals[i]) if success[i] else None
-        plan = build_frame(params, ControlMode.IB_C, 60.0, catalog, stop_index=stop)
+        plan = build_frame(params, ControlMode.IB_C, 60.0, CFG.tti_ms, catalog, stop_index=stop)
         assert plan.pay_ttis == max(0, 120 - (5 + 2 * int(evals[i])))
 
 
@@ -202,7 +206,7 @@ def test_early_stop_payload_matches_frame_plans():
 # Batch path: one draw per chunk for every curve
 # ---------------------------------------------------------------------------
 
-SIX_SPECS = [(SchemeParams(scheme=scheme), mode)
+SIX_SPECS = [(scheme, mode)
              for scheme in (Scheme.OCE, Scheme.BSW, Scheme.BSW_ES)
              for mode in (ControlMode.IB_C, ControlMode.OB_C)]
 
@@ -236,13 +240,12 @@ def test_cascade_hops_match_the_complex_formula_bitwise():
 
 
 def test_batch_curves_equal_single_spec_sweeps():
-    grid = [1.0, 4.0] + list(GRID) + [250.0]
-    state = ControlChannelState(avg_snr_ue=100.0, avg_snr_ris=50.0)
-    kw = dict(assume_perfect_control=False, control_state=state)
-    curves = goodput_curves(SIX_SPECS, grid, BW, 9000, 4, **kw)
+    cfg = RunConfig(frame_grid=(1.0, 4.0) + GRID + (250.0,), n_trials=9000, master_seed=4,
+                    **LOSSY)
+    curves = goodput_curves(cfg, SIX_SPECS)
     assert len(curves) == 6
-    for (params, mode), curve in zip(SIX_SPECS, curves):
-        assert curve == goodput_sweep(params, mode, grid, BW, 9000, 4, **kw)
+    for spec, curve in zip(SIX_SPECS, curves):
+        assert curve == goodput_curves(cfg, [spec])[0]
 
 
 def _frame_loop_partials(curve, frames, rate, success, evals):
@@ -266,8 +269,8 @@ def _frame_loop_partials(curve, frames, rate, success, evals):
 def test_blocked_reducer_matches_frame_loop():
     fg = _cascade(3, 0, 4096, 100)
     outcomes = {
-        Scheme.OCE: _oce_outcomes(fg, DEFAULT_RHO, 2),
-        Scheme.BSW: _bsw_outcomes(fg, DEFAULT_RHO, 10.0, _codebook_matrix(100, 32, 2, 7, "random")),
+        Scheme.OCE: _oce_outcomes(fg, RHO, 2),
+        Scheme.BSW: _bsw_outcomes(fg, RHO, 10.0, _codebook_matrix(100, 32, 2, 7, "random")),
     }
     # IB/OB-like pairs two TTIs apart on a 1-TTI grid share rows; frames start
     # below every overhead, and the grid is not a whole number of blocks
@@ -284,7 +287,7 @@ def test_blocked_reducer_matches_frame_loop():
 
 
 def test_default_curves_reduce_each_distinct_row_once_per_chunk(monkeypatch):
-    grid = [0.5 * k for k in range(1, 301)]     # 1-TTI grid: IB and OB rows coincide
+    grid = tuple(0.5 * k for k in range(1, 301))    # 1-TTI grid: IB and OB rows coincide
     reduced = []
 
     def counting(rs, pay):
@@ -292,29 +295,24 @@ def test_default_curves_reduce_each_distinct_row_once_per_chunk(monkeypatch):
         return _payload_rows(rs, pay)
 
     monkeypatch.setattr(metrics, "_payload_rows", counting)
-    goodput_curves(SIX_SPECS, grid, BW, 9000, 1)      # three chunks, one process
+    goodput_curves(RunConfig(frame_grid=grid, n_trials=9000), SIX_SPECS)  # three chunks
     # a row is the payload a frame plan leaves; early stopping keys on its
     # payload after one evaluation, since each further one costs the same
     keys = set()
-    for params, mode in SIX_SPECS:
-        catalog = message_catalog(params.scheme, 100, 2, 32, 16)
-        stop = 1 if params.scheme is Scheme.BSW_ES else None
+    for scheme, mode in SIX_SPECS:
+        params, catalog = CFG.scheme_params(scheme), CFG.catalog(scheme)
+        stop = 1 if scheme is Scheme.BSW_ES else None
         for f_ms in grid:
-            pay = build_frame(params, mode, f_ms, catalog, stop_index=stop).pay_ttis
+            pay = build_frame(params, mode, f_ms, CFG.tti_ms, catalog, stop_index=stop).pay_ttis
             if pay > 0:
-                keys.add((params.scheme, pay))
+                keys.add((scheme, pay))
     assert 0 < len(keys) < 3 * len(grid)
     assert sum(reduced) == 3 * len(keys)
 
 
-@pytest.mark.parametrize("field, value", [("n_elements", 64), ("quant_bits", 3),
-                                          ("target_snr", 5.0), ("bsw_codebook_size", 16)])
-def test_batch_rejects_specs_that_disagree_on_the_channel(field, value):
-    odd = (SchemeParams(scheme=Scheme.BSW, **{field: value}), ControlMode.IB_C)
+def test_batch_rejects_empty_specs():
     with pytest.raises(InvalidParameterError):
-        goodput_curves(SIX_SPECS + [odd], GRID, BW, 100, 1)
-    with pytest.raises(InvalidParameterError):
-        goodput_curves([], GRID, BW, 100, 1)
+        goodput_curves(RunConfig(n_trials=100), [])
 
 
 def test_default_cli_run_draws_once_per_chunk(tmp_path, capsys, monkeypatch):
@@ -392,7 +390,7 @@ def test_chunk_buffers_made_once_per_process(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_null_rate_region_gives_exact_zero():
-    r = goodput(SchemeParams(scheme=Scheme.OCE), ControlMode.IB_C, 20.0, BW, 500, 1)
+    r = goodput(Scheme.OCE, ControlMode.IB_C, 20.0, 500, 1)
     assert r.goodput_mbps == 0.0
     assert r.overhead_ms == pytest.approx(20.0)
 
@@ -406,9 +404,8 @@ def test_bsw_goodput_capped_by_target_rate():
 def test_bsw_goodput_approaches_rate_cap_in_the_limit():
     # low target makes success certain; a long frame shrinks the overhead
     # fraction, so goodput converges to bandwidth * log2(1 + target)
-    params = SchemeParams(scheme=Scheme.BSW, target_snr=0.1)
     cap = BW * math.log2(1.1) / 1e6
-    r = goodput(params, ControlMode.OB_C, 2000.0, BW, 4000, 1)
+    r = goodput(Scheme.BSW, ControlMode.OB_C, 2000.0, 4000, 1, target_snr_db=-10.0)
     assert r.success_prob == 1.0
     assert r.goodput_mbps == pytest.approx(cap * (4000 - 37) / 4000, rel=1e-12)
     assert r.goodput_mbps > 0.98 * cap
@@ -427,13 +424,10 @@ def test_oce_eventually_dominates_bsw():
 
 
 def test_imperfect_control_scales_by_reliability():
-    state = ControlChannelState(avg_snr_ue=100.0, avg_snr_ris=50.0)
-    catalog = message_catalog(Scheme.BSW, 100, 2, 32, 16)
-    factor = control_reliability(catalog, state, ControlMode.IB_C)
-    perfect = goodput(SchemeParams(scheme=Scheme.BSW), ControlMode.IB_C, 60.0,
-                      BW, 2000, 1)
-    lossy = goodput(SchemeParams(scheme=Scheme.BSW), ControlMode.IB_C, 60.0,
-                    BW, 2000, 1, assume_perfect_control=False, control_state=state)
+    cfg = RunConfig(**LOSSY)
+    factor = control_reliability(cfg.catalog(Scheme.BSW), cfg.control_state(), ControlMode.IB_C)
+    perfect = goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 2000, 1)
+    lossy = goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 2000, 1, **LOSSY)
     assert lossy.goodput_mbps == pytest.approx(perfect.goodput_mbps * factor, rel=1e-12)
     assert lossy.success_prob == pytest.approx(perfect.success_prob * factor, rel=1e-12)
 
@@ -441,45 +435,36 @@ def test_imperfect_control_scales_by_reliability():
 def test_full_codebook_download_extends_in_band_overhead():
     # with the whole codebook in the INI message the in-band frame loses 39
     # TTIs to it, while out of band nothing changes
-    params = SchemeParams(scheme=Scheme.BSW)
-    plain = goodput(params, ControlMode.IB_C, 30.0, BW, 1000, 1)
-    heavy = goodput(params, ControlMode.IB_C, 30.0, BW, 1000, 1,
-                    ini_carries_full_codebook=True)
+    plain = goodput(Scheme.BSW, ControlMode.IB_C, 30.0, 1000, 1)
+    heavy = goodput(Scheme.BSW, ControlMode.IB_C, 30.0, 1000, 1, ini_carries_full_codebook=True)
     assert plain.goodput_mbps > 0.0
     assert heavy.goodput_mbps == 0.0
-    ob_plain = goodput(params, ControlMode.OB_C, 30.0, BW, 1000, 1)
-    ob_heavy = goodput(params, ControlMode.OB_C, 30.0, BW, 1000, 1,
+    ob_plain = goodput(Scheme.BSW, ControlMode.OB_C, 30.0, 1000, 1)
+    ob_heavy = goodput(Scheme.BSW, ControlMode.OB_C, 30.0, 1000, 1,
                        ini_carries_full_codebook=True)
     assert ob_plain == ob_heavy
 
 
-def test_imperfect_control_requires_channel_state():
-    with pytest.raises(InvalidParameterError):
-        goodput(SchemeParams(scheme=Scheme.BSW), ControlMode.IB_C, 60.0, BW, 100, 1,
-                assume_perfect_control=False)
-
-
 def test_goodput_rejects_bad_arguments():
-    params = SchemeParams(scheme=Scheme.BSW)
-    with pytest.raises(InvalidParameterError):
-        goodput(params, ControlMode.IB_C, 60.0, BW, 0, 1)
-    with pytest.raises(InvalidParameterError):
-        goodput(params, ControlMode.IB_C, 60.0, -1.0, 100, 1)
-    with pytest.raises(InvalidParameterError):
-        goodput(params, ControlMode.IB_C, 60.3, BW, 100, 1)
-    with pytest.raises(InvalidParameterError):
-        goodput(params, ControlMode.IB_C, 60.0, BW, 100, 1, rho=0.0)
+    # an invalid config is a one-line ConfigError for library callers too
+    with pytest.raises(ConfigError):
+        goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 0, 1)
+    with pytest.raises(ConfigError):
+        goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 100, 1, bandwidth_hz=-1.0)
+    with pytest.raises(ConfigError):
+        goodput(Scheme.BSW, ControlMode.IB_C, 60.3, 100, 1)
+    with pytest.raises(ConfigError):
+        goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 100, 1, rho=0.0)
 
 
 def test_calibrated_rho_hits_target_success_band():
-    r = goodput(SchemeParams(scheme=Scheme.BSW), ControlMode.OB_C, 100.0, BW,
-                10_000, 1)
+    r = goodput(Scheme.BSW, ControlMode.OB_C, 100.0, 10_000, 1)
     assert 0.3 <= r.success_prob <= 0.7
 
 
 def test_calibrate_rho_reproduces_default():
-    est = calibrate_rho(n_trials=20_000, seed=0)
-    assert est == pytest.approx(DEFAULT_RHO, rel=0.05)
+    est = calibrate_rho(RunConfig(), n_trials=20_000, seed=0)
+    assert est == pytest.approx(RHO, rel=0.05)
 
 
 def test_calibrate_rho_reuses_one_set_of_buffers(monkeypatch):
@@ -496,7 +481,7 @@ def test_calibrate_rho_reuses_one_set_of_buffers(monkeypatch):
             super().__init__(trials, n_elements)
 
     monkeypatch.setattr(metrics, "_Scratch", CountingScratch)
-    assert calibrate_rho(n_trials=9000, seed=4) == float(10.0 / np.quantile(best, 0.5))
+    assert calibrate_rho(RunConfig(), n_trials=9000, seed=4) == float(10.0 / np.quantile(best, 0.5))
     assert made == [(metrics.CHUNK_TRIALS, 100)]     # three chunks, one set of buffers
 
 
@@ -520,8 +505,8 @@ def test_crossover_rejects_mismatched_grids():
     curve = sweep(Scheme.BSW, ControlMode.IB_C, n_trials=500)
     with pytest.raises(InvalidParameterError):
         crossover_frame(curve, curve[1:])
-    shifted = goodput_sweep(SchemeParams(scheme=Scheme.BSW), ControlMode.IB_C,
-                            [f + 5.0 for f in GRID], BW, 500, 1)
+    shifted = sweep(Scheme.BSW, ControlMode.IB_C, n_trials=500,
+                    frame_grid=tuple(f + 5.0 for f in GRID))
     with pytest.raises(InvalidParameterError):
         crossover_frame(curve, shifted)
 
@@ -531,9 +516,8 @@ def test_crossover_rejects_mismatched_grids():
 # ---------------------------------------------------------------------------
 
 def grid_matrix(scheme, mode):
-    catalog = message_catalog(scheme, 100, 2, 32, 16)
     axis = tuple(float(v) for v in range(0, 31))
-    return reliability_grid(catalog, mode, axis, axis)
+    return reliability_grid(CFG.catalog(scheme), mode, axis, axis, CFG.symbols_per_tti)
 
 
 def test_out_of_band_grid_constant_along_ris_axis():
@@ -575,7 +559,7 @@ def test_oce_grid_below_bsw_grid_in_band():
 
 def test_grid_equals_control_reliability_bitwise():
     axis = tuple(0.5 * k - 3.0 for k in range(31))
-    cases = [(message_catalog(s, 100, 2, 32, 16), 84) for s in Scheme]
+    cases = [(CFG.catalog(s), CFG.symbols_per_tti) for s in Scheme]
     # a full codebook in the RIS INI message: 4 symbols per TTI underflow its factor to 0
     full = message_catalog(Scheme.BSW, 1000, 4, 1024, 16, ini_carries_full_codebook=True)
     # a RIS SET message above 1000 bit per symbol, where msg_success_prob returns 0 directly
@@ -598,8 +582,8 @@ def test_grid_equals_control_reliability_bitwise():
 
 
 def test_grid_rejects_bad_axes():
-    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16)
+    catalog = CFG.catalog(Scheme.OCE)
     with pytest.raises(InvalidParameterError):
-        reliability_grid(catalog, ControlMode.IB_C, (), (0.0, 1.0))
+        reliability_grid(catalog, ControlMode.IB_C, (), (0.0, 1.0), CFG.symbols_per_tti)
     with pytest.raises(InvalidParameterError):
-        reliability_grid(catalog, ControlMode.IB_C, (0.0, 0.0), (0.0, 1.0))
+        reliability_grid(catalog, ControlMode.IB_C, (0.0, 0.0), (0.0, 1.0), CFG.symbols_per_tti)
