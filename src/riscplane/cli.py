@@ -24,10 +24,8 @@ GOODPUT_HEADER = "frame_ms,scheme,mode,goodput_mbps,overhead_ms,success_prob,n_t
 RELIABILITY_HEADER = "snr_ris_db,snr_ue_db,scheme,mode,reliability"
 THRESHOLD_HEADER = "scheme,mode,axis,min_snr_db"
 
-_SCHEMES = {"oce": [Scheme.OCE], "bsw": [Scheme.BSW], "bsw-es": [Scheme.BSW_ES],
-            "all": [Scheme.OCE, Scheme.BSW, Scheme.BSW_ES]}
-_MODES = {"ib": [ControlMode.IB_C], "ob": [ControlMode.OB_C],
-          "both": [ControlMode.IB_C, ControlMode.OB_C]}
+_SCHEMES = {**{scheme.value: [scheme] for scheme in Scheme}, "all": list(Scheme)}
+_MODES = {**{mode.value: [mode] for mode in ControlMode}, "both": list(ControlMode)}
 
 
 def _fmt(value) -> str:
@@ -45,15 +43,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", metavar="PATH", help="key = value config file")
-        p.add_argument("--seed", type=int, metavar="U64", help="master seed")
-        p.add_argument("--trials", type=int, metavar="N", help="Monte Carlo trials")
         p.add_argument("--mode", choices=sorted(_MODES), default="both")
-        p.add_argument("--scheme", choices=["oce", "bsw", "bsw-es", "all"], default="all")
+        p.add_argument("--scheme", choices=list(_SCHEMES), default="all")
         p.add_argument("--out", metavar="PATH", help="output CSV path")
-        p.add_argument("--workers", type=int, metavar="N", help="worker pool size")
 
     p_good = sub.add_parser("goodput", help="goodput vs. frame length sweep")
     add_common(p_good)
+    p_good.add_argument("--seed", type=int, metavar="U64", help="master seed")
+    p_good.add_argument("--trials", type=int, metavar="N", help="Monte Carlo trials")
+    p_good.add_argument("--workers", type=int, metavar="N", help="worker pool size")
     p_good.add_argument("--frame-grid", metavar="START:STOP:STEP",
                         help="frame lengths in ms")
 
@@ -158,9 +156,9 @@ def _threshold_path(out_path: str) -> str:
 def cmd_validate(cfg: RunConfig) -> int:
     frame = max(cfg.frame_grid)
     failures = 0
-    for scheme in (Scheme.OCE, Scheme.BSW, Scheme.BSW_ES):
+    for scheme in Scheme:
         params, catalog = cfg.scheme_params(scheme), cfg.catalog(scheme)
-        for mode in (ControlMode.IB_C, ControlMode.OB_C):
+        for mode in ControlMode:
             plan = build_frame(params, mode, frame, cfg.tti_ms, catalog)
             pieces = " + ".join(
                 f"{p.kind.value.upper()}[{p.tti_span}{'*' if p.channel_usage is ChannelUse.OUT_OF_BAND else ''}]"

@@ -116,7 +116,7 @@ class RunConfig:
     def catalog(self, scheme: Scheme) -> list[ControlMessage]:
         return message_catalog(
             scheme, self.n_elements, self.quant_bits, self.bsw_codebook_size,
-            self.header_bits, self.ini_carries_full_codebook,
+            self.header_bits, self.ini_carries_full_codebook, self.symbols_per_tti,
         )
 
     def control_state(self) -> ControlChannelState:

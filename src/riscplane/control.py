@@ -1,4 +1,4 @@
-"""Control-message catalog, outage reliability and SNR threshold search.
+"""Control-message catalog, outage reliability and SNR thresholds.
 
 Each frame needs four control messages: two initialization messages (to the
 UE and to the surface controller) and two setup messages carrying the rate
@@ -47,11 +47,12 @@ PILOT_SCHEDULE_BITS = 32
 CODEBOOK_ID_BITS = 16
 MCS_FIELD_BITS = 16
 
-# Message TTI costs assume a nominal 2 bit/symbol control rate over the 84
-# control symbols of a TTI (12 subcarriers x 7 OFDM symbols per 0.5 ms).
-CONTROL_BITS_PER_TTI = 168
+# Message TTI costs assume a nominal control rate of 2 bit/symbol over the
+# symbols_per_tti control symbols of a TTI (84 by default: 12 subcarriers x 7
+# OFDM symbols per 0.5 ms).
+NOMINAL_BITS_PER_SYMBOL = 2
 
-# Search window for minimum-SNR queries (dB).
+# Answer window of minimum-SNR queries (dB).
 SNR_FLOOR_DB = -20.0
 SNR_CAP_DB = 60.0
 
@@ -83,14 +84,10 @@ class ControlChannelState:
     symbols_per_tti: int
 
     def __post_init__(self):
-        if not (self.avg_snr_ue > 0 and self.avg_snr_ris > 0):
-            raise InvalidParameterError("control channel SNRs must be > 0")
+        if not (0 < self.avg_snr_ue < math.inf and 0 < self.avg_snr_ris < math.inf):
+            raise InvalidParameterError("control channel SNRs must be finite and > 0")
         if self.symbols_per_tti < 1:
             raise InvalidParameterError("symbols_per_tti must be >= 1")
-
-
-def _tti_cost(payload_bits: int) -> int:
-    return max(1, -(-payload_bits // CONTROL_BITS_PER_TTI))
 
 
 def message_catalog(
@@ -100,6 +97,7 @@ def message_catalog(
     codebook_size: int,
     header_bits: int,
     ini_carries_full_codebook: bool,
+    symbols_per_tti: int,
 ) -> list[ControlMessage]:
     """The four control messages of one frame, in transmission order.
 
@@ -108,12 +106,16 @@ def message_catalog(
     message carries the rate selection; the controller SET message carries
     the full per-element phase map under OCE (N * quant_bits core bits) and
     only the integer index of the chosen entry under beam sweeping
-    (ceil(log2 C) core bits).
+    (ceil(log2 C) core bits). A message occupies the fewest TTIs, at least
+    one, that carry its bits at NOMINAL_BITS_PER_SYMBOL.
     """
     if n_elements < 1 or quant_bits < 1 or codebook_size < 1:
         raise InvalidParameterError("n_elements, quant_bits, codebook_size must be >= 1")
     if header_bits < 0:
         raise InvalidParameterError("header_bits must be >= 0")
+    if symbols_per_tti < 1:
+        raise InvalidParameterError("symbols_per_tti must be >= 1")
+    bits_per_tti = NOMINAL_BITS_PER_SYMBOL * symbols_per_tti
 
     ini_risc_bits = header_bits + CODEBOOK_ID_BITS
     if ini_carries_full_codebook and scheme is not Scheme.OCE:
@@ -130,25 +132,45 @@ def message_catalog(
         (Recipient.UE, MsgPhase.SET, header_bits + MCS_FIELD_BITS),
         (Recipient.RISC, MsgPhase.SET, header_bits + set_risc_core),
     ]
-    return [
-        ControlMessage(recipient=r, phase=p, payload_bits=b, tti_cost=_tti_cost(b))
-        for r, p, b in budgets
-    ]
+    return [ControlMessage(recipient=r, phase=p, payload_bits=b,
+                           tti_cost=max(1, -(-b // bits_per_tti)))
+            for r, p, b in budgets]
+
+
+def out_of_band(msg: ControlMessage, mode: ControlMode) -> bool:
+    """Whether msg rides the error-free out-of-band channel: controller-bound under OB-C."""
+    return msg.recipient is Recipient.RISC and mode is ControlMode.OB_C
+
+
+def outage_threshold(payload_bits: int, symbols: int) -> float:
+    """2^(b/s) - 1; inf above 1000 bit/symbol, where 2^rate overflows, so exp(-inf) = 0.0."""
+    rate = payload_bits / symbols
+    return 2.0 ** rate - 1.0 if rate <= 1000.0 else math.inf
+
+
+def outage_thresholds(
+    catalog: list[ControlMessage], mode: ControlMode, symbols_per_tti: int
+) -> list[tuple[Recipient, float]]:
+    """(recipient, outage threshold) of every message that can fail, in catalog order.
+
+    Out-of-band messages cannot fail. A message succeeds with probability
+    exp(-threshold / avg_snr) at the average SNR of its recipient's channel.
+    """
+    if len(catalog) != 4:
+        raise InvalidParameterError("catalog must contain exactly 4 messages")
+    return [(msg.recipient, outage_threshold(msg.payload_bits, msg.tti_cost * symbols_per_tti))
+            for msg in catalog if not out_of_band(msg, mode)]
 
 
 def msg_success_prob(payload_bits: int, symbols: int, avg_snr: float) -> float:
     """Probability that one message decodes under quasi-static Rayleigh fading."""
     if symbols < 1:
         raise InvalidParameterError("symbols must be >= 1")
-    if not avg_snr > 0:
-        raise InvalidParameterError("avg_snr must be > 0")
+    if not 0 < avg_snr < math.inf:
+        raise InvalidParameterError("avg_snr must be finite and > 0")
     if payload_bits < 0:
         raise InvalidParameterError("payload_bits must be >= 0")
-    rate = payload_bits / symbols
-    if rate > 1000.0:    # 2^rate overflows a double; outage is certain anyway
-        return 0.0
-    threshold = 2.0 ** rate - 1.0
-    return math.exp(-threshold / avg_snr)
+    return math.exp(-outage_threshold(payload_bits, symbols) / avg_snr)
 
 
 def control_reliability(
@@ -158,20 +180,12 @@ def control_reliability(
 ) -> float:
     """Probability that all four control messages of a frame decode.
 
-    Messages see independent fading draws. UE-bound messages always ride the
-    in-band UE control channel; controller-bound messages use the in-band
-    surface control channel under IB-C and an idealized error-free channel
-    under OB-C.
+    Messages see independent fading draws; see outage_thresholds.
     """
-    if len(catalog) != 4:
-        raise InvalidParameterError("catalog must contain exactly 4 messages")
     prob = 1.0
-    for msg in catalog:
-        if msg.recipient is Recipient.RISC and mode is ControlMode.OB_C:
-            continue
-        snr = state.avg_snr_ue if msg.recipient is Recipient.UE else state.avg_snr_ris
-        symbols = msg.tti_cost * state.symbols_per_tti
-        prob *= msg_success_prob(msg.payload_bits, symbols, snr)
+    for recipient, threshold in outage_thresholds(catalog, mode, state.symbols_per_tti):
+        snr = state.avg_snr_ue if recipient is Recipient.UE else state.avg_snr_ris
+        prob *= math.exp(-threshold / snr)
     return prob
 
 
@@ -185,32 +199,23 @@ def min_snr_for_reliability(
 ) -> float:
     """Smallest average SNR (dB) on one axis reaching the reliability target.
 
-    Bisection to 0.01 dB over [SNR_FLOOR_DB, SNR_CAP_DB]; returns the search
-    floor when any SNR suffices and math.inf when the target is unreachable
-    below the cap. Relies on reliability being monotone in the searched SNR.
+    Reliability is exp(-A / snr - B / fixed_other_snr), where A and B sum the
+    outage thresholds of the messages on the searched and on the other axis,
+    so the answer is the exact inverse snr = A / (-ln target - B /
+    fixed_other_snr). Returns SNR_FLOOR_DB when any SNR from the floor up
+    suffices and math.inf when no SNR up to SNR_CAP_DB does.
     """
     if not 0.0 < target < 1.0:
         raise InvalidParameterError("target must be in (0, 1)")
-    if not fixed_other_snr > 0:
-        raise InvalidParameterError("fixed_other_snr must be > 0")
-
-    def rel_at(x_db: float) -> float:
-        v = db_to_linear(x_db)
-        ue = v if which_axis is Recipient.UE else fixed_other_snr
-        ris = v if which_axis is Recipient.RISC else fixed_other_snr
-        state = ControlChannelState(avg_snr_ue=ue, avg_snr_ris=ris,
-                                    symbols_per_tti=symbols_per_tti)
-        return control_reliability(catalog, state, mode)
-
-    if rel_at(SNR_FLOOR_DB) >= target:
+    if not 0 < fixed_other_snr < math.inf:
+        raise InvalidParameterError("fixed_other_snr must be finite and > 0")
+    thresholds = outage_thresholds(catalog, mode, symbols_per_tti)
+    axis = sum(t for recipient, t in thresholds if recipient is which_axis)
+    other = sum(t for recipient, t in thresholds if recipient is not which_axis)
+    slack = -math.log(target) - other / fixed_other_snr
+    if axis / db_to_linear(SNR_FLOOR_DB) <= slack:
         return SNR_FLOOR_DB
-    if rel_at(SNR_CAP_DB) < target:
+    if slack <= 0.0:
         return math.inf
-    lo, hi = SNR_FLOOR_DB, SNR_CAP_DB
-    while hi - lo > 0.01:
-        mid = 0.5 * (lo + hi)
-        if rel_at(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    snr_db = 10.0 * math.log10(axis / slack)
+    return snr_db if snr_db <= SNR_CAP_DB else math.inf

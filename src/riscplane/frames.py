@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .channel import MAX_QUANT_BITS
-from .control import ControlMessage, ControlMode, MsgPhase, Recipient, Scheme
+from .control import ControlMessage, ControlMode, MsgPhase, Scheme, out_of_band
 from .errors import InvalidParameterError
 
 # Most TTIs a frame may span. A 4096-trial chunk (metrics.CHUNK_TRIALS) then
@@ -118,28 +118,6 @@ class CausalityViolation:
     detail: str
 
 
-class ControlSpans(NamedTuple):
-    ini_in_band: int
-    ini_out_of_band: int
-    set_in_band: int
-    set_out_of_band: int
-
-
-def control_spans(catalog: list[ControlMessage], mode: ControlMode) -> ControlSpans:
-    """In-band and out-of-band TTI costs of the catalog's INI and SET messages."""
-    spans = {(MsgPhase.INI, True): 0, (MsgPhase.INI, False): 0,
-             (MsgPhase.SET, True): 0, (MsgPhase.SET, False): 0}
-    for msg in catalog:
-        off_band = msg.recipient is Recipient.RISC and mode is ControlMode.OB_C
-        spans[(msg.phase, not off_band)] += msg.tti_cost
-    return ControlSpans(
-        ini_in_band=spans[(MsgPhase.INI, True)],
-        ini_out_of_band=spans[(MsgPhase.INI, False)],
-        set_in_band=spans[(MsgPhase.SET, True)],
-        set_out_of_band=spans[(MsgPhase.SET, False)],
-    )
-
-
 def alg_ttis(params: SchemeParams, stop_index: Optional[int] = None) -> int:
     """In-band ALG span of a scheme.
 
@@ -174,6 +152,46 @@ def frame_ttis(frame_ms: float, tti_ms: float) -> int:
     return total
 
 
+def _overhead_phases(
+    params: SchemeParams,
+    mode: ControlMode,
+    catalog: list[ControlMessage],
+    stop_index: Optional[int],
+) -> list[FramePhase]:
+    """The unclamped INI, ALG and SET phases of a frame, in timeline order.
+
+    INI and SET messages are split into in-band and out-of-band spans, and
+    processing and reconfiguration elapse with no transmission.
+    """
+    def messages(phase: MsgPhase) -> list[FramePhase]:
+        spans = {ChannelUse.IN_BAND: 0, ChannelUse.OUT_OF_BAND: 0}
+        for msg in catalog:
+            if msg.phase is phase:
+                use = ChannelUse.OUT_OF_BAND if out_of_band(msg, mode) else ChannelUse.IN_BAND
+                spans[use] += msg.tti_cost
+        return [FramePhase(PhaseKind(phase.value), span, use) for use, span in spans.items()]
+
+    proc = 0 if params.scheme is Scheme.BSW_ES else params.proc_ttis
+    return [
+        *messages(MsgPhase.INI),
+        FramePhase(PhaseKind.ALG, alg_ttis(params, stop_index) - proc, ChannelUse.IN_BAND),
+        FramePhase(PhaseKind.ALG, proc, ChannelUse.NONE),
+        *messages(MsgPhase.SET),
+        FramePhase(PhaseKind.SET, params.switch_ttis, ChannelUse.NONE),
+    ]
+
+
+def overhead_ttis(
+    params: SchemeParams,
+    mode: ControlMode,
+    catalog: list[ControlMessage],
+    stop_index: Optional[int] = None,
+) -> int:
+    """Frame TTIs consumed before PAY can start (unclamped)."""
+    return sum(p.tti_span for p in _overhead_phases(params, mode, catalog, stop_index)
+               if p.channel_usage is not ChannelUse.OUT_OF_BAND)
+
+
 def build_frame(
     params: SchemeParams,
     mode: ControlMode,
@@ -193,48 +211,15 @@ def build_frame(
         if not 1 <= stop_index <= params.bsw_codebook_size:
             raise InvalidParameterError("stop_index must be in [1, bsw_codebook_size]")
     total = frame_ttis(frame_ms, tti_ms)
-    spans = control_spans(catalog, mode)
-    alg = alg_ttis(params, stop_index)
-
-    timeline: list[FramePhase] = []
-    budget = total
-
-    def push(kind: PhaseKind, span: int, usage: ChannelUse):
-        nonlocal budget
-        if usage is ChannelUse.OUT_OF_BAND:
-            if span > 0:
-                timeline.append(FramePhase(kind, span, usage))
-            return
-        take = min(span, budget)
-        budget -= take
-        if take > 0:
-            timeline.append(FramePhase(kind, take, usage))
-
-    push(PhaseKind.INI, spans.ini_in_band, ChannelUse.IN_BAND)
-    push(PhaseKind.INI, spans.ini_out_of_band, ChannelUse.OUT_OF_BAND)
-    if params.scheme is Scheme.BSW_ES:
-        push(PhaseKind.ALG, alg, ChannelUse.IN_BAND)
-    else:
-        push(PhaseKind.ALG, alg - params.proc_ttis, ChannelUse.IN_BAND)
-        push(PhaseKind.ALG, params.proc_ttis, ChannelUse.NONE)
-    push(PhaseKind.SET, spans.set_in_band, ChannelUse.IN_BAND)
-    push(PhaseKind.SET, spans.set_out_of_band, ChannelUse.OUT_OF_BAND)
-    push(PhaseKind.SET, params.switch_ttis, ChannelUse.NONE)
+    timeline, budget = [], total
+    for phase in _overhead_phases(params, mode, catalog, stop_index):
+        if phase.channel_usage is not ChannelUse.OUT_OF_BAND:
+            phase = FramePhase(phase.kind, min(phase.tti_span, budget), phase.channel_usage)
+            budget -= phase.tti_span
+        if phase.tti_span > 0:
+            timeline.append(phase)
     timeline.append(FramePhase(PhaseKind.PAY, budget, ChannelUse.IN_BAND))
-
     return FramePlan(tti_ms=tti_ms, phases=tuple(timeline), total_ttis=total)
-
-
-def overhead_ttis(
-    params: SchemeParams,
-    mode: ControlMode,
-    catalog: list[ControlMessage],
-    stop_index: Optional[int] = None,
-) -> int:
-    """Frame TTIs consumed before PAY can start (unclamped)."""
-    spans = control_spans(catalog, mode)
-    return (spans.ini_in_band + alg_ttis(params, stop_index)
-            + spans.set_in_band + params.switch_ttis)
 
 
 def validate_causality(plan: FramePlan) -> Optional[CausalityViolation]:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 import operator
 import os
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ from .control import (
     Scheme,
     control_reliability,
     db_to_linear,
-    msg_success_prob,
+    outage_thresholds,
 )
 from .errors import InvalidParameterError
 from .frames import alg_ttis, frame_ttis, overhead_ttis
@@ -343,6 +343,20 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _pooled_partials(pool, batch: _Batch, n_chunks: int, in_flight: int):
+    """Chunk partials from pool in chunk order, with at most in_flight chunks submitted and unread.
+
+    Executor.map would submit every chunk up front, holding memory for each.
+    """
+    pending = deque()
+    for chunk_index in range(n_chunks):
+        if len(pending) == in_flight:
+            yield pending.popleft().result()
+        pending.append(pool.submit(_chunk_partials, batch, chunk_index))
+    while pending:
+        yield pending.popleft().result()
+
+
 def goodput_curves(
     cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]]
 ) -> list[list[GoodputResult]]:
@@ -377,16 +391,15 @@ def goodput_curves(
     # deterministic whatever the number of processes.
     n_trials = cfg.n_trials
     n_chunks = math.ceil(n_trials / CHUNK_TRIALS)
-    tasks = (repeat(batch, n_chunks), range(n_chunks))
     pool_size = min(cfg.workers, n_chunks, _available_cpus())
     if pool_size <= 1:
         scratch = _Scratch(min(n_trials, CHUNK_TRIALS), cfg.n_elements)
-        sums = reduce(operator.iadd, map(_chunk_partials, *tasks, repeat(scratch, n_chunks)))
+        sums = reduce(operator.iadd, (_chunk_partials(batch, c, scratch) for c in range(n_chunks)))
     else:
         # imported here: it is a sizeable part of the CLI's start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            sums = reduce(operator.iadd, pool.map(_chunk_partials, *tasks))
+            sums = reduce(operator.iadd, _pooled_partials(pool, batch, n_chunks, 2 * pool_size))
 
     results = []
     for (scheme, mode), reliability, curve_sums in zip(specs, reliabilities, sums):
@@ -439,6 +452,8 @@ def _validate_grid(grid_db: Sequence[float], name: str):
         raise InvalidParameterError(f"{name} must be non-empty")
     if any(b <= a for a, b in zip(grid_db, grid_db[1:])):
         raise InvalidParameterError(f"{name} must be strictly increasing")
+    if not db_to_linear(grid_db[0]) > 0:
+        raise InvalidParameterError(f"{name} must have positive linear values")
 
 
 def reliability_grid(
@@ -458,17 +473,11 @@ def reliability_grid(
     """
     _validate_grid(snr_ris_grid_db, "snr_ris_grid_db")
     _validate_grid(snr_ue_grid_db, "snr_ue_grid_db")
-    if len(catalog) != 4:
-        raise InvalidParameterError("catalog must contain exactly 4 messages")
     grid = np.ones((len(snr_ris_grid_db), len(snr_ue_grid_db)))
-    for msg in catalog:
-        if msg.recipient is Recipient.RISC and mode is ControlMode.OB_C:
-            continue
-        axis_db = snr_ue_grid_db if msg.recipient is Recipient.UE else snr_ris_grid_db
-        symbols = msg.tti_cost * symbols_per_tti
-        factor = np.array([msg_success_prob(msg.payload_bits, symbols, db_to_linear(db))
-                           for db in axis_db])
-        grid *= factor[None, :] if msg.recipient is Recipient.UE else factor[:, None]
+    for recipient, threshold in outage_thresholds(catalog, mode, symbols_per_tti):
+        axis_db = snr_ue_grid_db if recipient is Recipient.UE else snr_ris_grid_db
+        factor = np.array([math.exp(-threshold / db_to_linear(db)) for db in axis_db])
+        grid *= factor[None, :] if recipient is Recipient.UE else factor[:, None]
     return grid
 
 

@@ -196,7 +196,7 @@ def test_criterion_7_causality_and_conservation():
             )
             catalog = message_catalog(scheme, params.n_elements, params.quant_bits,
                                       params.bsw_codebook_size, int(rng.integers(0, 64)),
-                                      CFG.ini_carries_full_codebook)
+                                      CFG.ini_carries_full_codebook, CFG.symbols_per_tti)
             stop = None
             if scheme is Scheme.BSW_ES and rng.random() < 0.5:
                 stop = int(rng.integers(1, params.bsw_codebook_size + 1))

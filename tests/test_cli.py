@@ -297,6 +297,16 @@ def test_reliability_unreachable_threshold_emits_inf(tmp_path, capsys):
     assert "inf" in summary
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--trials", "--workers"])
+def test_reliability_rejects_goodput_only_flags(tmp_path, capsys, flag):
+    # the grid is closed form: no seed, trials or workers change its bytes
+    with pytest.raises(SystemExit) as exc:
+        main(["reliability", flag, "5", "--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_reliability_rejects_bad_threshold(tmp_path, capsys):
     code = run_cli(["reliability", "--threshold", "1.5",
                     "--out", str(tmp_path / "r.csv")], capsys)

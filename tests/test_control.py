@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from riscplane.control import (
-    CONTROL_BITS_PER_TTI,
+    NOMINAL_BITS_PER_SYMBOL,
+    SNR_CAP_DB,
     SNR_FLOOR_DB,
     ControlChannelState,
     ControlMode,
@@ -31,7 +32,7 @@ def catalog_by_key(catalog):
 # ---------------------------------------------------------------------------
 
 def test_catalog_has_four_messages_in_order():
-    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False)
+    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False, SYMBOLS)
     assert [(m.recipient, m.phase) for m in catalog] == [
         (Recipient.UE, MsgPhase.INI),
         (Recipient.RISC, MsgPhase.INI),
@@ -42,20 +43,20 @@ def test_catalog_has_four_messages_in_order():
 
 def test_oce_set_message_carries_full_phase_map():
     # header 16 + 100 elements * 2 bits = 216 bits
-    catalog = catalog_by_key(message_catalog(Scheme.OCE, 100, 2, 32, 16, False))
+    catalog = catalog_by_key(message_catalog(Scheme.OCE, 100, 2, 32, 16, False, SYMBOLS))
     msg = catalog[(Recipient.RISC, MsgPhase.SET)]
     assert msg.payload_bits == 216
-    assert msg.tti_cost == math.ceil(216 / CONTROL_BITS_PER_TTI) == 2
+    assert msg.tti_cost == math.ceil(216 / (NOMINAL_BITS_PER_SYMBOL * SYMBOLS)) == 2
 
 
 @pytest.mark.parametrize("size,expected_bits", [(32, 21), (1, 16), (33, 22), (2, 17)])
 def test_bsw_set_message_carries_entry_index(size, expected_bits):
-    catalog = catalog_by_key(message_catalog(Scheme.BSW, 100, 2, size, 16, False))
+    catalog = catalog_by_key(message_catalog(Scheme.BSW, 100, 2, size, 16, False, SYMBOLS))
     assert catalog[(Recipient.RISC, MsgPhase.SET)].payload_bits == expected_bits
 
 
 def test_ini_budgets_and_floors():
-    catalog = catalog_by_key(message_catalog(Scheme.BSW_ES, 100, 2, 32, 16, False))
+    catalog = catalog_by_key(message_catalog(Scheme.BSW_ES, 100, 2, 32, 16, False, SYMBOLS))
     assert catalog[(Recipient.UE, MsgPhase.INI)].payload_bits == 48
     assert catalog[(Recipient.RISC, MsgPhase.INI)].payload_bits == 32
     assert catalog[(Recipient.UE, MsgPhase.SET)].payload_bits == 32
@@ -63,22 +64,41 @@ def test_ini_budgets_and_floors():
 
 
 def test_ini_can_carry_full_codebook_for_sweeping_schemes():
-    plain = catalog_by_key(message_catalog(Scheme.BSW, 100, 2, 32, 16, False))
+    plain = catalog_by_key(message_catalog(Scheme.BSW, 100, 2, 32, 16, False, SYMBOLS))
     full = catalog_by_key(
-        message_catalog(Scheme.BSW, 100, 2, 32, 16, ini_carries_full_codebook=True))
+        message_catalog(Scheme.BSW, 100, 2, 32, 16, ini_carries_full_codebook=True,
+                        symbols_per_tti=SYMBOLS))
     extra = 32 * 100 * 2
     assert (full[(Recipient.RISC, MsgPhase.INI)].payload_bits
             == plain[(Recipient.RISC, MsgPhase.INI)].payload_bits + extra)
     oce = catalog_by_key(
-        message_catalog(Scheme.OCE, 100, 2, 32, 16, ini_carries_full_codebook=True))
+        message_catalog(Scheme.OCE, 100, 2, 32, 16, ini_carries_full_codebook=True,
+                        symbols_per_tti=SYMBOLS))
     assert oce[(Recipient.RISC, MsgPhase.INI)].payload_bits == 32
 
 
 def test_catalog_rejects_bad_counts():
     with pytest.raises(InvalidParameterError):
-        message_catalog(Scheme.OCE, 0, 2, 32, 16, False)
+        message_catalog(Scheme.OCE, 0, 2, 32, 16, False, SYMBOLS)
     with pytest.raises(InvalidParameterError):
-        message_catalog(Scheme.OCE, 4, 2, 32, -1, False)
+        message_catalog(Scheme.OCE, 4, 2, 32, -1, False, SYMBOLS)
+    with pytest.raises(InvalidParameterError):
+        message_catalog(Scheme.OCE, 4, 2, 32, 16, False, 0)
+
+
+@pytest.mark.parametrize("symbols_per_tti", [1, 84, 840])
+def test_tti_costs_follow_symbols_per_tti(symbols_per_tti):
+    # each message takes the fewest TTIs carrying it at 2 bit/symbol, so its
+    # outage threshold is at most 2^2 - 1 = 3 whatever the TTI size
+    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False, symbols_per_tti)
+    state = ControlChannelState(avg_snr_ue=1000.0, avg_snr_ris=1000.0,
+                                symbols_per_tti=symbols_per_tti)
+    for msg in catalog:
+        assert msg.tti_cost == max(1, math.ceil(msg.payload_bits / (2 * symbols_per_tti)))
+        assert msg.payload_bits <= 2 * msg.tti_cost * symbols_per_tti
+    assert catalog_by_key(catalog)[(Recipient.RISC, MsgPhase.SET)].tti_cost == \
+        {1: 108, 84: 2, 840: 1}[symbols_per_tti]
+    assert control_reliability(catalog, state, ControlMode.IB_C) >= 0.98    # exp(-4 * 3 / 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +138,11 @@ def test_success_prob_rejects_bad_arguments():
         msg_success_prob(84, 84, 0.0)
     with pytest.raises(InvalidParameterError):
         msg_success_prob(-1, 84, 10.0)
+    # an infinite SNR would make an infinite outage threshold's factor nan
+    with pytest.raises(InvalidParameterError):
+        msg_success_prob(84, 84, math.inf)
+    with pytest.raises(InvalidParameterError):
+        ControlChannelState(avg_snr_ue=math.inf, avg_snr_ris=10.0, symbols_per_tti=SYMBOLS)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +150,7 @@ def test_success_prob_rejects_bad_arguments():
 # ---------------------------------------------------------------------------
 
 def test_out_of_band_reliability_is_ue_product():
-    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False)
+    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False, SYMBOLS)
     state = ControlChannelState(avg_snr_ue=10.0, avg_snr_ris=10.0, symbols_per_tti=SYMBOLS)
     expected = 1.0
     for msg in catalog:
@@ -135,7 +160,7 @@ def test_out_of_band_reliability_is_ue_product():
 
 
 def test_in_band_reliability_is_product_of_four():
-    catalog = message_catalog(Scheme.BSW, 100, 2, 32, 16, False)
+    catalog = message_catalog(Scheme.BSW, 100, 2, 32, 16, False, SYMBOLS)
     state = ControlChannelState(avg_snr_ue=8.0, avg_snr_ris=3.0, symbols_per_tti=SYMBOLS)
     expected = 1.0
     for msg in catalog:
@@ -145,7 +170,7 @@ def test_in_band_reliability_is_product_of_four():
 
 
 def test_reliability_matches_joint_monte_carlo():
-    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False)
+    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False, SYMBOLS)
     snr = db_to_linear(30.0)
     state = ControlChannelState(avg_snr_ue=snr, avg_snr_ris=snr, symbols_per_tti=SYMBOLS)
     p = control_reliability(catalog, state, ControlMode.IB_C)
@@ -177,7 +202,7 @@ def test_out_of_band_equals_in_band_when_risc_messages_are_free():
 
 
 def test_reliability_rejects_wrong_catalog_size():
-    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False)
+    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False, SYMBOLS)
     state = ControlChannelState(avg_snr_ue=10.0, avg_snr_ris=10.0, symbols_per_tti=SYMBOLS)
     with pytest.raises(InvalidParameterError):
         control_reliability(catalog[:3], state, ControlMode.IB_C)
@@ -216,7 +241,7 @@ def test_min_snr_tiny_target_returns_search_floor():
 
 
 def test_min_snr_out_of_band_ris_axis_is_floor():
-    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False)
+    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False, SYMBOLS)
     got = min_snr_for_reliability(catalog, 0.99, db_to_linear(30.0),
                                   Recipient.RISC, ControlMode.OB_C, SYMBOLS)
     assert got == SNR_FLOOR_DB
@@ -239,17 +264,40 @@ def test_scheme_ordering_in_band_ris_threshold():
     # the full phase map costs OCE a strictly higher RIS-side SNR than the
     # index signaling of beam sweeping
     fixed_ue = db_to_linear(30.0)
-    oce = min_snr_for_reliability(message_catalog(Scheme.OCE, 100, 2, 32, 16, False),
+    oce = min_snr_for_reliability(message_catalog(Scheme.OCE, 100, 2, 32, 16, False, SYMBOLS),
                                   0.99, fixed_ue, Recipient.RISC, ControlMode.IB_C, SYMBOLS)
-    bsw = min_snr_for_reliability(message_catalog(Scheme.BSW, 100, 2, 32, 16, False),
+    bsw = min_snr_for_reliability(message_catalog(Scheme.BSW, 100, 2, 32, 16, False, SYMBOLS),
                                   0.99, fixed_ue, Recipient.RISC, ControlMode.IB_C, SYMBOLS)
     assert oce > bsw
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("axis", list(Recipient))
+@pytest.mark.parametrize("mode", list(ControlMode))
+@pytest.mark.parametrize("target", [0.9, 0.99, 0.999])
+def test_min_snr_closed_form_is_exact(scheme, axis, mode, target):
+    catalog = message_catalog(scheme, 100, 2, 32, 16, False, SYMBOLS)
+    fixed = db_to_linear(30.0)
+    got = min_snr_for_reliability(catalog, target, fixed, axis, mode, SYMBOLS)
+
+    def reliability(snr_db):
+        snr = db_to_linear(snr_db)
+        ue, ris = (snr, fixed) if axis is Recipient.UE else (fixed, snr)
+        return control_reliability(catalog, ControlChannelState(ue, ris, SYMBOLS), mode)
+
+    if got == SNR_FLOOR_DB:
+        assert reliability(SNR_FLOOR_DB) >= target * (1 - 1e-12)
+    elif math.isinf(got):
+        assert reliability(SNR_CAP_DB) < target
+    else:
+        assert reliability(got) >= target * (1 - 1e-12)
+        assert reliability(got - 0.001) < target
+
+
 def test_ue_threshold_equal_across_schemes_out_of_band():
     fixed_ris = db_to_linear(30.0)
-    oce = min_snr_for_reliability(message_catalog(Scheme.OCE, 100, 2, 32, 16, False),
+    oce = min_snr_for_reliability(message_catalog(Scheme.OCE, 100, 2, 32, 16, False, SYMBOLS),
                                   0.99, fixed_ris, Recipient.UE, ControlMode.OB_C, SYMBOLS)
-    bsw = min_snr_for_reliability(message_catalog(Scheme.BSW, 100, 2, 32, 16, False),
+    bsw = min_snr_for_reliability(message_catalog(Scheme.BSW, 100, 2, 32, 16, False, SYMBOLS),
                                   0.99, fixed_ris, Recipient.UE, ControlMode.OB_C, SYMBOLS)
     assert oce == pytest.approx(bsw, abs=0.01)

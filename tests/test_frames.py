@@ -14,7 +14,6 @@ from riscplane.frames import (
     PhaseKind,
     alg_ttis,
     build_frame,
-    control_spans,
     frame_ttis,
     overhead_ms,
     overhead_ttis,
@@ -220,7 +219,7 @@ def random_setup(rng):
     )
     catalog = message_catalog(scheme, params.n_elements, params.quant_bits,
                               params.bsw_codebook_size, int(rng.integers(0, 64)),
-                              CFG.ini_carries_full_codebook)
+                              CFG.ini_carries_full_codebook, CFG.symbols_per_tti)
     mode = rng.choice([ControlMode.IB_C, ControlMode.OB_C])
     frame_ms = int(rng.integers(1, 300)) * 0.5
     stop = None
@@ -257,10 +256,40 @@ def test_out_of_band_payload_never_smaller():
 
 
 def test_control_spans_split_by_mode():
-    catalog = default_catalog(Scheme.OCE)
-    ib = control_spans(catalog, ControlMode.IB_C)
-    ob = control_spans(catalog, ControlMode.OB_C)
-    assert ib.ini_in_band == 2 and ib.set_in_band == 3
-    assert ib.ini_out_of_band == 0 and ib.set_out_of_band == 0
-    assert ob.ini_in_band == 1 and ob.set_in_band == 1
-    assert ob.ini_out_of_band == 1 and ob.set_out_of_band == 2
+    params, catalog = default_params(Scheme.OCE), default_catalog(Scheme.OCE)
+
+    def spans(mode):
+        plan = build_frame(params, mode, 60.0, CFG.tti_ms, catalog)
+        return [sum(p.tti_span for p in plan.phases if p.kind is kind and p.channel_usage is use)
+                for kind in (PhaseKind.INI, PhaseKind.SET)
+                for use in (ChannelUse.IN_BAND, ChannelUse.OUT_OF_BAND)]
+
+    ini_in, ini_out, set_in, set_out = spans(ControlMode.IB_C)
+    assert ini_in == 2 and set_in == 3
+    assert ini_out == 0 and set_out == 0
+    ini_in, ini_out, set_in, set_out = spans(ControlMode.OB_C)
+    assert ini_in == 1 and set_in == 1
+    assert ini_out == 1 and set_out == 2
+
+
+@pytest.mark.parametrize("fields", [{}, dict(symbols_per_tti=1, proc_ttis=0, es_reservation=False),
+                                    dict(n_elements=9, bsw_codebook_size=5, switch_ttis=3)])
+def test_plans_and_overheads_share_one_model(fields):
+    # overhead_ttis is what a frame plan spends before PAY when the frame is
+    # long enough, and out of band is exactly what OB-C moves off the frame
+    cfg = replace(CFG, **fields)
+    for scheme in Scheme:
+        params, catalog = cfg.scheme_params(scheme), cfg.catalog(scheme)
+        stops = [None] + list(range(1, params.bsw_codebook_size + 1)) \
+            if scheme is Scheme.BSW_ES else [None]
+        for stop in stops:
+            overhead = {mode: overhead_ttis(params, mode, catalog, stop) for mode in ControlMode}
+            for mode in ControlMode:
+                for total in range(1, overhead[mode] + 4):
+                    plan = build_frame(params, mode, total * cfg.tti_ms, cfg.tti_ms, catalog,
+                                       stop_index=stop)
+                    assert plan.total_ttis - plan.pay_ttis == min(total, overhead[mode])
+                    if mode is ControlMode.OB_C:
+                        assert sum(p.tti_span for p in plan.phases
+                                   if p.channel_usage is ChannelUse.OUT_OF_BAND) \
+                            == overhead[ControlMode.IB_C] - overhead[ControlMode.OB_C]

@@ -329,12 +329,18 @@ def test_default_cli_run_draws_once_per_chunk(tmp_path, capsys, monkeypatch):
 
 
 class _RecordingPool:
-    """ProcessPoolExecutor stand-in that maps in process and records its size."""
+    """ProcessPoolExecutor stand-in that runs each call in process at submit.
+
+    It records its size, and after every submit the number of calls whose
+    result has not been read yet.
+    """
 
     opened: list = []
+    unread_after_submit: list = []
 
     def __init__(self, max_workers):
         self.opened.append(max_workers)
+        self.unread = 0
 
     def __enter__(self):
         return self
@@ -342,8 +348,21 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        self.unread += 1
+        self.unread_after_submit.append(self.unread)
+        return _Done(self, fn(*args))
+
+
+class _Done:
+    """A finished future that tells its pool when its result is read."""
+
+    def __init__(self, pool, value):
+        self.pool, self.value = pool, value
+
+    def result(self):
+        self.pool.unread -= 1
+        return self.value
 
 
 @pytest.mark.parametrize("cores, size", [(2, 2), (16, 3)])
@@ -358,6 +377,24 @@ def test_one_pool_per_run_sized_by_chunks_and_cores(tmp_path, capsys, monkeypatc
     assert _RecordingPool.opened == [size]        # one process: no pool
     capsys.readouterr()
     assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_pool_keeps_a_bounded_number_of_chunks_in_flight(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "unread_after_submit", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(metrics, "_available_cpus", lambda: 2)
+    cfg = RunConfig(n_trials=100 * metrics.CHUNK_TRIALS, n_elements=4, bsw_codebook_size=2,
+                    frame_grid=(60.0,))
+    specs = [(Scheme.OCE, ControlMode.IB_C), (Scheme.BSW_ES, ControlMode.OB_C)]
+    metrics._worker_scratch.cache_clear()
+    try:
+        pooled = goodput_curves(replace(cfg, workers=2), specs)
+    finally:
+        metrics._worker_scratch.cache_clear()
+    in_flight = _RecordingPool.unread_after_submit
+    assert len(in_flight) == 100                  # one submit per chunk
+    assert max(in_flight) == 4                    # two chunks per process
+    assert pooled == goodput_curves(cfg, specs)
 
 
 def test_chunk_buffers_made_once_per_process(tmp_path, capsys, monkeypatch):
@@ -560,9 +597,11 @@ def test_oce_grid_below_bsw_grid_in_band():
 def test_grid_equals_control_reliability_bitwise():
     axis = tuple(0.5 * k - 3.0 for k in range(31))
     cases = [(CFG.catalog(s), CFG.symbols_per_tti) for s in Scheme]
-    # a full codebook in the RIS INI message: 4 symbols per TTI underflow its factor to 0
-    full = message_catalog(Scheme.BSW, 1000, 4, 1024, 16, ini_carries_full_codebook=True)
-    # a RIS SET message above 1000 bit per symbol, where msg_success_prob returns 0 directly
+    # a full codebook in the RIS INI message, sized for 84 symbols per TTI: 4
+    # symbols per TTI underflow its factor to 0
+    full = message_catalog(Scheme.BSW, 1000, 4, 1024, 16, ini_carries_full_codebook=True,
+                           symbols_per_tti=84)
+    # a RIS SET message above 1000 bit per symbol, whose outage threshold is inf
     bsw = cases[1][0]
     guarded = bsw[:3] + [replace(bsw[3], payload_bits=5000, tti_cost=1)]
     cases += [(full, 4), (guarded, 4)]
