@@ -7,7 +7,8 @@ given seed no matter how many workers evaluate the chunks. The channel
 stream does not depend on the scheme or the control mode, so every curve of
 a batch is reduced from one draw per chunk, and plain beam sweeping and its
 early-stopping variant share the qualifying event of every trial. Curves of
-one kernel also share their payload rows, each reduced once per chunk.
+one kernel share payload rows, each summed over a chunk's trials once; its
+square and overhead come from sums per evaluation count.
 """
 
 from __future__ import annotations
@@ -70,16 +71,15 @@ class _Curve:
 class _RowGroup:
     """The distinct payload rows that the curves of one kernel share.
 
-    A row is keyed by (es, D) and its per-trial payload is max(0, D - es * evals):
-    early stopping has es = es_per_eval_ttis and D = frame - overhead_ttis, a
-    fixed overhead es = 0 and D = max(0, frame - overhead_ttis). Curves whose
-    overheads differ by a shift of the frame grid share their rows.
+    A row is keyed by (es, D) = (es_per_eval_ttis, max(0, frame - overhead_ttis))
+    and its per-trial payload is max(0, D - es * evals), which depends on the
+    trial only through its evaluation count. Curves whose overheads differ
+    by a shift of the frame grid share their rows.
     """
 
     kernel: Scheme
     es: np.ndarray              # (rows,) key part es; keys are sorted
     budget: np.ndarray          # (rows,) key part D
-    live: np.ndarray            # rows that can carry payload: D > es, as evals >= 1
     members: tuple[int, ...]    # batch positions of the group's curves
     rows: np.ndarray            # (members, frames) row of each member curve and frame
 
@@ -94,17 +94,14 @@ def _row_groups(curves: Sequence[_Curve], frames_ttis: Sequence[int]) -> tuple[_
         curve_keys = []
         for position in positions:
             es, overhead = curves[position].es_per_eval_ttis, curves[position].overhead_ttis
-            curve_keys.append([(es, total - overhead) if es else (0, max(0, total - overhead))
-                               for total in frames_ttis])
+            curve_keys.append([(es, max(0, total - overhead)) for total in frames_ttis])
         keys = sorted(set().union(*curve_keys))
         index = {key: i for i, key in enumerate(keys)}
-        es = np.array([key[0] for key in keys], dtype=np.int64)
-        budget = np.array([key[1] for key in keys], dtype=np.int64)
+        es, budget = np.array(keys, dtype=np.int64).T
         groups.append(_RowGroup(
             kernel=kernel,
             es=es,
             budget=budget,
-            live=np.flatnonzero(budget > es),
             members=tuple(positions),
             rows=np.array([[index[key] for key in row] for row in curve_keys], dtype=np.intp),
         ))
@@ -144,7 +141,7 @@ def _phase_table(quant_bits: int) -> np.ndarray:
 
 
 class _Scratch:
-    """Buffers for a chunk's (trials, N) arrays and payload rows, reused from chunk to chunk.
+    """Buffers for a chunk's (trials, N) arrays and payload products, reused from chunk to chunk.
 
     Fresh multi-MiB temporaries in every chunk leave it to glibc's malloc
     whether they come from the brk heap or from new mappings, and the place
@@ -159,7 +156,7 @@ class _Scratch:
         self.draws = np.empty(2 * size)             # one hop's normals, then phases and levels
         self.fg = np.empty(size, dtype=complex)     # the cascaded gains
         self.h = np.empty(size, dtype=complex)      # the second hop, then compensated gains
-        self.rows = np.empty(_FRAME_BLOCK * trials)  # a block of payload rows
+        self.rows = np.empty(_FRAME_BLOCK * trials)  # a block of rows' rate * success * payload
 
 
 @lru_cache(maxsize=1)
@@ -251,34 +248,34 @@ def _bsw_outcomes(fg: np.ndarray, rho: float, target_snr: float, entry_matrix: n
     return rate, success, evals
 
 
-def _payload_rows(rs: np.ndarray, pay: np.ndarray):
-    """[sum rsp, sum rsp^2] of a block of payload rows; rsp = rs * pay, one row per key.
+def _payload_rows(table: np.ndarray, index: Optional[np.ndarray], rs: np.ndarray, pay: np.ndarray):
+    """One block's sum of rate * success * payload over the trials, one per row.
 
-    pay is a C-contiguous (rows, trials) float64 block of per-trial payload
-    TTIs and is overwritten with rsp, then rsp^2. Each row is summed along
-    its contiguous axis; numpy's pairwise sums of another layout (an
-    F-ordered block, say) can differ in the last bits.
+    Without index, table is the (rows, 1) payload, multiplied by rs. With
+    index, each trial's count (0 on outage), it is r * payload per count for
+    a sweep's one rate r, 0.0 in column 0. pay is a C-contiguous (rows,
+    trials) buffer filled in one pass, each row summed along its contiguous
+    axis; numpy's pairwise sums of another layout can differ in the last bits.
     """
-    pay *= rs
-    sum_rsp = pay.sum(axis=1)
-    pay *= pay
-    return sum_rsp, pay.sum(axis=1)
+    if index is None:
+        np.multiply(table, rs, out=pay)
+    else:
+        np.take(table, index, axis=1, out=pay, mode="clip")     # counts index the table
+    return pay.sum(axis=1)
 
 
 def _reduce_groups(
-    groups: Sequence[_RowGroup], frames_ttis: Sequence[int], outcomes,
-    scratch: Optional[_Scratch] = None,
+    groups: Sequence[_RowGroup], frames_ttis: Sequence[int], outcomes, scratch: _Scratch
 ) -> np.ndarray:
     """Per-curve, per-frame partial sums [sum rsp, sum rsp^2, sum success, sum overhead_ttis].
 
-    rsp is the per-trial rate * success * payload TTIs. Each distinct row of
-    a group is reduced once, _FRAME_BLOCK rows at a time in scratch's rows
-    buffer (a new one without it), and gathered into every curve and frame
-    that uses it; rows with no payload are exactly 0 and take no pass over
-    the trials. An early-stopping row's payload depends on the trial only
-    through its evaluation count, so it is gathered from the row's payload
-    per count. Overhead sums are frame * trials minus the integer payload
-    sum, exact from the evaluation-count histogram.
+    rsp is rate * success * payload TTIs per trial. Each live row is summed in
+    one pass over the trials, _FRAME_BLOCK rows at a time in scratch's rows
+    buffer, and gathered into every curve and frame using it. With payload(k) a
+    row's payload at evaluation count k (one count for rate adaptation), sum
+    rsp^2 = sum_k payload(k)^2 * S2[k], S2[k] summing rs^2 over count k's
+    trials, and the overhead is frame * trials - sum_k payload(k) * hist[k],
+    both summed along k: a matmul's bits would depend on the batch size.
     """
     frames = np.array(frames_ttis, dtype=np.int64)
     out = np.empty((sum(len(g.members) for g in groups), frames.shape[0], 4))
@@ -286,26 +283,27 @@ def _reduce_groups(
         rate, success, evals = outcomes[group.kernel]
         m = rate.shape[0]
         rs = rate * success
+        counts = np.zeros(m, dtype=np.intp) if evals is None else evals
+        hist = np.bincount(counts)
         es, budget = group.es, group.budget
+        per_count = np.maximum(0, budget[:, None] - es[:, None] * np.arange(hist.shape[0]))
+        payload = per_count.astype(float)       # exact: payloads stay below 2**53
         sums = np.zeros((es.shape[0], 2))
+        sums[:, 1] = (payload * payload * np.bincount(counts, weights=rs * rs)).sum(axis=1)
         if es.any():
-            hist = np.bincount(evals)
-            per_evals = np.maximum(0, budget[:, None] - es[:, None] * np.arange(hist.shape[0]))
-            pay_sum = per_evals @ hist
-            table = per_evals.astype(float)     # exact: payloads stay below 2**53
-        else:
-            pay_sum = budget * m
-        row_buffer = scratch.rows if scratch is not None else np.empty(_FRAME_BLOCK * m)
-        for lo in range(0, group.live.shape[0], _FRAME_BLOCK):
-            block = group.live[lo:lo + _FRAME_BLOCK]
-            pay = _shaped(row_buffer, block.shape[0], m)
-            if es[block].any():
-                # evals index the histogram, so they are in range
-                np.take(table[block], evals, axis=1, out=pay, mode="clip")
+            # only a sweep stops early, and its rs is the preset rate on success, 0.0 on outage
+            table = rate[0] * payload
+            table[:, 0] = 0.0
+            index = np.where(success > 0.0, evals, 0)
+        live = np.flatnonzero(budget > es)      # evals >= 1: other rows carry no payload
+        for lo in range(0, live.shape[0], _FRAME_BLOCK):
+            block = live[lo:lo + _FRAME_BLOCK]
+            pay = _shaped(scratch.rows, block.shape[0], m)
+            if es[block[-1]]:       # keys are sorted: es = 0 rows come first
+                sums[block, 0] = _payload_rows(table[block], index, rs, pay)
             else:
-                pay[...] = budget[block, None]
-            sums[block, 0], sums[block, 1] = _payload_rows(rs, pay)
-        success_sum = success.sum()
+                sums[block, 0] = _payload_rows(payload[block, :1], None, rs, pay)
+        success_sum, pay_sum = success.sum(), per_count @ hist
         for position, rows in zip(group.members, group.rows):
             out[position, :, :2] = sums[rows]
             out[position, :, 2] = success_sum
@@ -491,6 +489,8 @@ def calibrate_rho(
     fraction of trials whose best entry statistic exceeds target/rho and the
     calibrated value is read off the empirical quantile directly.
     """
+    if n_trials < 1:
+        raise InvalidParameterError("n_trials must be at least 1")
     if not 0.0 < target_success < 1.0:
         raise InvalidParameterError("target_success must be in (0, 1)")
     entry_matrix = _entry_matrix(cfg)

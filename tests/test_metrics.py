@@ -249,21 +249,52 @@ def test_batch_curves_equal_single_spec_sweeps():
 
 
 def _frame_loop_partials(curve, frames, rate, success, evals):
-    """Reference reducer: one frame at a time, one trial vector per frame."""
+    """Reference reducer: one frame at a time, one trial vector per frame.
+
+    Returns the partials and the direct sum of rsp^2 per frame. The partials'
+    sum rsp^2 adds payload(k)^2 * S2[k] over the evaluation counts k, with
+    S2[k] the sum of (rate * success)^2 over the trials of count k (one
+    count for rate adaptation), in the order the reducer uses.
+    """
     m = rate.shape[0]
-    out = np.zeros((len(frames), 4))
+    rs = rate * success
+    s2 = np.bincount(np.zeros(m, dtype=np.intp) if evals is None else evals, weights=rs * rs)
+    k = np.arange(s2.shape[0])
+    out, direct = np.zeros((len(frames), 4)), np.zeros(len(frames))
     for i, total in enumerate(frames):
         if curve.es_per_eval_ttis:
             oh = curve.overhead_ttis + curve.es_per_eval_ttis * evals
             pay = np.maximum(0, total - oh)
+            pay_k = np.maximum(0, total - (curve.overhead_ttis + curve.es_per_eval_ttis * k))
             overhead_sum = float(np.minimum(oh, total).sum())
         else:
             oh = curve.overhead_ttis
             pay = max(0, total - oh)
+            pay_k = np.full(k.shape, pay)
             overhead_sum = float(min(oh, total)) * m
         rsp = rate * success * pay
-        out[i] = rsp.sum(), (rsp * rsp).sum(), success.sum(), overhead_sum
-    return out
+        pay_k = pay_k.astype(float)
+        out[i] = rsp.sum(), (pay_k ** 2 * s2).sum(), success.sum(), overhead_sum
+        direct[i] = (rsp * rsp).sum()
+    return out, direct
+
+
+def assert_reducer_matches_frame_loop(curves, frames, outcomes):
+    groups = _row_groups(curves, frames)
+    assert sum(g.es.shape[0] for g in groups) < len(curves) * len(frames)
+    partials = _reduce_groups(groups, frames, outcomes, metrics._Scratch(metrics.CHUNK_TRIALS, 1))
+    assert partials.shape == (len(curves), len(frames), 4)
+    for curve, blocked in zip(curves, partials):
+        reference, direct = _frame_loop_partials(curve, frames, *outcomes[curve.kernel])
+        assert np.array_equal(blocked, reference)
+        assert np.allclose(blocked[:, 1], direct, rtol=1e-12, atol=0.0)
+
+
+# IB/OB-like pairs two TTIs apart on a 1-TTI grid share rows; frames start
+# below every overhead, and the grid is not a whole number of blocks
+LOOP_FRAMES = tuple(range(2, 2 + 14 * _FRAME_BLOCK + 3))
+SWEEP_CURVES = (_Curve(Scheme.BSW, 39, 0), _Curve(Scheme.BSW, 37, 0),
+                _Curve(Scheme.BSW, 5, 2), _Curve(Scheme.BSW, 3, 2), _Curve(Scheme.BSW, 6, 1))
 
 
 def test_blocked_reducer_matches_frame_loop():
@@ -272,27 +303,34 @@ def test_blocked_reducer_matches_frame_loop():
         Scheme.OCE: _oce_outcomes(fg, RHO, 2),
         Scheme.BSW: _bsw_outcomes(fg, RHO, 10.0, _codebook_matrix(100, 32, 2, 7, "random")),
     }
-    # IB/OB-like pairs two TTIs apart on a 1-TTI grid share rows; frames start
-    # below every overhead, and the grid is not a whole number of blocks
-    frames = tuple(range(2, 2 + 14 * _FRAME_BLOCK + 3))
-    curves = (_Curve(Scheme.OCE, 105, 0), _Curve(Scheme.OCE, 103, 0),
-              _Curve(Scheme.BSW, 39, 0), _Curve(Scheme.BSW, 37, 0),
-              _Curve(Scheme.BSW, 5, 2), _Curve(Scheme.BSW, 3, 2), _Curve(Scheme.BSW, 6, 1))
-    groups = _row_groups(curves, frames)
-    assert sum(g.es.shape[0] for g in groups) < len(curves) * len(frames)
-    partials = _reduce_groups(groups, frames, outcomes)
-    assert partials.shape == (len(curves), len(frames), 4)
-    for curve, blocked in zip(curves, partials):
-        assert np.array_equal(blocked, _frame_loop_partials(curve, frames, *outcomes[curve.kernel]))
+    curves = (_Curve(Scheme.OCE, 105, 0), _Curve(Scheme.OCE, 103, 0)) + SWEEP_CURVES
+    assert_reducer_matches_frame_loop(curves, LOOP_FRAMES, outcomes)
+
+
+@pytest.mark.parametrize("outcome", ["mixed", "all outage", "all success"])
+def test_reducer_matches_frame_loop_on_hand_built_sweeps(outcome):
+    # m is the size of a 30,000-trial run's last chunk; with C = 8 entries,
+    # trials that qualify only at the last entry sit next to outages, which
+    # also end at entry C
+    m, entries = 1328, 8
+    rng = np.random.default_rng(5)
+    success = {"mixed": rng.random(m) < 0.5, "all outage": np.zeros(m, dtype=bool),
+               "all success": np.ones(m, dtype=bool)}[outcome]
+    evals = np.where(success, rng.integers(1, entries + 1, m), entries)
+    if outcome == "mixed":
+        success[:6], evals[:6] = [1, 0, 1, 0, 0, 1], entries
+    rate = np.full(m, np.log2(11.0))
+    assert_reducer_matches_frame_loop(SWEEP_CURVES, LOOP_FRAMES,
+                                      {Scheme.BSW: (rate, success.astype(float), evals)})
 
 
 def test_default_curves_reduce_each_distinct_row_once_per_chunk(monkeypatch):
     grid = tuple(0.5 * k for k in range(1, 301))    # 1-TTI grid: IB and OB rows coincide
     reduced = []
 
-    def counting(rs, pay):
+    def counting(table, index, rs, pay):
         reduced.append(pay.shape[0])
-        return _payload_rows(rs, pay)
+        return _payload_rows(table, index, rs, pay)
 
     monkeypatch.setattr(metrics, "_payload_rows", counting)
     goodput_curves(RunConfig(frame_grid=grid, n_trials=9000), SIX_SPECS)  # three chunks
@@ -502,6 +540,13 @@ def test_calibrated_rho_hits_target_success_band():
 def test_calibrate_rho_reproduces_default():
     est = calibrate_rho(RunConfig(), n_trials=20_000, seed=0)
     assert est == pytest.approx(RHO, rel=0.05)
+
+
+@pytest.mark.parametrize("fields", [dict(n_trials=0), dict(n_trials=-4096),
+                                    dict(target_success=0.0), dict(target_success=1.0)])
+def test_calibrate_rho_rejects_bad_arguments(fields):
+    with pytest.raises(InvalidParameterError):
+        calibrate_rho(RunConfig(), **fields)
 
 
 def test_calibrate_rho_reuses_one_set_of_buffers(monkeypatch):
