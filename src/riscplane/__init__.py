@@ -39,6 +39,6 @@ from .metrics import (
     goodput_curves,
     reliability_grid,
 )
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 
 __version__ = "0.1.0"

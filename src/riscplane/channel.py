@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 
 TWO_PI = 2.0 * np.pi
 # Largest bits per element phase. A 2^b-entry phase table is built per run,
@@ -27,10 +27,18 @@ TWO_PI = 2.0 * np.pi
 MAX_QUANT_BITS = 16
 
 
+def check_counts(n_elements: int, quant_bits: int, bsw_codebook_size: int) -> None:
+    """Elements and codebook entries are integers >= 1; phase bits are 1 to MAX_QUANT_BITS."""
+    check_int("n_elements", n_elements, 1)
+    check_int("quant_bits", quant_bits, 1)
+    if quant_bits > MAX_QUANT_BITS:
+        raise InvalidParameterError("quant_bits", f"must be <= {MAX_QUANT_BITS}")
+    check_int("bsw_codebook_size", bsw_codebook_size, 1)
+
+
 def grid_step(quant_bits: int) -> float:
     """Spacing of the uniform phase grid for a given per-element bit width."""
-    if quant_bits < 1:
-        raise InvalidParameterError("quant_bits must be >= 1")
+    check_int("quant_bits", quant_bits, 1)
     return TWO_PI / (1 << quant_bits)
 
 
@@ -71,8 +79,7 @@ def make_codebook(
     columns k = (i * N) // size of the N-point DFT, 2*pi*k*n/N, rounded to
     the grid.
     """
-    if n_elements < 1 or size < 1:
-        raise InvalidParameterError("n_elements and size must be >= 1")
+    check_counts(n_elements, quant_bits, size)
     if bsw_style == "random":
         rng = np.random.default_rng(seed)
         return rng.integers(0, 1 << quant_bits, size=(size, n_elements))
@@ -80,4 +87,4 @@ def make_codebook(
         columns = (np.arange(size) * n_elements) // size
         phases = TWO_PI * columns[:, None] * np.arange(n_elements) / n_elements
         return phase_indices(phases, quant_bits)
-    raise InvalidParameterError(f"unknown bsw_style {bsw_style!r}")
+    raise InvalidParameterError("bsw_style", f"unknown style {bsw_style!r}")

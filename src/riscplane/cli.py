@@ -10,8 +10,9 @@ import math
 import os
 import sys
 
-from .config import ConfigError, RunConfig, load_config, parse_grid
+from .config import RunConfig, load_config, parse_grid
 from .control import ControlMode, Scheme
+from .errors import InvalidParameterError
 from .frames import ChannelUse, build_frame, overhead_ms, validate_causality
 from .metrics import goodput_curves, reliability_grid
 
@@ -183,8 +184,8 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         if getattr(args, "threshold", None) is not None:
             if not 0.0 < args.threshold < 1.0:
-                raise ConfigError("threshold", "must be in (0, 1)")
-    except ConfigError as exc:
+                raise InvalidParameterError("threshold", "must be in (0, 1)")
+    except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     schemes = _SCHEMES[getattr(args, "scheme", "all")]

@@ -12,63 +12,45 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .channel import MAX_QUANT_BITS
 from .control import (
-    ControlChannelState, ControlMessage, ControlMode, Scheme, db_to_linear, message_catalog,
+    ControlChannelState, ControlMessage, ControlMode, Scheme, message_catalog, positive_linear,
 )
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int, check_positive
 from .frames import MAX_FRAME_TTIS, SchemeParams, frame_ttis, overhead_ttis
+from .metrics import MAX_WORKING_SET_BYTES, working_set_bytes
 
 # Most points a START:STOP:STEP grid may have; the finest packaged benchmark
 # grid has 991, and the bound keeps a typo from allocating without limit.
 MAX_GRID_POINTS = 10_000
 
 
-class ConfigError(Exception):
-    """A configuration field is missing, unknown or out of contract."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
-        self.field_name = field_name
-        self.message = message
-
-
-def _finite(raw: str, name: str) -> float:
-    """float(raw), rejecting nan and infinities; ValueError if it does not parse."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ConfigError(name, f"{raw!r} is not a finite number")
-    return value
-
-
-def _check_db(name: str, db: float) -> None:
-    """Reject a dB value whose linear value is not a positive finite number."""
+def _finite(raw: str, name: str, what: str) -> float:
+    """float(raw), rejecting nan and infinities; 'cannot parse <what>' if it does not parse."""
     try:
-        linear = db_to_linear(db)
-    except OverflowError:
-        linear = math.inf
-    if not 0.0 < linear < math.inf:
-        raise ConfigError(name, f"{db:g} dB has no positive finite linear value")
+        value = float(raw)
+    except ValueError:
+        raise InvalidParameterError(name, f"cannot parse {what}") from None
+    if not math.isfinite(value):
+        raise InvalidParameterError(name, f"{raw!r} is not a finite number")
+    return value
 
 
 def parse_grid(text: str, name: str) -> tuple[float, ...]:
     """Parse 'START:STOP:STEP' (inclusive) or a single value."""
+    what = f"grid {text!r} (want START:STOP:STEP or a value)"
     parts = [p.strip() for p in text.split(":")]
-    try:
-        if len(parts) == 1:
-            return (_finite(parts[0], name),)
-        if len(parts) == 3:
-            start, stop, step = (_finite(p, name) for p in parts)
-            if step <= 0 or stop < start:
-                raise ConfigError(name, "grid requires STOP >= START and STEP > 0")
-            span = (stop - start) / step + 1e-9
-            if not span < MAX_GRID_POINTS:    # also catches an infinite span
-                raise ConfigError(name, f"grid has more than {MAX_GRID_POINTS} points")
-            count = int(span) + 1
-            return tuple(start + i * step for i in range(count))
-    except ValueError:
-        pass
-    raise ConfigError(name, f"cannot parse grid {text!r} (want START:STOP:STEP or a value)")
+    if len(parts) not in (1, 3):
+        raise InvalidParameterError(name, f"cannot parse {what}")
+    values = [_finite(p, name, what) for p in parts]
+    if len(values) == 1:
+        return (values[0],)
+    start, stop, step = values
+    if step <= 0 or stop < start:
+        raise InvalidParameterError(name, "grid requires STOP >= START and STEP > 0")
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:    # also catches an infinite span
+        raise InvalidParameterError(name, f"grid has more than {MAX_GRID_POINTS} points")
+    return tuple(start + i * step for i in range(int(span) + 1))
 
 
 @dataclass
@@ -107,7 +89,7 @@ class RunConfig:
             n_elements=self.n_elements,
             bsw_codebook_size=self.bsw_codebook_size,
             quant_bits=self.quant_bits,
-            target_snr=db_to_linear(self.target_snr_db),
+            target_snr=positive_linear(self.target_snr_db, "target_snr_db"),
             proc_ttis=self.proc_ttis,
             switch_ttis=self.switch_ttis,
             es_reservation=self.es_reservation,
@@ -121,8 +103,8 @@ class RunConfig:
 
     def control_state(self) -> ControlChannelState:
         return ControlChannelState(
-            avg_snr_ue=db_to_linear(self.snr_ue_db),
-            avg_snr_ris=db_to_linear(self.snr_ris_db),
+            avg_snr_ue=positive_linear(self.snr_ue_db, "snr_ue_db"),
+            avg_snr_ris=positive_linear(self.snr_ris_db, "snr_ris_db"),
             symbols_per_tti=self.symbols_per_tti,
         )
 
@@ -139,42 +121,30 @@ class RunConfig:
         return out
 
     def validate(self) -> None:
-        positive_ints = ["n_elements", "quant_bits", "bsw_codebook_size",
-                         "switch_ttis", "symbols_per_tti", "n_trials", "workers"]
-        for name in positive_ints:
-            if getattr(self, name) < 1:
-                raise ConfigError(name, "must be >= 1")
-        if self.quant_bits > MAX_QUANT_BITS:
-            raise ConfigError("quant_bits", f"must be <= {MAX_QUANT_BITS}")
-        for name in ["proc_ttis", "header_bits", "master_seed", "codebook_seed"]:
-            if getattr(self, name) < 0:
-                raise ConfigError(name, "must be >= 0")
-        for name in ["rho", "tti_ms", "bandwidth_hz"]:
-            if not getattr(self, name) > 0:
-                raise ConfigError(name, "must be > 0")
+        """Check the config's own rules, then build each domain object once to check the rest."""
+        for key, low in [("n_trials", 1), ("workers", 1), ("master_seed", 0), ("codebook_seed", 0)]:
+            check_int(key, getattr(self, key), low)
+        for name in ["rho", "bandwidth_hz"]:
+            check_positive(name, getattr(self, name))
         if self.bsw_codebook_style not in ("random", "dft"):
-            raise ConfigError("bsw_codebook_style", "must be 'random' or 'dft'")
+            raise InvalidParameterError("bsw_codebook_style", "must be 'random' or 'dft'")
         if len(self.frame_grid) == 0:
-            raise ConfigError("frame_grid", "must be non-empty")
+            raise InvalidParameterError("frame_grid", "must be non-empty")
         for f_ms in self.frame_grid:
-            try:
-                frame_ttis(f_ms, self.tti_ms)
-            except InvalidParameterError as exc:
-                raise ConfigError("frame_grid", str(exc)) from None
-        if len(self.snr_grid_db) == 0:
-            raise ConfigError("snr_grid_db", "must be non-empty")
-        if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
-            raise ConfigError("snr_grid_db", "must be strictly increasing")
-        for db in self.snr_grid_db:
-            _check_db("snr_grid_db", db)
-        for name in ["target_snr_db", "snr_ue_db", "snr_ris_db"]:
-            _check_db(name, getattr(self, name))
+            frame_ttis(f_ms, self.tti_ms)
+        positive_linear(self.snr_grid_db, "snr_grid_db")
+        self.control_state()
         for scheme in Scheme:
-            catalog = self.catalog(scheme)
+            params, catalog = self.scheme_params(scheme), self.catalog(scheme)
             for mode in ControlMode:
-                if overhead_ttis(self.scheme_params(scheme), mode, catalog) > MAX_FRAME_TTIS:
-                    raise ConfigError("config", f"{scheme.value} {mode.value} frame overhead "
-                                      f"spans more than {MAX_FRAME_TTIS} TTIs")
+                if overhead_ttis(params, mode, catalog) > MAX_FRAME_TTIS:
+                    raise InvalidParameterError("config", f"{scheme.value} {mode.value} frame "
+                                                f"overhead spans more than {MAX_FRAME_TTIS} TTIs")
+        need = working_set_bytes(self)
+        if need > MAX_WORKING_SET_BYTES:
+            raise InvalidParameterError(
+                "config", f"a goodput run needs about {need / 2 ** 30:.3g} GiB per process, "
+                f"more than the {MAX_WORKING_SET_BYTES / 2 ** 30:g} GiB budget")
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
@@ -183,22 +153,17 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True,
 
 def _coerce(cfg: RunConfig, key: str, raw: str) -> None:
     current = getattr(cfg, key)
-    try:
-        if isinstance(current, bool):
-            word = raw.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(raw)
-            value = _BOOL_WORDS[word]
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = _finite(raw, key)
-        elif isinstance(current, tuple):
-            value = parse_grid(raw, key)
-        else:
-            value = raw
-    except ValueError:
-        raise ConfigError(key, f"cannot parse value {raw!r}") from None
+    if isinstance(current, tuple):
+        value = parse_grid(raw, key)
+    elif isinstance(current, float):
+        value = _finite(raw, key, f"value {raw!r}")
+    elif isinstance(current, str):
+        value = raw
+    else:
+        try:
+            value = _BOOL_WORDS[raw.lower()] if isinstance(current, bool) else int(raw)
+        except (KeyError, ValueError):
+            raise InvalidParameterError(key, f"cannot parse value {raw!r}") from None
     setattr(cfg, key, value)
 
 
@@ -210,10 +175,10 @@ def parse_config_text(text: str, cfg: RunConfig | None = None) -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError("config", f"line {lineno}: expected 'key = value'")
+            raise InvalidParameterError("config", f"line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in known:
-            raise ConfigError(key, f"unknown configuration key (line {lineno})")
+            raise InvalidParameterError(key, f"unknown configuration key (line {lineno})")
         _coerce(cfg, key, raw)
     return cfg
 
@@ -224,9 +189,9 @@ def load_config(path: str | None = None) -> RunConfig:
         return RunConfig()
     p = Path(path)
     if not p.is_file():
-        raise ConfigError("config", f"no such file: {path}")
+        raise InvalidParameterError("config", f"no such file: {path}")
     try:
         text = p.read_text()
     except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
+        raise InvalidParameterError("config", f"cannot read {path}: {exc}") from exc
     return parse_config_text(text)

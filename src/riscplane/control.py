@@ -15,10 +15,13 @@ exponentially distributed channel power exceeds the message rate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
-from .errors import InvalidParameterError
+from .channel import check_counts
+from .errors import InvalidParameterError, check_int, check_positive
 
 
 class Scheme(Enum):
@@ -61,6 +64,26 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def positive_linear(db: float | Sequence[float], field_name: str) -> float | list[float]:
+    """db_to_linear of a dB value, or a list of it over a non-empty, strictly increasing dB axis.
+
+    Each must be positive and finite (from about -3237 to 3082 dB), else InvalidParameterError.
+    """
+    if isinstance(db, numbers.Real):
+        return positive_linear((db,), field_name)[0]
+    if len(db) == 0 or any(b <= a for a, b in zip(db, db[1:])):
+        raise InvalidParameterError(field_name, "must be a non-empty, strictly increasing axis")
+    linear = []
+    for point in db:
+        try:
+            linear.append(db_to_linear(float(point)))
+        except OverflowError:
+            linear.append(math.inf)
+        if not 0.0 < linear[-1] < math.inf:
+            raise InvalidParameterError(field_name, f"{point} dB has no finite linear value > 0")
+    return linear
+
+
 @dataclass(frozen=True)
 class ControlMessage:
     recipient: Recipient
@@ -69,10 +92,8 @@ class ControlMessage:
     tti_cost: int    # TTIs the message occupies on its own channel
 
     def __post_init__(self):
-        if self.payload_bits < 0:
-            raise InvalidParameterError("payload_bits must be >= 0")
-        if self.tti_cost < 1:
-            raise InvalidParameterError("tti_cost must be >= 1")
+        check_int("payload_bits", self.payload_bits, 0)
+        check_int("tti_cost", self.tti_cost, 1)
 
 
 @dataclass(frozen=True)
@@ -84,17 +105,16 @@ class ControlChannelState:
     symbols_per_tti: int
 
     def __post_init__(self):
-        if not (0 < self.avg_snr_ue < math.inf and 0 < self.avg_snr_ris < math.inf):
-            raise InvalidParameterError("control channel SNRs must be finite and > 0")
-        if self.symbols_per_tti < 1:
-            raise InvalidParameterError("symbols_per_tti must be >= 1")
+        check_positive("avg_snr_ue", self.avg_snr_ue)
+        check_positive("avg_snr_ris", self.avg_snr_ris)
+        check_int("symbols_per_tti", self.symbols_per_tti, 1)
 
 
 def message_catalog(
     scheme: Scheme,
     n_elements: int,
     quant_bits: int,
-    codebook_size: int,
+    bsw_codebook_size: int,
     header_bits: int,
     ini_carries_full_codebook: bool,
     symbols_per_tti: int,
@@ -109,22 +129,20 @@ def message_catalog(
     (ceil(log2 C) core bits). A message occupies the fewest TTIs, at least
     one, that carry its bits at NOMINAL_BITS_PER_SYMBOL.
     """
-    if n_elements < 1 or quant_bits < 1 or codebook_size < 1:
-        raise InvalidParameterError("n_elements, quant_bits, codebook_size must be >= 1")
-    if header_bits < 0:
-        raise InvalidParameterError("header_bits must be >= 0")
-    if symbols_per_tti < 1:
-        raise InvalidParameterError("symbols_per_tti must be >= 1")
+    check_counts(n_elements, quant_bits, bsw_codebook_size)
+    check_int("header_bits", header_bits, 0)
+    check_int("symbols_per_tti", symbols_per_tti, 1)
     bits_per_tti = NOMINAL_BITS_PER_SYMBOL * symbols_per_tti
 
     ini_risc_bits = header_bits + CODEBOOK_ID_BITS
     if ini_carries_full_codebook and scheme is not Scheme.OCE:
-        ini_risc_bits += codebook_size * n_elements * quant_bits
+        ini_risc_bits += bsw_codebook_size * n_elements * quant_bits
 
     if scheme is Scheme.OCE:
         set_risc_core = n_elements * quant_bits
     else:
-        set_risc_core = (codebook_size - 1).bit_length()    # ceil(log2 C)
+        # ceil(log2 C); int() because numpy integers have no bit_length
+        set_risc_core = (int(bsw_codebook_size) - 1).bit_length()
 
     budgets = [
         (Recipient.UE, MsgPhase.INI, header_bits + PILOT_SCHEDULE_BITS),
@@ -157,19 +175,16 @@ def outage_thresholds(
     exp(-threshold / avg_snr) at the average SNR of its recipient's channel.
     """
     if len(catalog) != 4:
-        raise InvalidParameterError("catalog must contain exactly 4 messages")
+        raise InvalidParameterError("catalog", "must contain exactly 4 messages")
     return [(msg.recipient, outage_threshold(msg.payload_bits, msg.tti_cost * symbols_per_tti))
             for msg in catalog if not out_of_band(msg, mode)]
 
 
 def msg_success_prob(payload_bits: int, symbols: int, avg_snr: float) -> float:
     """Probability that one message decodes under quasi-static Rayleigh fading."""
-    if symbols < 1:
-        raise InvalidParameterError("symbols must be >= 1")
-    if not 0 < avg_snr < math.inf:
-        raise InvalidParameterError("avg_snr must be finite and > 0")
-    if payload_bits < 0:
-        raise InvalidParameterError("payload_bits must be >= 0")
+    check_int("symbols", symbols, 1)
+    check_positive("avg_snr", avg_snr)
+    check_int("payload_bits", payload_bits, 0)
     return math.exp(-outage_threshold(payload_bits, symbols) / avg_snr)
 
 
@@ -206,9 +221,8 @@ def min_snr_for_reliability(
     suffices and math.inf when no SNR up to SNR_CAP_DB does.
     """
     if not 0.0 < target < 1.0:
-        raise InvalidParameterError("target must be in (0, 1)")
-    if not 0 < fixed_other_snr < math.inf:
-        raise InvalidParameterError("fixed_other_snr must be finite and > 0")
+        raise InvalidParameterError("target", "must be in (0, 1)")
+    check_positive("fixed_other_snr", fixed_other_snr)
     thresholds = outage_thresholds(catalog, mode, symbols_per_tti)
     axis = sum(t for recipient, t in thresholds if recipient is which_axis)
     other = sum(t for recipient, t in thresholds if recipient is not which_axis)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .channel import MAX_QUANT_BITS
+from .channel import check_counts
 from .control import ControlMessage, ControlMode, MsgPhase, Scheme, out_of_band
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int, check_positive
 
 # Most TTIs a frame may span. A 4096-trial chunk (metrics.CHUNK_TRIALS) then
 # sums at most 2^52 payload TTIs per frame, which int64 holds and float64
@@ -43,8 +43,7 @@ class FramePhase:
     channel_usage: ChannelUse
 
     def __post_init__(self):
-        if self.tti_span < 0:
-            raise InvalidParameterError("tti_span must be >= 0")
+        check_int("tti_span", self.tti_span, 0)
 
 
 @dataclass(frozen=True)
@@ -61,16 +60,13 @@ class FramePlan:
     total_ttis: int
 
     def __post_init__(self):
-        if not self.tti_ms > 0:
-            raise InvalidParameterError("tti_ms must be > 0")
         phases = tuple(self.phases)
         object.__setattr__(self, "phases", phases)
         inband = sum(p.tti_span for p in phases
                      if p.channel_usage is not ChannelUse.OUT_OF_BAND)
         if inband != self.total_ttis:
             raise InvalidParameterError(
-                f"in-band spans sum to {inband}, expected total_ttis={self.total_ttis}"
-            )
+                "total_ttis", f"is {self.total_ttis}, but the in-band spans sum to {inband}")
 
     def span(self, kind: PhaseKind) -> int:
         """Total in-band TTIs of one phase kind."""
@@ -98,16 +94,10 @@ class SchemeParams:
     es_reservation: bool    # reserve a SET slot after each sweep evaluation
 
     def __post_init__(self):
-        if self.n_elements < 1 or self.bsw_codebook_size < 1 or self.quant_bits < 1:
-            raise InvalidParameterError("counts must be >= 1")
-        if self.quant_bits > MAX_QUANT_BITS:
-            raise InvalidParameterError(f"quant_bits must be <= {MAX_QUANT_BITS}")
-        if self.proc_ttis < 0:
-            raise InvalidParameterError("proc_ttis must be >= 0")
-        if self.switch_ttis < 1:
-            raise InvalidParameterError("switch_ttis must be >= 1")
-        if not self.target_snr > 0:
-            raise InvalidParameterError("target_snr must be > 0")
+        check_counts(self.n_elements, self.quant_bits, self.bsw_codebook_size)
+        check_int("proc_ttis", self.proc_ttis, 0)
+        check_int("switch_ttis", self.switch_ttis, 1)
+        check_positive("target_snr", self.target_snr)
 
 
 @dataclass(frozen=True)
@@ -136,19 +126,17 @@ def alg_ttis(params: SchemeParams, stop_index: Optional[int] = None) -> int:
 
 
 def frame_ttis(frame_ms: float, tti_ms: float) -> int:
-    """Frame length in TTIs; rejects all but a whole number of 1 to MAX_FRAME_TTIS TTIs."""
+    """A frame's whole number of TTIs, 1 to MAX_FRAME_TTIS; errors name tti_ms or frame_grid."""
+    check_positive("tti_ms", tti_ms)
     if not frame_ms > 0:
-        raise InvalidParameterError("frame_ms must be > 0")
+        raise InvalidParameterError("frame_grid", f"{frame_ms} ms must be > 0")
     ratio = frame_ms / tti_ms
     if not ratio <= MAX_FRAME_TTIS:     # also catches an infinite ratio
-        raise InvalidParameterError(
-            f"frame_ms={frame_ms} spans more than {MAX_FRAME_TTIS} TTIs of tti_ms={tti_ms}"
-        )
+        raise InvalidParameterError("frame_grid", f"{frame_ms} ms is over {MAX_FRAME_TTIS} TTIs")
     total = round(ratio)
     if abs(ratio - total) > 1e-9 or total < 1:
-        raise InvalidParameterError(
-            f"frame_ms={frame_ms} is not a positive multiple of tti_ms={tti_ms}"
-        )
+        raise InvalidParameterError("frame_grid", f"{frame_ms} ms is not a positive multiple of "
+                                    f"tti_ms = {tti_ms}")
     return total
 
 
@@ -207,9 +195,9 @@ def build_frame(
     """
     if stop_index is not None:
         if params.scheme is not Scheme.BSW_ES:
-            raise InvalidParameterError("stop_index is only meaningful for BSW_ES")
+            raise InvalidParameterError("stop_index", "is only meaningful for BSW_ES")
         if not 1 <= stop_index <= params.bsw_codebook_size:
-            raise InvalidParameterError("stop_index must be in [1, bsw_codebook_size]")
+            raise InvalidParameterError("stop_index", "must be in [1, bsw_codebook_size]")
     total = frame_ttis(frame_ms, tti_ms)
     timeline, budget = [], total
     for phase in _overhead_phases(params, mode, catalog, stop_index):

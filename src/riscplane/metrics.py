@@ -19,12 +19,11 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .channel import TWO_PI, grid_step, make_codebook, phase_indices
-from .config import RunConfig
 from .control import (
     ControlMessage,
     ControlMode,
@@ -33,9 +32,13 @@ from .control import (
     control_reliability,
     db_to_linear,
     outage_thresholds,
+    positive_linear,
 )
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 from .frames import alg_ttis, frame_ttis, overhead_ttis
+
+if TYPE_CHECKING:   # config imports this module for the working-set budget
+    from .config import RunConfig
 
 CHUNK_TRIALS = 4096
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -157,6 +160,26 @@ class _Scratch:
         self.fg = np.empty(size, dtype=complex)     # the cascaded gains
         self.h = np.empty(size, dtype=complex)      # the second hop, then compensated gains
         self.rows = np.empty(_FRAME_BLOCK * trials)  # a block of rows' rate * success * payload
+
+
+# Largest per-process working set, in bytes, that RunConfig.validate accepts
+# (see working_set_bytes); the interpreter and numpy take about 28 MiB more.
+MAX_WORKING_SET_BYTES = 1 << 30
+
+
+def working_set_bytes(cfg: RunConfig) -> int:
+    """Upper estimate of the bytes one goodput process allocates for cfg; allocates nothing.
+
+    It adds the chunk buffers, the codebook as levels and complex entries, the
+    (trials, C) beam-sweep SNR and its temporaries, three per-count tables of
+    6 curves x frames rows and C + 1 counts with the rows' result objects, and
+    8 MiB of fixed allocations. The stages do not all peak at once: it errs high.
+    """
+    m = min(int(cfg.n_trials), CHUNK_TRIALS)
+    n, c = int(cfg.n_elements), int(cfg.bsw_codebook_size)     # no int64 wrap-around
+    rows = 6 * len(cfg.frame_grid)
+    return (48 * m * n + 8 * _FRAME_BLOCK * m + 32 * c * n + 32 * m * c
+            + rows * (24 * (c + 1) + 512) + (16 << cfg.quant_bits) + (8 << 20))
 
 
 @lru_cache(maxsize=1)
@@ -366,10 +389,11 @@ def goodput_curves(
     payload row of a kernel is reduced once per chunk, so a curve is
     exactly what a batch of its spec alone gives. With cfg.workers > 1 the
     chunks run on one process pool of at most min(workers, chunks,
-    available CPUs) processes. An invalid cfg raises ConfigError.
+    available CPUs) processes. An invalid cfg raises InvalidParameterError
+    naming the field.
     """
     if len(specs) == 0:
-        raise InvalidParameterError("specs must be non-empty")
+        raise InvalidParameterError("specs", "must be non-empty")
     cfg.validate()
     frames = tuple(frame_ttis(f, cfg.tti_ms) for f in cfg.frame_grid)
     state = None if cfg.perfect_control else cfg.control_state()
@@ -431,11 +455,10 @@ def crossover_frame(
     Ties count as an overtake. Returns None when no suffix of the grid is
     dominated by the rate-adaptive curve.
     """
-    if len(oce_curve) != len(bsw_curve) or len(oce_curve) == 0:
-        raise InvalidParameterError("curves must share a non-empty frame grid")
-    for a, b in zip(oce_curve, bsw_curve):
-        if a.frame_ms != b.frame_ms:
-            raise InvalidParameterError("curves must share a non-empty frame grid")
+    if len(oce_curve) == 0:
+        raise InvalidParameterError("oce_curve", "must be non-empty")
+    if [a.frame_ms for a in oce_curve] != [b.frame_ms for b in bsw_curve]:
+        raise InvalidParameterError("bsw_curve", "must have oce_curve's frame grid")
     idx = None
     for i in reversed(range(len(oce_curve))):
         if oce_curve[i].goodput_mbps >= bsw_curve[i].goodput_mbps:
@@ -443,15 +466,6 @@ def crossover_frame(
         else:
             break
     return None if idx is None else oce_curve[idx].frame_ms
-
-
-def _validate_grid(grid_db: Sequence[float], name: str):
-    if len(grid_db) == 0:
-        raise InvalidParameterError(f"{name} must be non-empty")
-    if any(b <= a for a, b in zip(grid_db, grid_db[1:])):
-        raise InvalidParameterError(f"{name} must be strictly increasing")
-    if not db_to_linear(grid_db[0]) > 0:
-        raise InvalidParameterError(f"{name} must have positive linear values")
 
 
 def reliability_grid(
@@ -469,12 +483,12 @@ def reliability_grid(
     factors are multiplied in `control_reliability`'s order, so every cell
     equals it bit for bit.
     """
-    _validate_grid(snr_ris_grid_db, "snr_ris_grid_db")
-    _validate_grid(snr_ue_grid_db, "snr_ue_grid_db")
-    grid = np.ones((len(snr_ris_grid_db), len(snr_ue_grid_db)))
+    ris = positive_linear(snr_ris_grid_db, "snr_ris_grid_db")
+    ue = positive_linear(snr_ue_grid_db, "snr_ue_grid_db")
+    grid = np.ones((len(ris), len(ue)))
     for recipient, threshold in outage_thresholds(catalog, mode, symbols_per_tti):
-        axis_db = snr_ue_grid_db if recipient is Recipient.UE else snr_ris_grid_db
-        factor = np.array([math.exp(-threshold / db_to_linear(db)) for db in axis_db])
+        axis = ue if recipient is Recipient.UE else ris
+        factor = np.array([math.exp(-threshold / snr) for snr in axis])
         grid *= factor[None, :] if recipient is Recipient.UE else factor[:, None]
     return grid
 
@@ -489,10 +503,9 @@ def calibrate_rho(
     fraction of trials whose best entry statistic exceeds target/rho and the
     calibrated value is read off the empirical quantile directly.
     """
-    if n_trials < 1:
-        raise InvalidParameterError("n_trials must be at least 1")
+    check_int("n_trials", n_trials, 1)
     if not 0.0 < target_success < 1.0:
-        raise InvalidParameterError("target_success must be in (0, 1)")
+        raise InvalidParameterError("target_success", "must be in (0, 1)")
     entry_matrix = _entry_matrix(cfg)
     maxima = []
     n_chunks = math.ceil(n_trials / CHUNK_TRIALS)

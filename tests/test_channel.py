@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from riscplane.channel import TWO_PI, grid_step, make_codebook, phase_indices
-from riscplane.config import ConfigError, RunConfig
+from riscplane.config import RunConfig
 from riscplane.control import ControlMode, Scheme
 from riscplane.errors import InvalidParameterError
 from riscplane.metrics import _bsw_outcomes, _cascade, _oce_outcomes, _phase_table, goodput_curves
@@ -55,7 +55,7 @@ def test_sampling_is_deterministic_in_seed():
 def test_sampling_rejects_bad_parameters(n, rho):
     # no channel is drawn for an empty surface or a non-positive reference SNR
     cfg = RunConfig(n_elements=n, rho=rho, frame_grid=(60.0,), n_trials=10)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidParameterError):
         goodput_curves(cfg, [(Scheme.OCE, ControlMode.IB_C)])
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -19,9 +21,11 @@ from riscplane.cli import (
     THRESHOLD_HEADER,
     main,
 )
-from riscplane.config import RunConfig, load_config, parse_grid, ConfigError
+from riscplane.config import RunConfig, load_config, parse_config_text, parse_grid
 from riscplane.control import ControlChannelState, ControlMode, Scheme, db_to_linear
+from riscplane.errors import InvalidParameterError
 from riscplane.frames import CausalityViolation, PhaseKind, build_frame
+from riscplane.metrics import MAX_WORKING_SET_BYTES, working_set_bytes
 
 
 # child interpreters import riscplane from the tree this suite imports it from
@@ -56,7 +60,7 @@ def test_config_file_overrides_and_comments(tmp_path):
 def test_unknown_config_key_is_an_error(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("n_triials = 42\n")
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(InvalidParameterError) as err:
         load_config(str(path))
     assert "n_triials" in str(err.value)
 
@@ -66,34 +70,145 @@ def test_parse_grid_forms():
     assert parse_grid("10:20:5", "g") == (10.0, 15.0, 20.0)
     for bad in ("10:20", "abc", "nan", "inf", "-inf", "0:inf:5", "0:10:nan",
                 "0.5:1e308:1e-10", "0.5:1e9:0.5"):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidParameterError):
             parse_grid(bad, "g")
 
 
 def test_validation_names_offending_field():
     cfg = RunConfig()
     cfg.n_elements = 0
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(InvalidParameterError) as err:
         cfg.validate()
     assert err.value.field_name == "n_elements"
 
 
-_DB = st.floats() | st.floats(-4000.0, 4000.0)
-_COUNT = st.integers(-2, 2 ** 45)
+# One bad value per RunConfig field; validate must reject it naming that field.
+_BAD_VALUES = {
+    "n_elements": 0,
+    "quant_bits": 17,
+    "bsw_codebook_size": 0,
+    "bsw_codebook_style": "sobol",
+    "codebook_seed": -1,
+    "target_snr_db": 4000.0,
+    "rho": math.inf,
+    "tti_ms": 0.0,
+    "proc_ttis": -1,
+    "switch_ttis": 0,
+    "symbols_per_tti": 0,
+    "header_bits": -1,
+    "bandwidth_hz": math.inf,
+    "snr_ue_db": -4000.0,
+    "snr_ris_db": math.nan,
+    "master_seed": -1,
+    "n_trials": 2.5,
+    "workers": 0,
+    "frame_grid": (),
+    "snr_grid_db": (1.0, 0.0),
+}
+# The fields that accept any value: three switches and the output path.
+_FREE_FIELDS = {"perfect_control", "es_reservation", "ini_carries_full_codebook", "output_path"}
+_INT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "int"]
+
+
+def test_every_field_has_a_bad_value_or_is_free():
+    # a field added later fails here until it gets a rule and a row above
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    assert names == _BAD_VALUES.keys() | _FREE_FIELDS
+    assert not _BAD_VALUES.keys() & _FREE_FIELDS
+    assert len(_INT_FIELDS) == 11
+
+
+@pytest.mark.parametrize("name, value", _BAD_VALUES.items(), ids=list(_BAD_VALUES))
+def test_validation_names_each_field(name, value):
+    with pytest.raises(InvalidParameterError) as err:
+        RunConfig(**{name: value}).validate()
+    assert err.value.field_name == name
+
+
+@pytest.mark.parametrize("name", _INT_FIELDS)
+def test_int_fields_reject_bools_and_fractions(name):
+    for value in (True, 2.5):
+        with pytest.raises(InvalidParameterError) as err:
+            RunConfig(**{name: value}).validate()
+        assert err.value.field_name == name
+    # integral numpy scalars are integers
+    RunConfig(**{name: np.int64(getattr(RunConfig(), name))}).validate()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("frame_grid = 10:5:1", "frame_grid: grid requires STOP >= START and STEP > 0"),
+    ("frame_grid = 0:100000:1", "frame_grid: grid has more than 10000 points"),
+    ("rho = inf", "rho: 'inf' is not a finite number"),
+    ("snr_grid_db = 0:inf:1", "snr_grid_db: 'inf' is not a finite number"),
+    ("frame_grid = 10:x:5",
+     "frame_grid: cannot parse grid '10:x:5' (want START:STOP:STEP or a value)"),
+    ("rho = banana", "rho: cannot parse value 'banana'"),
+    ("n_trials = 2.5", "n_trials: cannot parse value '2.5'"),
+    ("perfect_control = maybe", "perfect_control: cannot parse value 'maybe'"),
+])
+def test_parse_errors_keep_their_messages(text, message):
+    with pytest.raises(InvalidParameterError) as err:
+        parse_config_text(text)
+    assert str(err.value) == message
+
+
+def test_working_set_budget():
+    # estimates only: nothing here allocates a chunk or a codebook
+    fine_grid = tuple(0.5 * i for i in range(20, 10001))
+    for cfg in (RunConfig(n_elements=10 ** 6),
+                RunConfig(n_elements=16, bsw_codebook_size=10_000, frame_grid=fine_grid)):
+        assert working_set_bytes(cfg) > MAX_WORKING_SET_BYTES
+        with pytest.raises(InvalidParameterError) as err:
+            cfg.validate()
+        assert err.value.field_name == "config"
+    RunConfig(n_elements=4000).validate()
+    RunConfig(n_elements=16, bsw_codebook_size=256, frame_grid=fine_grid).validate()
+
+
+def test_oversized_run_exits_config_without_traceback(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_elements = 1000000\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "riscplane", "goodput", "--config", str(cfg),
+         "--out", str(tmp_path / "out.csv")],
+        env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("config error: config: a goodput run needs about ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+def _mostly(usual, other):
+    """usual nine draws in ten, other in the tenth.
+
+    An even mix over this many keys lets almost no config through validate,
+    which would leave the checks on accepted configs unexercised.
+    """
+    return st.integers(0, 9).flatmap(lambda i: usual if i else other)
+
+
+_DB = _mostly(st.floats(-3000.0, 3000.0), st.floats() | st.floats(-4000.0, 4000.0))
+_COUNT = _mostly(st.integers(0, 2 ** 45), st.integers(-2, 0))
+_SIZE = _mostly(st.integers(1, 20_000), st.integers(-2, 2 ** 45))   # up to the memory budget
+_REAL = _mostly(st.floats(1e-6, 1e9), st.floats())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(target=_DB, ue=_DB, ris=_DB, grid=st.lists(_DB, min_size=1, max_size=4).map(sorted),
-       quant_bits=st.integers(-2, 70), n_elements=_COUNT, bsw_codebook_size=_COUNT,
-       proc_ttis=_COUNT, switch_ttis=_COUNT, symbols_per_tti=_COUNT, header_bits=_COUNT)
-def test_validated_config_builds_domain_objects(target, ue, ris, grid, **counts):
+       quant_bits=_mostly(st.integers(1, 16), st.integers(-2, 70)),
+       n_elements=_SIZE, bsw_codebook_size=_SIZE,
+       proc_ttis=_COUNT, switch_ttis=_COUNT, symbols_per_tti=_COUNT, header_bits=_COUNT,
+       rho=_REAL, bandwidth_hz=_REAL, tti_ms=_mostly(st.sampled_from([0.25, 0.5, 1.0]), _REAL),
+       n_trials=_SIZE, workers=_SIZE)
+def test_validated_config_builds_domain_objects(target, ue, ris, grid, **values):
     # only objects are built, never a codebook or a chunk, so huge counts allocate nothing
     cfg = RunConfig(target_snr_db=target, snr_ue_db=ue, snr_ris_db=ris,
-                    snr_grid_db=tuple(grid), **counts)
+                    snr_grid_db=tuple(grid), **values)
     try:
         cfg.validate()
-    except ConfigError:
+    except InvalidParameterError:
         return
+    assert working_set_bytes(cfg) <= MAX_WORKING_SET_BYTES
     frame = max(cfg.frame_grid)
     for scheme in Scheme:
         params, catalog = cfg.scheme_params(scheme), cfg.catalog(scheme)
@@ -110,7 +225,7 @@ def test_validation_bounds_phase_bits():
     cfg.quant_bits = 16
     cfg.validate()
     cfg.quant_bits = 17
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(InvalidParameterError) as err:
         cfg.validate()
     assert err.value.field_name == "quant_bits"
 

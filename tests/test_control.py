@@ -86,6 +86,22 @@ def test_catalog_rejects_bad_counts():
         message_catalog(Scheme.OCE, 4, 2, 32, 16, False, 0)
 
 
+@pytest.mark.parametrize("field, value", [("n_elements", 0), ("quant_bits", 17),
+                                          ("bsw_codebook_size", 0), ("bsw_codebook_size", 2.0),
+                                          ("header_bits", -1), ("symbols_per_tti", 0)])
+def test_catalog_errors_name_the_config_field(field, value):
+    args = dict(scheme=Scheme.BSW, n_elements=4, quant_bits=2, bsw_codebook_size=8,
+                header_bits=16, ini_carries_full_codebook=False, symbols_per_tti=SYMBOLS)
+    with pytest.raises(InvalidParameterError) as err:
+        message_catalog(**{**args, field: value})
+    assert err.value.field_name == field
+
+
+def test_catalog_takes_numpy_integers():
+    plain = message_catalog(Scheme.BSW, 100, 2, 32, 16, True, SYMBOLS)
+    assert message_catalog(Scheme.BSW, *map(np.int64, (100, 2, 32, 16)), True, SYMBOLS) == plain
+
+
 @pytest.mark.parametrize("symbols_per_tti", [1, 84, 840])
 def test_tti_costs_follow_symbols_per_tti(symbols_per_tti):
     # each message takes the fewest TTIs carrying it at 2 bit/symbol, so its

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from riscplane.channel import TWO_PI
-from riscplane.config import ConfigError, RunConfig
+from riscplane.config import RunConfig
 from riscplane.control import (
     ControlChannelState, ControlMode, Scheme, control_reliability, db_to_linear, message_catalog,
 )
@@ -521,14 +521,14 @@ def test_full_codebook_download_extends_in_band_overhead():
 
 
 def test_goodput_rejects_bad_arguments():
-    # an invalid config is a one-line ConfigError for library callers too
-    with pytest.raises(ConfigError):
+    # an invalid config is a one-line InvalidParameterError for library callers too
+    with pytest.raises(InvalidParameterError):
         goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 0, 1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidParameterError):
         goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 100, 1, bandwidth_hz=-1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidParameterError):
         goodput(Scheme.BSW, ControlMode.IB_C, 60.3, 100, 1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidParameterError):
         goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 100, 1, rho=0.0)
 
 
@@ -543,7 +543,8 @@ def test_calibrate_rho_reproduces_default():
 
 
 @pytest.mark.parametrize("fields", [dict(n_trials=0), dict(n_trials=-4096),
-                                    dict(target_success=0.0), dict(target_success=1.0)])
+                                    dict(target_success=0.0), dict(target_success=1.0),
+                                    dict(n_trials=2.5), dict(n_trials=True)])
 def test_calibrate_rho_rejects_bad_arguments(fields):
     with pytest.raises(InvalidParameterError):
         calibrate_rho(RunConfig(), **fields)
@@ -663,6 +664,15 @@ def test_grid_equals_control_reliability_bitwise():
                     assert m[i, j] == control_reliability(catalog, state, mode)
             zeros += int((m == 0.0).sum())
     assert zeros > 0
+
+
+@pytest.mark.parametrize("ris, ue, name", [([0.0, 4000.0], [0.0], "snr_ris_grid_db"),
+                                           ([0.0], [-4000.0, 0.0], "snr_ue_grid_db")])
+def test_grid_rejects_points_without_finite_linear_values(ris, ue, name):
+    # every point is checked, not only the first, and overflow is a rejection
+    with pytest.raises(InvalidParameterError) as err:
+        reliability_grid(CFG.catalog(Scheme.OCE), ControlMode.IB_C, ris, ue, CFG.symbols_per_tti)
+    assert err.value.field_name == name
 
 
 def test_grid_rejects_bad_axes():
