@@ -9,12 +9,13 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 from .config import RunConfig, load_config, parse_grid
 from .control import ControlMode, Scheme
 from .errors import InvalidParameterError
 from .frames import ChannelUse, build_frame, overhead_ms, validate_causality
-from .metrics import goodput_curves, reliability_grid
+from .metrics import check_working_set, goodput_curves, reliability_grid
 
 EXIT_OK = 0
 EXIT_PLAN = 1
@@ -46,12 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="key = value config file")
         p.add_argument("--mode", choices=sorted(_MODES), default="both")
         p.add_argument("--scheme", choices=list(_SCHEMES), default="all")
-        p.add_argument("--out", metavar="PATH", help="output CSV path")
+        p.add_argument("--out", dest="output_path", metavar="PATH", help="output CSV path")
 
     p_good = sub.add_parser("goodput", help="goodput vs. frame length sweep")
     add_common(p_good)
-    p_good.add_argument("--seed", type=int, metavar="U64", help="master seed")
-    p_good.add_argument("--trials", type=int, metavar="N", help="Monte Carlo trials")
+    p_good.add_argument("--seed", dest="master_seed", type=int, metavar="U64", help="master seed")
+    p_good.add_argument("--trials", dest="n_trials", type=int, metavar="N",
+                        help="Monte Carlo trials")
     p_good.add_argument("--workers", type=int, metavar="N", help="worker pool size")
     p_good.add_argument("--frame-grid", metavar="START:STOP:STEP",
                         help="frame lengths in ms")
@@ -67,18 +69,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> RunConfig:
-    cfg = load_config(getattr(args, "config", None))
-    if getattr(args, "seed", None) is not None:
-        cfg.master_seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        cfg.n_trials = args.trials
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
-    if getattr(args, "out", None) is not None:
-        cfg.output_path = args.out
-    if getattr(args, "frame_grid", None) is not None:
-        cfg.frame_grid = parse_grid(args.frame_grid, "frame_grid")
+    """The config file under the flags named after RunConfig fields, checked, then logged."""
+    cfg = load_config(args.config)
+    for f in fields(cfg):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            setattr(cfg, f.name, parse_grid(value, f.name) if f.name == "frame_grid" else value)
     cfg.validate()
+    if args.command == "goodput":
+        check_working_set(cfg)
+    if getattr(args, "threshold", None) is not None and not 0.0 < args.threshold < 1.0:
+        raise InvalidParameterError("threshold", "must be in (0, 1)")
     for key, value in cfg.resolved_items():
         print(f"# resolved {key} = {value}", file=sys.stderr)
     return cfg
@@ -109,10 +110,7 @@ def cmd_goodput(cfg: RunConfig, schemes, modes) -> int:
 def _grid_threshold_db(m, grid_db, axis: str, threshold: float) -> float:
     """Minimum grid SNR on one axis reaching the threshold, other axis at grid max."""
     line = m[:, -1] if axis == "ris" else m[-1, :]    # other axis pinned at its max
-    for snr_db, reliability in zip(grid_db, line.tolist()):
-        if reliability >= threshold:
-            return snr_db
-    return math.inf
+    return next((db for db, rel in zip(grid_db, line.tolist()) if rel >= threshold), math.inf)
 
 
 def cmd_reliability(cfg: RunConfig, schemes, modes, threshold) -> int:
@@ -127,13 +125,11 @@ def cmd_reliability(cfg: RunConfig, schemes, modes, threshold) -> int:
             catalog = cfg.catalog(scheme)
             for mode in modes:
                 m = reliability_grid(catalog, mode, grid, grid, cfg.symbols_per_tti)
-                tag = f",{scheme.value},{mode.value},"
-                rows = []
-                for ris_s, values in zip(grid_s, m.tolist()):
-                    rows.extend(ris_s + "," + ue_s + tag + format(v, ".12g")
-                                for ue_s, v in zip(grid_s, values))
-                fh.write("\n".join(rows) + "\n")
-                n_rows += len(rows)
+                cells = [f",{ue_s},{scheme.value},{mode.value}," for ue_s in grid_s]
+                for ris_s, values in zip(grid_s, m):    # one row of strings at a time
+                    fh.write("".join([f"{ris_s}{cell}{v:.12g}\n"
+                                      for cell, v in zip(cells, values.tolist())]))
+                n_rows += m.size
                 if threshold is not None:
                     for axis in ("ris", "ue"):
                         min_db = _grid_threshold_db(m, grid, axis, threshold)
@@ -178,24 +174,19 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = _resolve(args)
-        if getattr(args, "threshold", None) is not None:
-            if not 0.0 < args.threshold < 1.0:
-                raise InvalidParameterError("threshold", "must be in (0, 1)")
-    except InvalidParameterError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    args = build_parser().parse_args(argv)
     schemes = _SCHEMES[getattr(args, "scheme", "all")]
     modes = _MODES[getattr(args, "mode", "both")]
     try:
+        cfg = _resolve(args)
         if args.command == "goodput":
             return cmd_goodput(cfg, schemes, modes)
         if args.command == "reliability":
             return cmd_reliability(cfg, schemes, modes, args.threshold)
         return cmd_validate(cfg)
+    except InvalidParameterError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -17,7 +17,6 @@ from .control import (
 )
 from .errors import InvalidParameterError, check_int, check_positive
 from .frames import MAX_FRAME_TTIS, SchemeParams, frame_ttis, overhead_ttis
-from .metrics import MAX_WORKING_SET_BYTES, working_set_bytes
 
 # Most points a START:STOP:STEP grid may have; the finest packaged benchmark
 # grid has 991, and the bound keeps a typo from allocating without limit.
@@ -140,11 +139,6 @@ class RunConfig:
                 if overhead_ttis(params, mode, catalog) > MAX_FRAME_TTIS:
                     raise InvalidParameterError("config", f"{scheme.value} {mode.value} frame "
                                                 f"overhead spans more than {MAX_FRAME_TTIS} TTIs")
-        need = working_set_bytes(self)
-        if need > MAX_WORKING_SET_BYTES:
-            raise InvalidParameterError(
-                "config", f"a goodput run needs about {need / 2 ** 30:.3g} GiB per process, "
-                f"more than the {MAX_WORKING_SET_BYTES / 2 ** 30:g} GiB budget")
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
@@ -191,7 +185,7 @@ def load_config(path: str | None = None) -> RunConfig:
     if not p.is_file():
         raise InvalidParameterError("config", f"no such file: {path}")
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError("config", f"cannot read {path}: {exc}") from exc
     return parse_config_text(text)

@@ -175,7 +175,12 @@ def overhead_ttis(
     catalog: list[ControlMessage],
     stop_index: Optional[int] = None,
 ) -> int:
-    """Frame TTIs consumed before PAY can start (unclamped)."""
+    """Frame TTIs consumed before PAY can start (unclamped).
+
+    stop_index = 0 gives a BSW_ES frame's overhead without any evaluation;
+    goodput_curves adds each trial's evaluations to it. build_frame rejects
+    that value.
+    """
     return sum(p.tti_span for p in _overhead_phases(params, mode, catalog, stop_index)
                if p.channel_usage is not ChannelUse.OUT_OF_BAND)
 

@@ -19,11 +19,12 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .channel import TWO_PI, grid_step, make_codebook, phase_indices
+from .config import RunConfig
 from .control import (
     ControlMessage,
     ControlMode,
@@ -36,9 +37,6 @@ from .control import (
 )
 from .errors import InvalidParameterError, check_int
 from .frames import alg_ttis, frame_ttis, overhead_ttis
-
-if TYPE_CHECKING:   # config imports this module for the working-set budget
-    from .config import RunConfig
 
 CHUNK_TRIALS = 4096
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -162,8 +160,8 @@ class _Scratch:
         self.rows = np.empty(_FRAME_BLOCK * trials)  # a block of rows' rate * success * payload
 
 
-# Largest per-process working set, in bytes, that RunConfig.validate accepts
-# (see working_set_bytes); the interpreter and numpy take about 28 MiB more.
+# Largest per-process working set, in bytes, that a goodput run may need
+# (see check_working_set); the interpreter and numpy take about 28 MiB more.
 MAX_WORKING_SET_BYTES = 1 << 30
 
 
@@ -180,6 +178,15 @@ def working_set_bytes(cfg: RunConfig) -> int:
     rows = 6 * len(cfg.frame_grid)
     return (48 * m * n + 8 * _FRAME_BLOCK * m + 32 * c * n + 32 * m * c
             + rows * (24 * (c + 1) + 512) + (16 << cfg.quant_bits) + (8 << 20))
+
+
+def check_working_set(cfg: RunConfig) -> None:
+    """Reject (field config) a valid cfg whose goodput run needs over MAX_WORKING_SET_BYTES."""
+    need = working_set_bytes(cfg)
+    if need > MAX_WORKING_SET_BYTES:
+        raise InvalidParameterError(
+            "config", f"a goodput run needs about {need / 2 ** 30:.3g} GiB per process, "
+            f"more than the {MAX_WORKING_SET_BYTES / 2 ** 30:g} GiB budget")
 
 
 @lru_cache(maxsize=1)
@@ -390,11 +397,13 @@ def goodput_curves(
     exactly what a batch of its spec alone gives. With cfg.workers > 1 the
     chunks run on one process pool of at most min(workers, chunks,
     available CPUs) processes. An invalid cfg raises InvalidParameterError
-    naming the field.
+    naming the field, and so does one over the memory budget (field config),
+    before anything is allocated.
     """
     if len(specs) == 0:
         raise InvalidParameterError("specs", "must be non-empty")
     cfg.validate()
+    check_working_set(cfg)
     frames = tuple(frame_ttis(f, cfg.tti_ms) for f in cfg.frame_grid)
     state = None if cfg.perfect_control else cfg.control_state()
 

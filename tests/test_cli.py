@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riscplane import cli
+from riscplane import cli, metrics
 from riscplane.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -25,7 +25,9 @@ from riscplane.config import RunConfig, load_config, parse_config_text, parse_gr
 from riscplane.control import ControlChannelState, ControlMode, Scheme, db_to_linear
 from riscplane.errors import InvalidParameterError
 from riscplane.frames import CausalityViolation, PhaseKind, build_frame
-from riscplane.metrics import MAX_WORKING_SET_BYTES, working_set_bytes
+from riscplane.metrics import (
+    MAX_WORKING_SET_BYTES, check_working_set, goodput_curves, working_set_bytes,
+)
 
 
 # child interpreters import riscplane from the tree this suite imports it from
@@ -158,11 +160,36 @@ def test_working_set_budget():
     for cfg in (RunConfig(n_elements=10 ** 6),
                 RunConfig(n_elements=16, bsw_codebook_size=10_000, frame_grid=fine_grid)):
         assert working_set_bytes(cfg) > MAX_WORKING_SET_BYTES
+        cfg.validate()      # the budget is a goodput rule, not a rule of every command
         with pytest.raises(InvalidParameterError) as err:
-            cfg.validate()
+            check_working_set(cfg)
         assert err.value.field_name == "config"
-    RunConfig(n_elements=4000).validate()
-    RunConfig(n_elements=16, bsw_codebook_size=256, frame_grid=fine_grid).validate()
+    for cfg in (RunConfig(n_elements=4000),
+                RunConfig(n_elements=16, bsw_codebook_size=256, frame_grid=fine_grid)):
+        cfg.validate()
+        check_working_set(cfg)
+
+
+def test_goodput_curves_check_the_budget_before_allocating(monkeypatch):
+    def no_chunks(*args):
+        raise AssertionError("a chunk was allocated")
+    monkeypatch.setattr(metrics, "_Scratch", no_chunks)
+    monkeypatch.setattr(metrics, "_cascade", no_chunks)
+    with pytest.raises(InvalidParameterError) as err:
+        goodput_curves(RunConfig(n_elements=10 ** 6), [(Scheme.OCE, ControlMode.OB_C)])
+    assert err.value.field_name == "config"
+
+
+@pytest.mark.parametrize("command", ["reliability", "validate"])
+def test_budget_leaves_other_commands_alone(tmp_path, capsys, command):
+    # neither command allocates anything per element
+    path = tmp_path / "run.cfg"
+    path.write_text("n_elements = 1000000\n")
+    out = tmp_path / "r.csv"
+    args = ["--out", str(out)] if command == "reliability" else []
+    assert run_cli([command, "--config", str(path), *args], capsys) == EXIT_OK
+    if command == "reliability":
+        assert len(out.read_text().splitlines()) - 1 == 5766     # 31 x 31 x 6
 
 
 def test_oversized_run_exits_config_without_traceback(tmp_path):
@@ -208,7 +235,12 @@ def test_validated_config_builds_domain_objects(target, ue, ris, grid, **values)
         cfg.validate()
     except InvalidParameterError:
         return
-    assert working_set_bytes(cfg) <= MAX_WORKING_SET_BYTES
+    # validate leaves the goodput budget to the goodput path
+    if working_set_bytes(cfg) > MAX_WORKING_SET_BYTES:
+        with pytest.raises(InvalidParameterError):
+            check_working_set(cfg)
+    else:
+        check_working_set(cfg)
     frame = max(cfg.frame_grid)
     for scheme in Scheme:
         params, catalog = cfg.scheme_params(scheme), cfg.catalog(scheme)
@@ -459,6 +491,10 @@ def test_validate_corrupted_config(tmp_path, capsys):
     assert run_cli(["validate", "--config", str(path)], capsys) == EXIT_CONFIG
     assert run_cli(["validate", "--config", str(tmp_path / "missing.cfg")],
                    capsys) == EXIT_CONFIG
+    path.write_bytes(b"rho = 0.1\n\xff\xfe\n")      # not UTF-8
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: cannot read ") and len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +583,8 @@ def test_goodput_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path):
     (["goodput"], "tti_ms = 1e-300\n"),
     (["goodput"], "switch_ttis = 100000000000000000000000\n"),
     (["goodput"], "header_bits = 1000000000000000000000000000000\n"),
+    (["reliability", "--threshold", "1.5"], ""),
+    (["reliability", "--threshold", "nan"], ""),
 ])
 def test_bad_numbers_exit_config_without_traceback(tmp_path, args, config):
     cfg = tmp_path / "run.cfg"
