@@ -30,12 +30,6 @@ _SCHEMES = {**{scheme.value: [scheme] for scheme in Scheme}, "all": list(Scheme)
 _MODES = {**{mode.value: [mode] for mode in ControlMode}, "both": list(ControlMode)}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riscplane",
@@ -97,11 +91,9 @@ def cmd_goodput(cfg: RunConfig, schemes, modes) -> int:
     for i in range(len(cfg.frame_grid)):
         for curve in curves:
             r = curve[i]
-            lines.append(",".join([
-                _fmt(r.frame_ms), r.scheme.value, r.mode.value,
-                _fmt(r.goodput_mbps), _fmt(r.overhead_ms),
-                _fmt(r.success_prob), str(r.n_trials), str(r.seed),
-            ]))
+            lines.append(f"{r.frame_ms:.12g},{r.scheme.value},{r.mode.value},"
+                         f"{r.goodput_mbps:.12g},{r.overhead_ms:.12g},{r.success_prob:.12g},"
+                         f"{r.n_trials},{r.seed}")
     _write_lines(out_path, lines)
     print(f"wrote {out_path} ({len(lines) - 1} rows)", file=sys.stderr)
     return EXIT_OK
@@ -111,6 +103,26 @@ def _grid_threshold_db(m, grid_db, axis: str, threshold: float) -> float:
     """Minimum grid SNR on one axis reaching the threshold, other axis at grid max."""
     line = m[:, -1] if axis == "ris" else m[-1, :]    # other axis pinned at its max
     return next((db for db, rel in zip(grid_db, line.tolist()) if rel >= threshold), math.inf)
+
+
+def _write_block(fh, m, grid_s: list[str], scheme: Scheme, mode: ControlMode) -> None:
+    """Write the rows of one (scheme, mode) grid m, rows over the RIS axis, labelled by grid_s.
+
+    A row's cells after the RIS column are formatted by one %-template call,
+    whose '%.12g' gives the bytes of format(v, '.12g'). A row whose float64
+    bits equal the previous row's (so -0.0 is not 0.0) writes that text
+    again behind its own RIS column: every out-of-band grid is one repeated
+    row. Holds one row's text.
+    """
+    template = "\n".join(f",{ue_s},{scheme.value},{mode.value},".replace("%", "%%") + "%.12g"
+                         for ue_s in grid_s)
+    prev_bits = None
+    for ris_s, row in zip(grid_s, m):
+        bits = row.tobytes()
+        if bits != prev_bits:
+            cells = template % tuple(row.tolist())
+            prev_bits = bits
+        fh.write(ris_s + cells.replace("\n", f"\n{ris_s}") + "\n")
 
 
 def cmd_reliability(cfg: RunConfig, schemes, modes, threshold) -> int:
@@ -125,15 +137,12 @@ def cmd_reliability(cfg: RunConfig, schemes, modes, threshold) -> int:
             catalog = cfg.catalog(scheme)
             for mode in modes:
                 m = reliability_grid(catalog, mode, grid, grid, cfg.symbols_per_tti)
-                cells = [f",{ue_s},{scheme.value},{mode.value}," for ue_s in grid_s]
-                for ris_s, values in zip(grid_s, m):    # one row of strings at a time
-                    fh.write("".join([f"{ris_s}{cell}{v:.12g}\n"
-                                      for cell, v in zip(cells, values.tolist())]))
+                _write_block(fh, m, grid_s, scheme, mode)
                 n_rows += m.size
                 if threshold is not None:
                     for axis in ("ris", "ue"):
                         min_db = _grid_threshold_db(m, grid, axis, threshold)
-                        summary.append(",".join([scheme.value, mode.value, axis, _fmt(min_db)]))
+                        summary.append(f"{scheme.value},{mode.value},{axis},{min_db:.12g}")
     print(f"wrote {out_path} ({n_rows} rows)", file=sys.stderr)
     if threshold is not None:
         summary_path = _threshold_path(out_path)
@@ -143,11 +152,12 @@ def cmd_reliability(cfg: RunConfig, schemes, modes, threshold) -> int:
 
 
 def _threshold_path(out_path: str) -> str:
-    """out_path with _thresholds before the file name's extension, or appended if it has none."""
-    if "." not in os.path.basename(out_path):
-        return out_path + "_thresholds"
-    stem, _, ext = out_path.rpartition(".")
-    return f"{stem}_thresholds.{ext}"
+    """out_path with _thresholds before the file name's extension, or appended if it has none.
+
+    A dotfile name such as .rel has no extension.
+    """
+    stem, ext = os.path.splitext(out_path)
+    return f"{stem}_thresholds{ext}"
 
 
 def cmd_validate(cfg: RunConfig) -> int:

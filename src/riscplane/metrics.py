@@ -436,7 +436,7 @@ def goodput_curves(
     for (scheme, mode), reliability, curve_sums in zip(specs, reliabilities, sums):
         curve = []
         for f_ms, total, (sum_rsp, sum_rsp2, sum_success, sum_oh) in zip(
-                cfg.frame_grid, frames, curve_sums):
+                cfg.frame_grid, frames, curve_sums.tolist()):
             scale = cfg.bandwidth_hz * reliability / (total * 1e6)
             mean_rsp = sum_rsp / n_trials
             var_rsp = max(0.0, sum_rsp2 / n_trials - mean_rsp * mean_rsp)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -26,7 +27,8 @@ from riscplane.control import ControlChannelState, ControlMode, Scheme, db_to_li
 from riscplane.errors import InvalidParameterError
 from riscplane.frames import CausalityViolation, PhaseKind, build_frame
 from riscplane.metrics import (
-    MAX_WORKING_SET_BYTES, check_working_set, goodput_curves, working_set_bytes,
+    MAX_WORKING_SET_BYTES, check_working_set, goodput_curves, reliability_grid,
+    working_set_bytes,
 )
 
 
@@ -426,13 +428,60 @@ def test_reliability_threshold_summary(tmp_path, capsys):
     ("rel", "rel_thresholds"),
     ("res.d/rel", "res.d/rel_thresholds"),        # the dot is in a directory name only
     ("res.d/r.csv", "res.d/r_thresholds.csv"),
+    ("res/.rel", "res/.rel_thresholds"),          # a dotfile name has no extension
+    (".rel", ".rel_thresholds"),
 ])
 def test_reliability_threshold_summary_path(tmp_path, capsys, out, summary):
-    (tmp_path / "res.d").mkdir()
+    (tmp_path / out).parent.mkdir(exist_ok=True)
     code = run_cli(["reliability", "--scheme", "oce", "--mode", "ob", "--threshold", "0.9",
                     "--out", str(tmp_path / out)], capsys)
     assert code == EXIT_OK
     assert (tmp_path / summary).read_text().splitlines()[0] == THRESHOLD_HEADER
+
+
+def _reference_block(m, grid_s, scheme, mode) -> str:
+    """The rows of one (scheme, mode) grid, formatted cell by cell."""
+    return "".join(f"{ris},{ue},{scheme.value},{mode.value},{v:.12g}\n"
+                   for ris, row in zip(grid_s, m.tolist()) for ue, v in zip(grid_s, row))
+
+
+_ROW_A = [0.25, 1.0, 1e-300, 0.1]
+_ROW_B = [0.25, 1.0, 1e-300, 0.30000000000000004]
+
+
+@pytest.mark.parametrize("rows", [
+    [_ROW_A] * 4,
+    [[0.0, 0.5, 0.75, 1.0], _ROW_A, _ROW_B, [2 ** -1074, 0.5, 1 / 3, 1.0]],
+    [_ROW_A, _ROW_A, _ROW_B, _ROW_A],
+    [[0.0, 0.5], [-0.0, 0.5]],          # equal under ==, not in bits: the second prints -0
+    [[0.875]],
+], ids=["all-equal", "all-different", "AABA", "signed-zero", "1x1"])
+def test_reliability_block_matches_per_cell_format(rows):
+    m = np.array(rows, dtype=np.float64)
+    grid_s = [format(v, ".12g") for v in np.linspace(-1.5, 1.5, len(rows))]
+    fh = io.StringIO()
+    cli._write_block(fh, m, grid_s, Scheme.BSW, ControlMode.IB_C)
+    assert fh.getvalue() == _reference_block(m, grid_s, Scheme.BSW, ControlMode.IB_C)
+
+
+def test_reliability_csv_matches_per_cell_format(tmp_path, capsys):
+    # at -60 dB every in-band factor is 0.0, so in-band grids repeat rows too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("snr_grid_db = -60:60:5\n")
+    out = tmp_path / "r.csv"
+    assert run_cli(["reliability", "--config", str(cfg), "--out", str(out)], capsys) == EXIT_OK
+    config = load_config(str(cfg))
+    grid = config.snr_grid_db
+    grid_s = [format(v, ".12g") for v in grid]
+    expected, repeated_in_band = [RELIABILITY_HEADER + "\n"], 0
+    for scheme in Scheme:
+        for mode in ControlMode:
+            m = reliability_grid(config.catalog(scheme), mode, grid, grid, config.symbols_per_tti)
+            expected.append(_reference_block(m, grid_s, scheme, mode))
+            if mode is ControlMode.IB_C:
+                repeated_in_band += sum(np.array_equal(a, b) for a, b in zip(m, m[1:]))
+    assert repeated_in_band > 0
+    assert out.read_text() == "".join(expected)
 
 
 def test_reliability_unreachable_threshold_emits_inf(tmp_path, capsys):

@@ -63,6 +63,13 @@ def test_goodput_identical_across_runs():
     assert a == b
 
 
+def test_goodput_result_fields_are_plain_numbers():
+    r = goodput(Scheme.BSW_ES, ControlMode.IB_C, 60.0, 500, 3, **LOSSY)
+    for name in ("frame_ms", "goodput_mbps", "overhead_ms", "success_prob", "goodput_se"):
+        assert type(getattr(r, name)) is float, name
+    assert type(r.n_trials) is int and type(r.seed) is int
+
+
 def test_goodput_identical_across_worker_counts():
     serial = goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 100_000, 5)
     pooled = goodput(Scheme.BSW, ControlMode.IB_C, 60.0, 100_000, 5, workers=2)
