@@ -10,6 +10,11 @@ class InvalidParameterError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
+        self.message = message
+
+    def __reduce__(self):
+        # the default rebuilds from args, the one joined string, which __init__ cannot take
+        return type(self), (self.field_name, self.message)
 
 
 def check_int(field_name: str, value, low: int) -> None:

@@ -7,8 +7,8 @@ given seed no matter how many workers evaluate the chunks. The channel
 stream does not depend on the scheme or the control mode, so every curve of
 a batch is reduced from one draw per chunk, and plain beam sweeping and its
 early-stopping variant share the qualifying event of every trial. Curves of
-one kernel share payload rows, each summed over a chunk's trials once; its
-square and overhead come from sums per evaluation count.
+one kernel and evaluation cost share payload rows, each summed once per
+chunk; squares and overheads come from sums per evaluation count.
 """
 
 from __future__ import annotations
@@ -70,42 +70,32 @@ class _Curve:
 
 @dataclass(frozen=True, eq=False)
 class _RowGroup:
-    """The distinct payload rows that the curves of one kernel share.
+    """The distinct payload rows that the curves of one kernel and evaluation cost share.
 
-    A row is keyed by (es, D) = (es_per_eval_ttis, max(0, frame - overhead_ttis))
-    and its per-trial payload is max(0, D - es * evals), which depends on the
-    trial only through its evaluation count. Curves whose overheads differ
-    by a shift of the frame grid share their rows.
+    A row is a payload budget D = max(0, frame - overhead_ttis), and its
+    per-trial payload is max(0, D - es * evals), which depends on the trial
+    only through its evaluation count. Curves whose overheads differ by a
+    shift of the frame grid share their rows.
     """
 
     kernel: Scheme
-    es: np.ndarray              # (rows,) key part es; keys are sorted
-    budget: np.ndarray          # (rows,) key part D
+    es: int                     # es_per_eval_ttis of every member, 0 for a fixed overhead
+    budget: np.ndarray          # (rows,) the distinct D, increasing
     members: tuple[int, ...]    # batch positions of the group's curves
     rows: np.ndarray            # (members, frames) row of each member curve and frame
 
 
 def _row_groups(curves: Sequence[_Curve], frames_ttis: Sequence[int]) -> tuple[_RowGroup, ...]:
-    """One row group per kernel, with every curve's row index per frame."""
-    members: dict[Scheme, list[int]] = {}
+    """One row group per (kernel, es), with every curve's row index per frame."""
+    members: dict[tuple[Scheme, int], list[int]] = {}
     for position, curve in enumerate(curves):
-        members.setdefault(curve.kernel, []).append(position)
+        members.setdefault((curve.kernel, curve.es_per_eval_ttis), []).append(position)
     groups = []
-    for kernel, positions in members.items():
-        curve_keys = []
-        for position in positions:
-            es, overhead = curves[position].es_per_eval_ttis, curves[position].overhead_ttis
-            curve_keys.append([(es, max(0, total - overhead)) for total in frames_ttis])
-        keys = sorted(set().union(*curve_keys))
-        index = {key: i for i, key in enumerate(keys)}
-        es, budget = np.array(keys, dtype=np.int64).T
-        groups.append(_RowGroup(
-            kernel=kernel,
-            es=es,
-            budget=budget,
-            members=tuple(positions),
-            rows=np.array([[index[key] for key in row] for row in curve_keys], dtype=np.intp),
-        ))
+    for (kernel, es), positions in members.items():
+        overheads = np.array([curves[p].overhead_ttis for p in positions], dtype=np.int64)
+        budgets = np.maximum(0, np.array(frames_ttis, dtype=np.int64) - overheads[:, None])
+        budget, rows = np.unique(budgets, return_inverse=True)    # numpy 1.x: rows is flat
+        groups.append(_RowGroup(kernel, es, budget, tuple(positions), rows.reshape(budgets.shape)))
     return tuple(groups)
 
 
@@ -300,12 +290,12 @@ def _reduce_groups(
     """Per-curve, per-frame partial sums [sum rsp, sum rsp^2, sum success, sum overhead_ttis].
 
     rsp is rate * success * payload TTIs per trial. Each live row is summed in
-    one pass over the trials, _FRAME_BLOCK rows at a time in scratch's rows
-    buffer, and gathered into every curve and frame using it. With payload(k) a
-    row's payload at evaluation count k (one count for rate adaptation), sum
-    rsp^2 = sum_k payload(k)^2 * S2[k], S2[k] summing rs^2 over count k's
-    trials, and the overhead is frame * trials - sum_k payload(k) * hist[k],
-    both summed along k: a matmul's bits would depend on the batch size.
+    one pass over the trials, by a multiply or (early stopping) a gather, and
+    gathered into every curve and frame using it. With payload(k) a row's
+    payload at evaluation count k (one count for rate adaptation), sum rsp^2 =
+    sum_k payload(k)^2 * S2[k], S2[k] summing rs^2 over count k's trials, and
+    the overhead is frame * trials - sum_k payload(k) * hist[k], both summed
+    along k: a matmul's bits would depend on the batch size.
     """
     frames = np.array(frames_ttis, dtype=np.int64)
     out = np.empty((sum(len(g.members) for g in groups), frames.shape[0], 4))
@@ -315,24 +305,23 @@ def _reduce_groups(
         rs = rate * success
         counts = np.zeros(m, dtype=np.intp) if evals is None else evals
         hist = np.bincount(counts)
-        es, budget = group.es, group.budget
-        per_count = np.maximum(0, budget[:, None] - es[:, None] * np.arange(hist.shape[0]))
+        budget, es = group.budget, group.es
+        per_count = np.maximum(0, budget[:, None] - es * np.arange(hist.shape[0]))
         payload = per_count.astype(float)       # exact: payloads stay below 2**53
-        sums = np.zeros((es.shape[0], 2))
+        sums = np.zeros((budget.shape[0], 2))
         sums[:, 1] = (payload * payload * np.bincount(counts, weights=rs * rs)).sum(axis=1)
-        if es.any():
+        table, index = payload[:, :1], None
+        if es:
             # only a sweep stops early, and its rs is the preset rate on success, 0.0 on outage
             table = rate[0] * payload
             table[:, 0] = 0.0
             index = np.where(success > 0.0, evals, 0)
-        live = np.flatnonzero(budget > es)      # evals >= 1: other rows carry no payload
-        for lo in range(0, live.shape[0], _FRAME_BLOCK):
-            block = live[lo:lo + _FRAME_BLOCK]
+        # evals >= 1, so only rows with D > es carry payload: a suffix of the increasing budget
+        dead = np.count_nonzero(budget <= es)
+        for lo in range(dead, budget.shape[0], _FRAME_BLOCK):
+            block = table[lo:lo + _FRAME_BLOCK]
             pay = _shaped(scratch.rows, block.shape[0], m)
-            if es[block[-1]]:       # keys are sorted: es = 0 rows come first
-                sums[block, 0] = _payload_rows(table[block], index, rs, pay)
-            else:
-                sums[block, 0] = _payload_rows(payload[block, :1], None, rs, pay)
+            sums[lo:lo + _FRAME_BLOCK, 0] = _payload_rows(block, index, rs, pay)
         success_sum, pay_sum = success.sum(), per_count @ hist
         for position, rows in zip(group.members, group.rows):
             out[position, :, :2] = sums[rows]
@@ -393,15 +382,18 @@ def goodput_curves(
     Returns one curve per spec, in spec order. Every curve and grid point is
     reduced from the same per-trial channel outcomes: each chunk is drawn
     once, each scheme kernel runs at most once per chunk and each distinct
-    payload row of a kernel is reduced once per chunk, so a curve is
-    exactly what a batch of its spec alone gives. With cfg.workers > 1 the
-    chunks run on one process pool of at most min(workers, chunks,
-    available CPUs) processes. An invalid cfg raises InvalidParameterError
-    naming the field, and so does one over the memory budget (field config),
-    before anything is allocated.
+    payload row of a kernel and evaluation cost is reduced once per chunk,
+    so a curve is exactly what a batch of its spec alone gives. With
+    cfg.workers > 1 the chunks run on one process pool of at most
+    min(workers, chunks, available CPUs) processes. An invalid cfg raises
+    InvalidParameterError naming the field, and so do empty or repeated
+    specs and a cfg over the memory budget (field config), before anything
+    is allocated.
     """
     if len(specs) == 0:
         raise InvalidParameterError("specs", "must be non-empty")
+    if len(set(specs)) < len(specs):
+        raise InvalidParameterError("specs", "must be distinct (scheme, mode) pairs")
     cfg.validate()
     check_working_set(cfg)
     frames = tuple(frame_ttis(f, cfg.tti_ms) for f in cfg.frame_grid)
@@ -510,8 +502,10 @@ def calibrate_rho(
     The surface, the codebook and the target SNR are cfg's; its rho is not
     read. The per-entry SNR scales linearly in rho, so success(rho) is the
     fraction of trials whose best entry statistic exceeds target/rho and the
-    calibrated value is read off the empirical quantile directly.
+    calibrated value is read off the empirical quantile directly. An invalid
+    cfg or argument raises InvalidParameterError naming the field.
     """
+    cfg.validate()
     check_int("n_trials", n_trials, 1)
     if not 0.0 < target_success < 1.0:
         raise InvalidParameterError("target_success", "must be in (0, 1)")

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,15 @@ def test_parse_grid_forms():
                 "0.5:1e308:1e-10", "0.5:1e9:0.5"):
         with pytest.raises(InvalidParameterError):
             parse_grid(bad, "g")
+
+
+def test_invalid_parameter_error_survives_pickling():
+    # a pool worker's error reaches the parent pickled
+    err = InvalidParameterError("n_trials", "must be >= 1")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is InvalidParameterError
+    assert back.field_name == "n_trials"
+    assert str(back) == str(err) == "n_trials: must be >= 1"
 
 
 def test_validation_names_offending_field():

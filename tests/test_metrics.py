@@ -288,7 +288,14 @@ def _frame_loop_partials(curve, frames, rate, success, evals):
 
 def assert_reducer_matches_frame_loop(curves, frames, outcomes):
     groups = _row_groups(curves, frames)
-    assert sum(g.es.shape[0] for g in groups) < len(curves) * len(frames)
+    assert sum(g.budget.shape[0] for g in groups) < len(curves) * len(frames)
+    for group in groups:
+        # one evaluation cost per group; its distinct budgets increase
+        assert {curves[j].es_per_eval_ttis for j in group.members} == {group.es}
+        assert np.all(np.diff(group.budget) > 0)
+        for j, rows in zip(group.members, group.rows):
+            budget = np.maximum(0, np.array(frames) - curves[j].overhead_ttis)
+            assert np.array_equal(group.budget[rows], budget)
     partials = _reduce_groups(groups, frames, outcomes, metrics._Scratch(metrics.CHUNK_TRIALS, 1))
     assert partials.shape == (len(curves), len(frames), 4)
     for curve, blocked in zip(curves, partials):
@@ -356,8 +363,11 @@ def test_default_curves_reduce_each_distinct_row_once_per_chunk(monkeypatch):
 
 
 def test_batch_rejects_empty_specs():
-    with pytest.raises(InvalidParameterError):
-        goodput_curves(RunConfig(n_trials=100), [])
+    # a repeated spec adds a curve of memory that working_set_bytes does not count
+    for specs in ([], [SIX_SPECS[3], SIX_SPECS[3]], SIX_SPECS + [SIX_SPECS[0]]):
+        with pytest.raises(InvalidParameterError) as err:
+            goodput_curves(RunConfig(n_trials=100), specs)
+        assert err.value.field_name == "specs"
 
 
 def test_default_cli_run_draws_once_per_chunk(tmp_path, capsys, monkeypatch):
@@ -551,10 +561,16 @@ def test_calibrate_rho_reproduces_default():
 
 @pytest.mark.parametrize("fields", [dict(n_trials=0), dict(n_trials=-4096),
                                     dict(target_success=0.0), dict(target_success=1.0),
-                                    dict(n_trials=2.5), dict(n_trials=True)])
+                                    dict(n_trials=2.5), dict(n_trials=True),
+                                    dict(target_snr_db=math.inf), dict(target_snr_db=math.nan),
+                                    dict(bsw_codebook_style="x")])
 def test_calibrate_rho_rejects_bad_arguments(fields):
-    with pytest.raises(InvalidParameterError):
-        calibrate_rho(RunConfig(), **fields)
+    # one bad calibrate_rho argument or, failing that, one bad RunConfig field
+    (name, _), = fields.items()
+    own = name in ("n_trials", "target_success")
+    with pytest.raises(InvalidParameterError) as err:
+        calibrate_rho(RunConfig() if own else RunConfig(**fields), **(fields if own else {}))
+    assert err.value.field_name == name
 
 
 def test_calibrate_rho_reuses_one_set_of_buffers(monkeypatch):
