@@ -1,6 +1,6 @@
 """Command-line front end: goodput sweeps, reliability grids, plan checks.
 
-Exit codes: 0 ok, 1 plan check failed, 2 configuration error, 3 output I/O error.
+Exit codes: 0 ok, 2 configuration error, 3 output I/O error.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from dataclasses import fields
 from .config import RunConfig, load_config, parse_grid
 from .control import ControlMode, Scheme
 from .errors import InvalidParameterError
-from .frames import ChannelUse, build_frame, overhead_ms, validate_causality
+from .frames import ChannelUse, build_frame, overhead_ms
 from .metrics import check_working_set, goodput_curves, reliability_grid
 
 EXIT_OK = 0
-EXIT_PLAN = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
@@ -162,7 +161,6 @@ def _threshold_path(out_path: str) -> str:
 
 def cmd_validate(cfg: RunConfig) -> int:
     frame = max(cfg.frame_grid)
-    failures = 0
     for scheme in Scheme:
         params, catalog = cfg.scheme_params(scheme), cfg.catalog(scheme)
         for mode in ControlMode:
@@ -174,13 +172,9 @@ def cmd_validate(cfg: RunConfig) -> int:
             print(f"{scheme.value:6s} {mode.value}: {pieces} "
                   f"= {plan.total_ttis} TTIs ({plan.frame_ms:g} ms), "
                   f"overhead {overhead_ms(plan):g} ms")
-            violation = validate_causality(plan)
-            if violation is not None:
-                print(f"  causality violation: {violation.pair} ({violation.detail})")
-                failures += 1
             if plan.pay_ttis == 0:
                 print("  warning: null rate (control phases fill the whole frame)")
-    return EXIT_OK if failures == 0 else EXIT_PLAN
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -176,6 +176,7 @@ def outage_thresholds(
     """
     if len(catalog) != 4:
         raise InvalidParameterError("catalog", "must contain exactly 4 messages")
+    check_int("symbols_per_tti", symbols_per_tti, 1)
     return [(msg.recipient, outage_threshold(msg.payload_bits, msg.tti_cost * symbols_per_tti))
             for msg in catalog if not out_of_band(msg, mode)]
 

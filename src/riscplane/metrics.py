@@ -6,9 +6,9 @@ partial sums are reduced in chunk order, so results are bit-identical for a
 given seed no matter how many workers evaluate the chunks. The channel
 stream does not depend on the scheme or the control mode, so every curve of
 a batch is reduced from one draw per chunk, and plain beam sweeping and its
-early-stopping variant share the qualifying event of every trial. Curves of
-one kernel and evaluation cost share payload rows, each summed once per
-chunk; squares and overheads come from sums per evaluation count.
+early-stopping variant share the qualifying event of every trial. Per chunk,
+_reduce_curves plans and sums once each payload row shared by curves of one
+kernel and evaluation cost; squares and overheads come from per-count sums.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import operator
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -66,46 +66,6 @@ class _Curve:
     kernel: Scheme              # OCE or BSW; early stopping reduces the BSW outcomes
     overhead_ttis: int          # frame TTIs before PAY, early-stopping evaluations excluded
     es_per_eval_ttis: int       # TTIs per early-stopping evaluation, 0 for a fixed overhead
-
-
-@dataclass(frozen=True, eq=False)
-class _RowGroup:
-    """The distinct payload rows that the curves of one kernel and evaluation cost share.
-
-    A row is a payload budget D = max(0, frame - overhead_ttis), and its
-    per-trial payload is max(0, D - es * evals), which depends on the trial
-    only through its evaluation count. Curves whose overheads differ by a
-    shift of the frame grid share their rows.
-    """
-
-    kernel: Scheme
-    es: int                     # es_per_eval_ttis of every member, 0 for a fixed overhead
-    budget: np.ndarray          # (rows,) the distinct D, increasing
-    members: tuple[int, ...]    # batch positions of the group's curves
-    rows: np.ndarray            # (members, frames) row of each member curve and frame
-
-
-def _row_groups(curves: Sequence[_Curve], frames_ttis: Sequence[int]) -> tuple[_RowGroup, ...]:
-    """One row group per (kernel, es), with every curve's row index per frame."""
-    members: dict[tuple[Scheme, int], list[int]] = {}
-    for position, curve in enumerate(curves):
-        members.setdefault((curve.kernel, curve.es_per_eval_ttis), []).append(position)
-    groups = []
-    for (kernel, es), positions in members.items():
-        overheads = np.array([curves[p].overhead_ttis for p in positions], dtype=np.int64)
-        budgets = np.maximum(0, np.array(frames_ttis, dtype=np.int64) - overheads[:, None])
-        budget, rows = np.unique(budgets, return_inverse=True)    # numpy 1.x: rows is flat
-        groups.append(_RowGroup(kernel, es, budget, tuple(positions), rows.reshape(budgets.shape)))
-    return tuple(groups)
-
-
-@dataclass(frozen=True)
-class _Batch:
-    """Everything a worker needs to evaluate one chunk of trials for every curve."""
-
-    cfg: RunConfig
-    frames_ttis: tuple[int, ...]
-    groups: tuple[_RowGroup, ...]
 
 
 @lru_cache(maxsize=16)
@@ -172,10 +132,14 @@ def working_set_bytes(cfg: RunConfig) -> int:
 
 def check_working_set(cfg: RunConfig) -> None:
     """Reject (field config) a valid cfg whose goodput run needs over MAX_WORKING_SET_BYTES."""
-    need = working_set_bytes(cfg)
+    _check_budget("a goodput run", working_set_bytes(cfg))
+
+
+def _check_budget(run: str, need: int) -> None:
+    """Reject (field config) a run that needs over MAX_WORKING_SET_BYTES per process."""
     if need > MAX_WORKING_SET_BYTES:
         raise InvalidParameterError(
-            "config", f"a goodput run needs about {need / 2 ** 30:.3g} GiB per process, "
+            "config", f"{run} needs about {need / 2 ** 30:.3g} GiB per process, "
             f"more than the {MAX_WORKING_SET_BYTES / 2 ** 30:g} GiB budget")
 
 
@@ -284,28 +248,37 @@ def _payload_rows(table: np.ndarray, index: Optional[np.ndarray], rs: np.ndarray
     return pay.sum(axis=1)
 
 
-def _reduce_groups(
-    groups: Sequence[_RowGroup], frames_ttis: Sequence[int], outcomes, scratch: _Scratch
+def _reduce_curves(
+    curves: Sequence[_Curve], frames_ttis: Sequence[int], outcomes, scratch: _Scratch
 ) -> np.ndarray:
     """Per-curve, per-frame partial sums [sum rsp, sum rsp^2, sum success, sum overhead_ttis].
 
-    rsp is rate * success * payload TTIs per trial. Each live row is summed in
-    one pass over the trials, by a multiply or (early stopping) a gather, and
-    gathered into every curve and frame using it. With payload(k) a row's
-    payload at evaluation count k (one count for rate adaptation), sum rsp^2 =
-    sum_k payload(k)^2 * S2[k], S2[k] summing rs^2 over count k's trials, and
-    the overhead is frame * trials - sum_k payload(k) * hist[k], both summed
+    rsp is rate * success * payload TTIs per trial. Each chunk plans its
+    rows: the curves of one kernel and evaluation cost es share a row per
+    distinct payload budget D = max(0, frame - overhead_ttis), since the
+    per-trial payload max(0, D - es * evals) depends on a trial only through
+    its evaluation count. Each live row is summed in one pass over the
+    trials, by a multiply or (early stopping) a gather, and gathered into
+    every curve and frame using it. With payload(k) a row's payload at
+    evaluation count k (one count for rate adaptation), sum rsp^2 = sum_k
+    payload(k)^2 * S2[k], S2[k] summing rs^2 over count k's trials, and the
+    overhead is frame * trials - sum_k payload(k) * hist[k], both summed
     along k: a matmul's bits would depend on the batch size.
     """
     frames = np.array(frames_ttis, dtype=np.int64)
-    out = np.empty((sum(len(g.members) for g in groups), frames.shape[0], 4))
-    for group in groups:
-        rate, success, evals = outcomes[group.kernel]
+    out = np.empty((len(curves), frames.shape[0], 4))
+    members: dict[tuple[Scheme, int], list[int]] = {}
+    for position, curve in enumerate(curves):
+        members.setdefault((curve.kernel, curve.es_per_eval_ttis), []).append(position)
+    for (kernel, es), positions in members.items():
+        overheads = np.array([curves[p].overhead_ttis for p in positions], dtype=np.int64)
+        budgets = np.maximum(0, frames - overheads[:, None])
+        budget, rows = np.unique(budgets, return_inverse=True)    # numpy 1.x: rows is flat
+        rate, success, evals = outcomes[kernel]
         m = rate.shape[0]
         rs = rate * success
         counts = np.zeros(m, dtype=np.intp) if evals is None else evals
         hist = np.bincount(counts)
-        budget, es = group.budget, group.es
         per_count = np.maximum(0, budget[:, None] - es * np.arange(hist.shape[0]))
         payload = per_count.astype(float)       # exact: payloads stay below 2**53
         sums = np.zeros((budget.shape[0], 2))
@@ -323,34 +296,34 @@ def _reduce_groups(
             pay = _shaped(scratch.rows, block.shape[0], m)
             sums[lo:lo + _FRAME_BLOCK, 0] = _payload_rows(block, index, rs, pay)
         success_sum, pay_sum = success.sum(), per_count @ hist
-        for position, rows in zip(group.members, group.rows):
-            out[position, :, :2] = sums[rows]
+        for position, row in zip(positions, rows.reshape(budgets.shape)):
+            out[position, :, :2] = sums[row]
             out[position, :, 2] = success_sum
-            out[position, :, 3] = frames * m - pay_sum[rows]
+            out[position, :, 3] = frames * m - pay_sum[row]
     return out
 
 
 def _chunk_partials(
-    batch: _Batch, chunk_index: int, scratch: Optional[_Scratch] = None
+    cfg: RunConfig, frames_ttis: tuple[int, ...], curves: tuple[_Curve, ...], chunk_index: int,
+    scratch: Optional[_Scratch] = None,
 ) -> np.ndarray:
-    """Partial sums of one chunk, shape (curves, frames, 4); see _reduce_groups.
+    """Partial sums of one chunk, shape (curves, frames, 4); _reduce_curves plans its rows.
 
     scratch holds the chunk's (trials, N) arrays; pool workers pass none and
     use their own.
     """
-    cfg = batch.cfg
     m = min(CHUNK_TRIALS, cfg.n_trials - chunk_index * CHUNK_TRIALS)
     if scratch is None:
         scratch = _worker_scratch(cfg.n_elements)
     fg = _cascade(cfg.master_seed, chunk_index, m, cfg.n_elements, scratch)
-    kernels = {group.kernel for group in batch.groups}
+    kernels = {curve.kernel for curve in curves}
     outcomes = {}
     if Scheme.OCE in kernels:
         outcomes[Scheme.OCE] = _oce_outcomes(fg, cfg.rho, cfg.quant_bits, scratch)
     if Scheme.BSW in kernels:
         outcomes[Scheme.BSW] = _bsw_outcomes(fg, cfg.rho, db_to_linear(cfg.target_snr_db),
                                              _entry_matrix(cfg))
-    return _reduce_groups(batch.groups, batch.frames_ttis, outcomes, scratch)
+    return _reduce_curves(curves, frames_ttis, outcomes, scratch)
 
 
 def _available_cpus() -> int:
@@ -360,7 +333,7 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pooled_partials(pool, batch: _Batch, n_chunks: int, in_flight: int):
+def _pooled_partials(pool, chunk, n_chunks: int, in_flight: int):
     """Chunk partials from pool in chunk order, with at most in_flight chunks submitted and unread.
 
     Executor.map would submit every chunk up front, holding memory for each.
@@ -369,7 +342,7 @@ def _pooled_partials(pool, batch: _Batch, n_chunks: int, in_flight: int):
     for chunk_index in range(n_chunks):
         if len(pending) == in_flight:
             yield pending.popleft().result()
-        pending.append(pool.submit(_chunk_partials, batch, chunk_index))
+        pending.append(pool.submit(chunk, chunk_index))
     while pending:
         yield pending.popleft().result()
 
@@ -408,7 +381,7 @@ def goodput_curves(
         else:
             curves.append(_Curve(scheme, overhead_ttis(params, mode, catalog), 0))
         reliabilities.append(1.0 if state is None else control_reliability(catalog, state, mode))
-    batch = _Batch(cfg, frames, _row_groups(curves, frames))
+    chunk = partial(_chunk_partials, cfg, frames, tuple(curves))
 
     # Partials are summed in place in chunk order, which keeps the reduction
     # deterministic whatever the number of processes.
@@ -417,12 +390,12 @@ def goodput_curves(
     pool_size = min(cfg.workers, n_chunks, _available_cpus())
     if pool_size <= 1:
         scratch = _Scratch(min(n_trials, CHUNK_TRIALS), cfg.n_elements)
-        sums = reduce(operator.iadd, (_chunk_partials(batch, c, scratch) for c in range(n_chunks)))
+        sums = reduce(operator.iadd, (chunk(c, scratch) for c in range(n_chunks)))
     else:
         # imported here: it is a sizeable part of the CLI's start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            sums = reduce(operator.iadd, _pooled_partials(pool, batch, n_chunks, 2 * pool_size))
+            sums = reduce(operator.iadd, _pooled_partials(pool, chunk, n_chunks, 2 * pool_size))
 
     results = []
     for (scheme, mode), reliability, curve_sums in zip(specs, reliabilities, sums):
@@ -503,19 +476,24 @@ def calibrate_rho(
     read. The per-entry SNR scales linearly in rho, so success(rho) is the
     fraction of trials whose best entry statistic exceeds target/rho and the
     calibrated value is read off the empirical quantile directly. An invalid
-    cfg or argument raises InvalidParameterError naming the field.
+    cfg or argument, or (field config) a calibration over the memory budget,
+    raises InvalidParameterError naming the field before anything is allocated.
     """
     cfg.validate()
     check_int("n_trials", n_trials, 1)
+    check_int("seed", seed, 0)
     if not 0.0 < target_success < 1.0:
         raise InvalidParameterError("target_success", "must be in (0, 1)")
+    trials, n, c = int(n_trials), int(cfg.n_elements), int(cfg.bsw_codebook_size)  # no wrap-around
+    m = min(trials, CHUNK_TRIALS)
+    # the chunk buffers, the (trials, C) statistic with its temporaries and one maximum per trial
+    _check_budget("a calibration", 48 * m * n + 8 * _FRAME_BLOCK * m + 32 * m * c + 8 * trials)
     entry_matrix = _entry_matrix(cfg)
-    maxima = []
-    n_chunks = math.ceil(n_trials / CHUNK_TRIALS)
-    scratch = _Scratch(min(n_trials, CHUNK_TRIALS), cfg.n_elements)
-    for c in range(n_chunks):
-        m = min(CHUNK_TRIALS, n_trials - c * CHUNK_TRIALS)
-        stat = np.abs(_cascade(seed, c, m, cfg.n_elements, scratch) @ entry_matrix.T) ** 2
-        maxima.append(stat.max(axis=1))
-    best = np.concatenate(maxima)
-    return float(db_to_linear(cfg.target_snr_db) / np.quantile(best, 1.0 - target_success))
+    best = np.empty(trials)
+    scratch = _Scratch(m, n)
+    for chunk_index, lo in enumerate(range(0, trials, CHUNK_TRIALS)):
+        fg = _cascade(seed, chunk_index, min(CHUNK_TRIALS, trials - lo), n, scratch)
+        np.max(np.abs(fg @ entry_matrix.T) ** 2, axis=1, out=best[lo:lo + CHUNK_TRIALS])
+    # best has no other use, so the quantile may partition it in place instead of a copy
+    quantile = np.quantile(best, 1.0 - target_success, overwrite_input=True)
+    return float(db_to_linear(cfg.target_snr_db) / quantile)

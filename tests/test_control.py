@@ -19,6 +19,7 @@ from riscplane.control import (
     msg_success_prob,
 )
 from riscplane.errors import InvalidParameterError
+from riscplane.metrics import reliability_grid
 
 SYMBOLS = 84    # control symbols per TTI, which the expected values below assume
 
@@ -274,6 +275,20 @@ def test_min_snr_rejects_bad_target():
         with pytest.raises(InvalidParameterError):
             min_snr_for_reliability(single_message_catalog(), target, 10.0,
                                     Recipient.UE, ControlMode.IB_C, SYMBOLS)
+
+
+@pytest.mark.parametrize("symbols_per_tti", [0, -84, 2.5, True])
+@pytest.mark.parametrize("public", ["reliability_grid", "min_snr_for_reliability"])
+def test_reliability_functions_reject_bad_symbols_per_tti(public, symbols_per_tti):
+    # 0 divided by zero and -84 gave a reliability above 1; the thresholds now check it
+    catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False, SYMBOLS)
+    with pytest.raises(InvalidParameterError) as err:
+        if public == "reliability_grid":
+            reliability_grid(catalog, ControlMode.IB_C, [10.0], [10.0], symbols_per_tti)
+        else:
+            min_snr_for_reliability(catalog, 0.99, 10.0, Recipient.UE, ControlMode.IB_C,
+                                    symbols_per_tti)
+    assert err.value.field_name == "symbols_per_tti"
 
 
 def test_scheme_ordering_in_band_ris_threshold():

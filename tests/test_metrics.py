@@ -25,8 +25,7 @@ from riscplane.metrics import (
     _oce_outcomes,
     _payload_rows,
     _phase_table,
-    _reduce_groups,
-    _row_groups,
+    _reduce_curves,
     calibrate_rho,
     crossover_frame,
     goodput_curves,
@@ -287,20 +286,12 @@ def _frame_loop_partials(curve, frames, rate, success, evals):
 
 
 def assert_reducer_matches_frame_loop(curves, frames, outcomes):
-    groups = _row_groups(curves, frames)
-    assert sum(g.budget.shape[0] for g in groups) < len(curves) * len(frames)
-    for group in groups:
-        # one evaluation cost per group; its distinct budgets increase
-        assert {curves[j].es_per_eval_ttis for j in group.members} == {group.es}
-        assert np.all(np.diff(group.budget) > 0)
-        for j, rows in zip(group.members, group.rows):
-            budget = np.maximum(0, np.array(frames) - curves[j].overhead_ttis)
-            assert np.array_equal(group.budget[rows], budget)
-    partials = _reduce_groups(groups, frames, outcomes, metrics._Scratch(metrics.CHUNK_TRIALS, 1))
+    partials = _reduce_curves(curves, frames, outcomes, metrics._Scratch(metrics.CHUNK_TRIALS, 1))
     assert partials.shape == (len(curves), len(frames), 4)
     for curve, blocked in zip(curves, partials):
         reference, direct = _frame_loop_partials(curve, frames, *outcomes[curve.kernel])
-        assert np.array_equal(blocked, reference)
+        # bit for bit: array_equal would take -0.0 for 0.0, which %.12g writes as -0
+        assert np.array_equal(blocked.view(np.uint64), reference.view(np.uint64))
         assert np.allclose(blocked[:, 1], direct, rtol=1e-12, atol=0.0)
 
 
@@ -563,14 +554,30 @@ def test_calibrate_rho_reproduces_default():
                                     dict(target_success=0.0), dict(target_success=1.0),
                                     dict(n_trials=2.5), dict(n_trials=True),
                                     dict(target_snr_db=math.inf), dict(target_snr_db=math.nan),
-                                    dict(bsw_codebook_style="x")])
+                                    dict(bsw_codebook_style="x"),
+                                    dict(seed=-1), dict(seed=2.5), dict(seed=True)])
 def test_calibrate_rho_rejects_bad_arguments(fields):
     # one bad calibrate_rho argument or, failing that, one bad RunConfig field
     (name, _), = fields.items()
-    own = name in ("n_trials", "target_success")
+    own = name in ("n_trials", "seed", "target_success")
     with pytest.raises(InvalidParameterError) as err:
         calibrate_rho(RunConfig() if own else RunConfig(**fields), **(fields if own else {}))
     assert err.value.field_name == name
+
+
+@pytest.mark.parametrize("fields, n_trials", [(dict(n_elements=200_000), 100_000),
+                                              (dict(bsw_codebook_size=20_000), 100_000),
+                                              (dict(), 2 ** 27), (dict(), np.int64(2 ** 61))])
+def test_calibrate_rho_checks_the_budget_before_allocating(monkeypatch, fields, n_trials):
+    # chunk buffers, the (trials, C) statistic and one maximum per trial, in turn; 8 B
+    # times the last n_trials would wrap around to 0 in int64 arithmetic
+    def no_allocation(*args):
+        raise AssertionError("calibration allocated")
+    for name in ("_Scratch", "_cascade", "_entry_matrix"):
+        monkeypatch.setattr(metrics, name, no_allocation)
+    with pytest.raises(InvalidParameterError) as err:
+        calibrate_rho(RunConfig(**fields), n_trials=n_trials)
+    assert err.value.field_name == "config"
 
 
 def test_calibrate_rho_reuses_one_set_of_buffers(monkeypatch):
