@@ -11,7 +11,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .config import RunConfig, load_config, parse_grid
+from .config import RunConfig, coerce, load_config
 from .control import ControlMode, Scheme
 from .errors import InvalidParameterError
 from .frames import ChannelUse, build_frame, overhead_ms
@@ -44,10 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_good = sub.add_parser("goodput", help="goodput vs. frame length sweep")
     add_common(p_good)
-    p_good.add_argument("--seed", dest="master_seed", type=int, metavar="U64", help="master seed")
-    p_good.add_argument("--trials", dest="n_trials", type=int, metavar="N",
-                        help="Monte Carlo trials")
-    p_good.add_argument("--workers", type=int, metavar="N", help="worker pool size")
+    p_good.add_argument("--seed", dest="master_seed", metavar="U64", help="master seed")
+    p_good.add_argument("--trials", dest="n_trials", metavar="N", help="Monte Carlo trials")
+    p_good.add_argument("--workers", metavar="N", help="worker pool size")
     p_good.add_argument("--frame-grid", metavar="START:STOP:STEP",
                         help="frame lengths in ms")
 
@@ -62,12 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> RunConfig:
-    """The config file under the flags named after RunConfig fields, checked, then logged."""
+    """The config file under the flags named after RunConfig fields, read alike, checked, logged."""
     cfg = load_config(args.config)
     for f in fields(cfg):
         value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, f.name, parse_grid(value, f.name) if f.name == "frame_grid" else value)
+            coerce(cfg, f.name, value)
     cfg.validate()
     if args.command == "goodput":
         check_working_set(cfg)
@@ -78,23 +77,18 @@ def _resolve(args) -> RunConfig:
     return cfg
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def cmd_goodput(cfg: RunConfig, schemes, modes) -> int:
     out_path = cfg.output_path or "goodput.csv"
-    curves = goodput_curves(cfg, [(scheme, mode) for scheme in schemes for mode in modes])
-    lines = [GOODPUT_HEADER]
-    for i in range(len(cfg.frame_grid)):
-        for curve in curves:
-            r = curve[i]
-            lines.append(f"{r.frame_ms:.12g},{r.scheme.value},{r.mode.value},"
+    specs = [(scheme, mode) for scheme in schemes for mode in modes]
+    # opened first, so an unwritable path fails before any chunk is drawn
+    with open(out_path, "w", newline="") as fh:
+        fh.write(GOODPUT_HEADER + "\n")
+        for frame_results in zip(*goodput_curves(cfg, specs)):
+            for r in frame_results:
+                fh.write(f"{r.frame_ms:.12g},{r.scheme.value},{r.mode.value},"
                          f"{r.goodput_mbps:.12g},{r.overhead_ms:.12g},{r.success_prob:.12g},"
-                         f"{r.n_trials},{r.seed}")
-    _write_lines(out_path, lines)
-    print(f"wrote {out_path} ({len(lines) - 1} rows)", file=sys.stderr)
+                         f"{r.n_trials},{r.seed}\n")
+    print(f"wrote {out_path} ({len(cfg.frame_grid) * len(specs)} rows)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -145,7 +139,8 @@ def cmd_reliability(cfg: RunConfig, schemes, modes, threshold) -> int:
     print(f"wrote {out_path} ({n_rows} rows)", file=sys.stderr)
     if threshold is not None:
         summary_path = _threshold_path(out_path)
-        _write_lines(summary_path, summary)
+        with open(summary_path, "w", newline="") as fh:
+            fh.write("\n".join(summary) + "\n")
         print(f"wrote {summary_path} ({len(summary) - 1} rows)", file=sys.stderr)
     return EXIT_OK
 

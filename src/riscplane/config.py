@@ -88,7 +88,6 @@ class RunConfig:
             n_elements=self.n_elements,
             bsw_codebook_size=self.bsw_codebook_size,
             quant_bits=self.quant_bits,
-            target_snr=positive_linear(self.target_snr_db, "target_snr_db"),
             proc_ttis=self.proc_ttis,
             switch_ttis=self.switch_ttis,
             es_reservation=self.es_reservation,
@@ -131,6 +130,7 @@ class RunConfig:
             raise InvalidParameterError("frame_grid", "must be non-empty")
         for f_ms in self.frame_grid:
             frame_ttis(f_ms, self.tti_ms)
+        positive_linear(self.target_snr_db, "target_snr_db")
         positive_linear(self.snr_grid_db, "snr_grid_db")
         self.control_state()
         for scheme in Scheme:
@@ -145,7 +145,8 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
 
 
-def _coerce(cfg: RunConfig, key: str, raw: str) -> None:
+def coerce(cfg: RunConfig, key: str, raw: str) -> None:
+    """Set cfg's field key from its text raw, as a config file or a command-line flag gives it."""
     current = getattr(cfg, key)
     if isinstance(current, tuple):
         value = parse_grid(raw, key)
@@ -161,8 +162,8 @@ def _coerce(cfg: RunConfig, key: str, raw: str) -> None:
     setattr(cfg, key, value)
 
 
-def parse_config_text(text: str, cfg: RunConfig | None = None) -> RunConfig:
-    cfg = cfg or RunConfig()
+def parse_config_text(text: str) -> RunConfig:
+    cfg = RunConfig()
     known = {f.name for f in fields(cfg)}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -173,7 +174,7 @@ def parse_config_text(text: str, cfg: RunConfig | None = None) -> RunConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise InvalidParameterError(key, f"unknown configuration key (line {lineno})")
-        _coerce(cfg, key, raw)
+        coerce(cfg, key, raw)
     return cfg
 
 

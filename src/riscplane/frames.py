@@ -88,7 +88,6 @@ class SchemeParams:
     n_elements: int
     bsw_codebook_size: int
     quant_bits: int
-    target_snr: float       # linear; beam-sweeping qualification threshold
     proc_ttis: int          # ALG processing time
     switch_ttis: int        # surface configuration load time
     es_reservation: bool    # reserve a SET slot after each sweep evaluation
@@ -97,7 +96,6 @@ class SchemeParams:
         check_counts(self.n_elements, self.quant_bits, self.bsw_codebook_size)
         check_int("proc_ttis", self.proc_ttis, 0)
         check_int("switch_ttis", self.switch_ttis, 1)
-        check_positive("target_snr", self.target_snr)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ class _Curve:
     es_per_eval_ttis: int       # TTIs per early-stopping evaluation, 0 for a fixed overhead
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _codebook_matrix(
     n_elements: int, size: int, quant_bits: int, seed: int, style: str
 ) -> np.ndarray:
@@ -118,16 +118,21 @@ MAX_WORKING_SET_BYTES = 1 << 30
 def working_set_bytes(cfg: RunConfig) -> int:
     """Upper estimate of the bytes one goodput process allocates for cfg; allocates nothing.
 
-    It adds the chunk buffers, the codebook as levels and complex entries, the
-    (trials, C) beam-sweep SNR and its temporaries, three per-count tables of
-    6 curves x frames rows and C + 1 counts with the rows' result objects, and
-    8 MiB of fixed allocations. The stages do not all peak at once: it errs high.
+    It adds _chunk_bytes, the codebook as levels and complex entries, three
+    per-count tables of 6 curves x frames rows and C + 1 counts with the rows'
+    result objects, and 8 MiB of fixed allocations. The stages do not all peak
+    at once: it errs high.
     """
-    m = min(int(cfg.n_trials), CHUNK_TRIALS)
     n, c = int(cfg.n_elements), int(cfg.bsw_codebook_size)     # no int64 wrap-around
     rows = 6 * len(cfg.frame_grid)
-    return (48 * m * n + 8 * _FRAME_BLOCK * m + 32 * c * n + 32 * m * c
+    return (_chunk_bytes(int(cfg.n_trials), n, c) + 32 * c * n
             + rows * (24 * (c + 1) + 512) + (16 << cfg.quant_bits) + (8 << 20))
+
+
+def _chunk_bytes(trials: int, n: int, c: int) -> int:
+    """Bytes of the chunk buffers and of a chunk's (trials, C) beam-sweep SNR with temporaries."""
+    m = min(trials, CHUNK_TRIALS)
+    return 48 * m * n + 8 * _FRAME_BLOCK * m + 32 * m * c
 
 
 def check_working_set(cfg: RunConfig) -> None:
@@ -144,9 +149,9 @@ def _check_budget(run: str, need: int) -> None:
 
 
 @lru_cache(maxsize=1)
-def _worker_scratch(n_elements: int) -> _Scratch:
-    """A pool worker's buffers, kept across its chunks; it runs one chunk at a time."""
-    return _Scratch(CHUNK_TRIALS, n_elements)
+def _process_scratch(trials: int, n_elements: int) -> _Scratch:
+    """The chunk buffers of a trials-trial run, the only ones runs make: one chunk at a time."""
+    return _Scratch(min(trials, CHUNK_TRIALS), n_elements)
 
 
 def _shaped(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -304,17 +309,11 @@ def _reduce_curves(
 
 
 def _chunk_partials(
-    cfg: RunConfig, frames_ttis: tuple[int, ...], curves: tuple[_Curve, ...], chunk_index: int,
-    scratch: Optional[_Scratch] = None,
+    cfg: RunConfig, frames_ttis: tuple[int, ...], curves: tuple[_Curve, ...], chunk_index: int
 ) -> np.ndarray:
-    """Partial sums of one chunk, shape (curves, frames, 4); _reduce_curves plans its rows.
-
-    scratch holds the chunk's (trials, N) arrays; pool workers pass none and
-    use their own.
-    """
+    """Partial sums of one chunk, shape (curves, frames, 4); _reduce_curves plans its rows."""
     m = min(CHUNK_TRIALS, cfg.n_trials - chunk_index * CHUNK_TRIALS)
-    if scratch is None:
-        scratch = _worker_scratch(cfg.n_elements)
+    scratch = _process_scratch(cfg.n_trials, cfg.n_elements)
     fg = _cascade(cfg.master_seed, chunk_index, m, cfg.n_elements, scratch)
     kernels = {curve.kernel for curve in curves}
     outcomes = {}
@@ -389,8 +388,7 @@ def goodput_curves(
     n_chunks = math.ceil(n_trials / CHUNK_TRIALS)
     pool_size = min(cfg.workers, n_chunks, _available_cpus())
     if pool_size <= 1:
-        scratch = _Scratch(min(n_trials, CHUNK_TRIALS), cfg.n_elements)
-        sums = reduce(operator.iadd, (chunk(c, scratch) for c in range(n_chunks)))
+        sums = reduce(operator.iadd, map(chunk, range(n_chunks)))
     else:
         # imported here: it is a sizeable part of the CLI's start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -485,12 +483,10 @@ def calibrate_rho(
     if not 0.0 < target_success < 1.0:
         raise InvalidParameterError("target_success", "must be in (0, 1)")
     trials, n, c = int(n_trials), int(cfg.n_elements), int(cfg.bsw_codebook_size)  # no wrap-around
-    m = min(trials, CHUNK_TRIALS)
-    # the chunk buffers, the (trials, C) statistic with its temporaries and one maximum per trial
-    _check_budget("a calibration", 48 * m * n + 8 * _FRAME_BLOCK * m + 32 * m * c + 8 * trials)
+    _check_budget("a calibration", _chunk_bytes(trials, n, c) + 8 * trials)  # best: 8 B per trial
     entry_matrix = _entry_matrix(cfg)
     best = np.empty(trials)
-    scratch = _Scratch(m, n)
+    scratch = _process_scratch(trials, n)
     for chunk_index, lo in enumerate(range(0, trials, CHUNK_TRIALS)):
         fg = _cascade(seed, chunk_index, min(CHUNK_TRIALS, trials - lo), n, scratch)
         np.max(np.abs(fg @ entry_matrix.T) ** 2, axis=1, out=best[lo:lo + CHUNK_TRIALS])

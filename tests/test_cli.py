@@ -315,6 +315,15 @@ def test_goodput_unwritable_output_is_io_error(tmp_path, capsys):
     assert code == EXIT_IO
 
 
+def test_goodput_unwritable_output_fails_before_drawing(tmp_path, capsys, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a chunk was drawn")
+    monkeypatch.setattr(metrics, "_cascade", no_draws)
+    missing = tmp_path / "no" / "such" / "dir" / "g.csv"
+    code = run_cli(["goodput", "--trials", "100000", "--out", str(missing)], capsys)
+    assert code == EXIT_IO
+
+
 def test_resolved_parameters_logged(tmp_path, capsys):
     out = tmp_path / "g.csv"
     path = tmp_path / "run.cfg"
@@ -636,6 +645,9 @@ def test_goodput_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path):
     (["goodput"], "header_bits = 1000000000000000000000000000000\n"),
     (["reliability", "--threshold", "1.5"], ""),
     (["reliability", "--threshold", "nan"], ""),
+    (["goodput", "--trials", "abc"], ""),
+    (["goodput", "--seed", "1.5"], ""),
+    (["goodput", "--workers", "x"], ""),
 ])
 def test_bad_numbers_exit_config_without_traceback(tmp_path, args, config):
     cfg = tmp_path / "run.cfg"
@@ -647,3 +659,4 @@ def test_bad_numbers_exit_config_without_traceback(tmp_path, args, config):
     assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: ")
+    assert len(proc.stderr.splitlines()) == 1

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -144,13 +143,6 @@ def test_scheme_params_bound_phase_bits():
     for bits in (0, 17, 64):
         with pytest.raises(InvalidParameterError):
             default_params(Scheme.OCE, quant_bits=bits)
-
-
-@pytest.mark.parametrize("target_snr", [math.inf, math.nan, 0.0, -1.0])
-def test_scheme_params_need_a_finite_positive_target(target_snr):
-    with pytest.raises(InvalidParameterError) as err:
-        default_params(Scheme.BSW, target_snr=target_snr)
-    assert err.value.field_name == "target_snr"
 
 
 def test_stop_index_only_for_early_stopping():

@@ -432,11 +432,11 @@ def test_pool_keeps_a_bounded_number_of_chunks_in_flight(monkeypatch):
     cfg = RunConfig(n_trials=100 * metrics.CHUNK_TRIALS, n_elements=4, bsw_codebook_size=2,
                     frame_grid=(60.0,))
     specs = [(Scheme.OCE, ControlMode.IB_C), (Scheme.BSW_ES, ControlMode.OB_C)]
-    metrics._worker_scratch.cache_clear()
+    metrics._process_scratch.cache_clear()
     try:
         pooled = goodput_curves(replace(cfg, workers=2), specs)
     finally:
-        metrics._worker_scratch.cache_clear()
+        metrics._process_scratch.cache_clear()
     in_flight = _RecordingPool.unread_after_submit
     assert len(in_flight) == 100                  # one submit per chunk
     assert max(in_flight) == 4                    # two chunks per process
@@ -453,16 +453,17 @@ def test_chunk_buffers_made_once_per_process(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(metrics, "_Scratch", CountingScratch)
     argv = ["goodput", "--trials", "9000"]         # three chunks
-    assert main(argv + ["--out", str(tmp_path / "one.csv")]) == 0
-    assert made == [(metrics.CHUNK_TRIALS, 100)]
-    # a pool worker keeps its buffers across chunks; the stand-in pool is one process
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(metrics, "_available_cpus", lambda: 2)
-    metrics._worker_scratch.cache_clear()
+    metrics._process_scratch.cache_clear()
     try:
+        assert main(argv + ["--out", str(tmp_path / "one.csv")]) == 0
+        assert made == [(metrics.CHUNK_TRIALS, 100)]
+        # a pool worker keeps its buffers across chunks; the stand-in pool is one process
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(metrics, "_available_cpus", lambda: 2)
+        metrics._process_scratch.cache_clear()
         assert main(argv + ["--workers", "2", "--out", str(tmp_path / "pool.csv")]) == 0
     finally:
-        metrics._worker_scratch.cache_clear()
+        metrics._process_scratch.cache_clear()
     assert made == [(metrics.CHUNK_TRIALS, 100)] * 2
     capsys.readouterr()
     assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
@@ -594,8 +595,21 @@ def test_calibrate_rho_reuses_one_set_of_buffers(monkeypatch):
             super().__init__(trials, n_elements)
 
     monkeypatch.setattr(metrics, "_Scratch", CountingScratch)
-    assert calibrate_rho(RunConfig(), n_trials=9000, seed=4) == float(10.0 / np.quantile(best, 0.5))
+    metrics._process_scratch.cache_clear()
+    try:
+        calibrated = calibrate_rho(RunConfig(), n_trials=9000, seed=4)
+    finally:
+        metrics._process_scratch.cache_clear()
+    assert calibrated == float(10.0 / np.quantile(best, 0.5))
     assert made == [(metrics.CHUNK_TRIALS, 100)]     # three chunks, one set of buffers
+
+
+def test_a_process_keeps_one_codebook():
+    # working_set_bytes counts one codebook per process
+    specs = [(Scheme.BSW, ControlMode.OB_C)]
+    for seed in (7, 8):
+        goodput_curves(RunConfig(n_trials=100, frame_grid=(60.0,), codebook_seed=seed), specs)
+    assert _codebook_matrix.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------
