@@ -11,7 +11,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .config import RunConfig, coerce, load_config
+from .config import RunConfig, coerce, load_config, parse_finite
 from .control import ControlMode, Scheme
 from .errors import InvalidParameterError
 from .frames import ChannelUse, build_frame, overhead_ms
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rel = sub.add_parser("reliability", help="control reliability SNR grid")
     add_common(p_rel)
-    p_rel.add_argument("--threshold", type=float, metavar="P",
+    p_rel.add_argument("--threshold", metavar="P",
                        help="also emit minimum qualifying SNR per axis")
 
     p_val = sub.add_parser("validate", help="build and check default frame plans")
@@ -70,8 +70,10 @@ def _resolve(args) -> RunConfig:
     cfg.validate()
     if args.command == "goodput":
         check_working_set(cfg)
-    if getattr(args, "threshold", None) is not None and not 0.0 < args.threshold < 1.0:
-        raise InvalidParameterError("threshold", "must be in (0, 1)")
+    if getattr(args, "threshold", None) is not None:
+        args.threshold = parse_finite(args.threshold, "threshold", f"value {args.threshold!r}")
+        if not 0.0 < args.threshold < 1.0:
+            raise InvalidParameterError("threshold", "must be in (0, 1)")
     for key, value in cfg.resolved_items():
         print(f"# resolved {key} = {value}", file=sys.stderr)
     return cfg

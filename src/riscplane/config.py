@@ -23,7 +23,7 @@ from .frames import MAX_FRAME_TTIS, SchemeParams, frame_ttis, overhead_ttis
 MAX_GRID_POINTS = 10_000
 
 
-def _finite(raw: str, name: str, what: str) -> float:
+def parse_finite(raw: str, name: str, what: str) -> float:
     """float(raw), rejecting nan and infinities; 'cannot parse <what>' if it does not parse."""
     try:
         value = float(raw)
@@ -40,7 +40,7 @@ def parse_grid(text: str, name: str) -> tuple[float, ...]:
     parts = [p.strip() for p in text.split(":")]
     if len(parts) not in (1, 3):
         raise InvalidParameterError(name, f"cannot parse {what}")
-    values = [_finite(p, name, what) for p in parts]
+    values = [parse_finite(p, name, what) for p in parts]
     if len(values) == 1:
         return (values[0],)
     start, stop, step = values
@@ -151,7 +151,7 @@ def coerce(cfg: RunConfig, key: str, raw: str) -> None:
     if isinstance(current, tuple):
         value = parse_grid(raw, key)
     elif isinstance(current, float):
-        value = _finite(raw, key, f"value {raw!r}")
+        value = parse_finite(raw, key, f"value {raw!r}")
     elif isinstance(current, str):
         value = raw
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
@@ -91,15 +92,15 @@ def _phase_table(quant_bits: int) -> np.ndarray:
     return table
 
 
-class _Scratch:
-    """Buffers for a chunk's (trials, N) arrays and payload products, reused from chunk to chunk.
+class _Scratch(threading.local):
+    """Buffers for a chunk's (trials, N) arrays, reused from chunk to chunk, one set per thread.
 
     Fresh multi-MiB temporaries in every chunk leave it to glibc's malloc
     whether they come from the brk heap or from new mappings, and the place
     of unrelated small allocations decides that: the length of the checkout
     path alone moved a pool worker's peak RSS by 6 MiB. Fixed buffers keep
     the peak the same from run to run and spare the page faults of fresh
-    mappings.
+    mappings. threading.local runs __init__ again in each thread, so each has arrays of its own.
     """
 
     def __init__(self, trials: int, n_elements: int):
@@ -107,7 +108,6 @@ class _Scratch:
         self.draws = np.empty(2 * size)             # one hop's normals, then phases and levels
         self.fg = np.empty(size, dtype=complex)     # the cascaded gains
         self.h = np.empty(size, dtype=complex)      # the second hop, then compensated gains
-        self.rows = np.empty(_FRAME_BLOCK * trials)  # a block of rows' rate * success * payload
 
 
 # Largest per-process working set, in bytes, that a goodput run may need
@@ -130,7 +130,7 @@ def working_set_bytes(cfg: RunConfig) -> int:
 
 
 def _chunk_bytes(trials: int, n: int, c: int) -> int:
-    """Bytes of the chunk buffers and of a chunk's (trials, C) beam-sweep SNR with temporaries."""
+    """Bytes of the chunk buffers, a row block and a chunk's (trials, C) sweep SNR with temps."""
     m = min(trials, CHUNK_TRIALS)
     return 48 * m * n + 8 * _FRAME_BLOCK * m + 32 * m * c
 
@@ -150,7 +150,7 @@ def _check_budget(run: str, need: int) -> None:
 
 @lru_cache(maxsize=1)
 def _process_scratch(trials: int, n_elements: int) -> _Scratch:
-    """The chunk buffers of a trials-trial run, the only ones runs make: one chunk at a time."""
+    """The chunk buffers of a trials-trial run, the only ones runs make, one set per thread."""
     return _Scratch(min(trials, CHUNK_TRIALS), n_elements)
 
 
@@ -253,9 +253,7 @@ def _payload_rows(table: np.ndarray, index: Optional[np.ndarray], rs: np.ndarray
     return pay.sum(axis=1)
 
 
-def _reduce_curves(
-    curves: Sequence[_Curve], frames_ttis: Sequence[int], outcomes, scratch: _Scratch
-) -> np.ndarray:
+def _reduce_curves(curves: Sequence[_Curve], frames_ttis: Sequence[int], outcomes) -> np.ndarray:
     """Per-curve, per-frame partial sums [sum rsp, sum rsp^2, sum success, sum overhead_ttis].
 
     rsp is rate * success * payload TTIs per trial. Each chunk plans its
@@ -282,6 +280,7 @@ def _reduce_curves(
         rate, success, evals = outcomes[kernel]
         m = rate.shape[0]
         rs = rate * success
+        pay = np.empty((_FRAME_BLOCK, m))       # a block of rows' rate * success * payload
         counts = np.zeros(m, dtype=np.intp) if evals is None else evals
         hist = np.bincount(counts)
         per_count = np.maximum(0, budget[:, None] - es * np.arange(hist.shape[0]))
@@ -298,8 +297,7 @@ def _reduce_curves(
         dead = np.count_nonzero(budget <= es)
         for lo in range(dead, budget.shape[0], _FRAME_BLOCK):
             block = table[lo:lo + _FRAME_BLOCK]
-            pay = _shaped(scratch.rows, block.shape[0], m)
-            sums[lo:lo + _FRAME_BLOCK, 0] = _payload_rows(block, index, rs, pay)
+            sums[lo:lo + _FRAME_BLOCK, 0] = _payload_rows(block, index, rs, pay[:block.shape[0]])
         success_sum, pay_sum = success.sum(), per_count @ hist
         for position, row in zip(positions, rows.reshape(budgets.shape)):
             out[position, :, :2] = sums[row]
@@ -322,7 +320,7 @@ def _chunk_partials(
     if Scheme.BSW in kernels:
         outcomes[Scheme.BSW] = _bsw_outcomes(fg, cfg.rho, db_to_linear(cfg.target_snr_db),
                                              _entry_matrix(cfg))
-    return _reduce_curves(curves, frames_ttis, outcomes, scratch)
+    return _reduce_curves(curves, frames_ttis, outcomes)
 
 
 def _available_cpus() -> int:
@@ -359,11 +357,13 @@ def goodput_curves(
     cfg.workers > 1 the chunks run on one process pool of at most
     min(workers, chunks, available CPUs) processes. An invalid cfg raises
     InvalidParameterError naming the field, and so do empty or repeated
-    specs and a cfg over the memory budget (field config), before anything
-    is allocated.
+    specs, specs that are not (Scheme, ControlMode) pairs and a cfg over the
+    memory budget (field config), before anything is allocated.
     """
-    if len(specs) == 0:
-        raise InvalidParameterError("specs", "must be non-empty")
+    pairs = (isinstance(spec, tuple) and tuple(map(type, spec)) == (Scheme, ControlMode)
+             for spec in specs)
+    if len(specs) == 0 or not all(pairs):
+        raise InvalidParameterError("specs", "must be non-empty (Scheme, ControlMode) pairs")
     if len(set(specs)) < len(specs):
         raise InvalidParameterError("specs", "must be distinct (scheme, mode) pairs")
     cfg.validate()

@@ -551,6 +551,9 @@ def test_validate_corrupted_config(tmp_path, capsys):
     assert run_cli(["validate", "--config", str(path)], capsys) == EXIT_CONFIG
     assert run_cli(["validate", "--config", str(tmp_path / "missing.cfg")],
                    capsys) == EXIT_CONFIG
+    path.write_text("# rho\nrho 0.1\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: config: line 2: expected 'key = value'\n"
     path.write_bytes(b"rho = 0.1\n\xff\xfe\n")      # not UTF-8
     assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -645,6 +648,7 @@ def test_goodput_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path):
     (["goodput"], "header_bits = 1000000000000000000000000000000\n"),
     (["reliability", "--threshold", "1.5"], ""),
     (["reliability", "--threshold", "nan"], ""),
+    (["reliability", "--threshold", "abc"], ""),
     (["goodput", "--trials", "abc"], ""),
     (["goodput", "--seed", "1.5"], ""),
     (["goodput", "--workers", "x"], ""),

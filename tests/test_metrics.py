@@ -1,6 +1,7 @@
 import cmath
 import concurrent.futures
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -286,7 +287,7 @@ def _frame_loop_partials(curve, frames, rate, success, evals):
 
 
 def assert_reducer_matches_frame_loop(curves, frames, outcomes):
-    partials = _reduce_curves(curves, frames, outcomes, metrics._Scratch(metrics.CHUNK_TRIALS, 1))
+    partials = _reduce_curves(curves, frames, outcomes)
     assert partials.shape == (len(curves), len(frames), 4)
     for curve, blocked in zip(curves, partials):
         reference, direct = _frame_loop_partials(curve, frames, *outcomes[curve.kernel])
@@ -354,8 +355,10 @@ def test_default_curves_reduce_each_distinct_row_once_per_chunk(monkeypatch):
 
 
 def test_batch_rejects_empty_specs():
-    # a repeated spec adds a curve of memory that working_set_bytes does not count
-    for specs in ([], [SIX_SPECS[3], SIX_SPECS[3]], SIX_SPECS + [SIX_SPECS[0]]):
+    # a repeated spec adds a curve of memory that working_set_bytes does not count;
+    # a mode that is not a ControlMode would be read as in-band control
+    for specs in ([], [SIX_SPECS[3], SIX_SPECS[3]], SIX_SPECS + [SIX_SPECS[0]],
+                  [("oce", "ib")], [(Scheme.OCE, "ob")], [(Scheme.BSW, None)]):
         with pytest.raises(InvalidParameterError) as err:
             goodput_curves(RunConfig(n_trials=100), specs)
         assert err.value.field_name == "specs"
@@ -604,6 +607,22 @@ def test_calibrate_rho_reuses_one_set_of_buffers(monkeypatch):
     assert made == [(metrics.CHUNK_TRIALS, 100)]     # three chunks, one set of buffers
 
 
+def test_threads_running_at_once_get_the_serial_results():
+    # both threads draw through the one cached _Scratch, which gives each its own arrays
+    def run(seed):
+        cfg = RunConfig(n_trials=9000, master_seed=seed)        # three chunks
+        return goodput_curves(cfg, SIX_SPECS), calibrate_rho(cfg, n_trials=9000, seed=seed)
+
+    def at_once(seed):
+        barrier.wait()
+        return run(seed)
+
+    serial = [run(seed) for seed in (1, 2)]
+    barrier = threading.Barrier(2)
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(at_once, (1, 2))) == serial
+
+
 def test_a_process_keeps_one_codebook():
     # working_set_bytes counts one codebook per process
     specs = [(Scheme.BSW, ControlMode.OB_C)]
@@ -629,6 +648,9 @@ def test_crossover_absent_when_always_below():
 
 
 def test_crossover_rejects_mismatched_grids():
+    with pytest.raises(InvalidParameterError) as err:
+        crossover_frame([], [])
+    assert err.value.field_name == "oce_curve"
     curve = sweep(Scheme.BSW, ControlMode.IB_C, n_trials=500)
     with pytest.raises(InvalidParameterError):
         crossover_frame(curve, curve[1:])
