@@ -34,7 +34,6 @@ from .frames import (
 )
 from .metrics import (
     GoodputResult,
-    calibrate_rho,
     crossover_frame,
     goodput_curves,
     reliability_grid,

@@ -15,7 +15,7 @@ from pathlib import Path
 from .control import (
     ControlChannelState, ControlMessage, ControlMode, Scheme, message_catalog, positive_linear,
 )
-from .errors import InvalidParameterError, check_int, check_positive
+from .errors import InvalidParameterError, check_bool, check_int, check_positive
 from .frames import MAX_FRAME_TTIS, SchemeParams, frame_ttis, overhead_ttis
 
 # Most points a START:STOP:STEP grid may have; the finest packaged benchmark
@@ -62,7 +62,7 @@ class RunConfig:
     target_snr_db: float = 10.0
     # Per-element reference SNR (linear), calibrated so that the default
     # 32-entry beam-sweeping codebook at N = 100 meets the 10 dB target in
-    # about half of the coherence blocks; see metrics.calibrate_rho.
+    # about half of the coherence blocks (tests/test_metrics.py calibrates it).
     rho: float = 2.68e-2
     tti_ms: float = 0.5
     proc_ttis: int = 2
@@ -122,6 +122,7 @@ class RunConfig:
         """Check the config's own rules, then build each domain object once to check the rest."""
         for key, low in [("n_trials", 1), ("workers", 1), ("master_seed", 0), ("codebook_seed", 0)]:
             check_int(key, getattr(self, key), low)
+        check_bool("perfect_control", self.perfect_control)
         for name in ["rho", "bandwidth_hz"]:
             check_positive(name, getattr(self, name))
         if self.bsw_codebook_style not in ("random", "dft"):
@@ -183,8 +184,9 @@ def load_config(path: str | None = None) -> RunConfig:
     if path is None:
         return RunConfig()
     p = Path(path)
-    if not p.is_file():
-        raise InvalidParameterError("config", f"no such file: {path}")
+    if not p.is_file():     # reading a device such as /dev/zero would not end
+        raise InvalidParameterError(
+            "config", f"{'not a regular file' if p.exists() else 'no such file'}: {path}")
     try:
         text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

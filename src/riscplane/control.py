@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Sequence
 
 from .channel import check_counts
-from .errors import InvalidParameterError, check_int, check_positive
+from .errors import InvalidParameterError, check_bool, check_int, check_positive
 
 
 class Scheme(Enum):
@@ -132,6 +132,7 @@ def message_catalog(
     check_counts(n_elements, quant_bits, bsw_codebook_size)
     check_int("header_bits", header_bits, 0)
     check_int("symbols_per_tti", symbols_per_tti, 1)
+    check_bool("ini_carries_full_codebook", ini_carries_full_codebook)
     bits_per_tti = NOMINAL_BITS_PER_SYMBOL * symbols_per_tti
 
     ini_risc_bits = header_bits + CODEBOOK_ID_BITS

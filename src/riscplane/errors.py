@@ -25,6 +25,12 @@ def check_int(field_name: str, value, low: int) -> None:
         raise InvalidParameterError(field_name, f"must be >= {low}")
 
 
+def check_bool(field_name: str, value) -> None:
+    """Reject anything but True or False, as check_int rejects bools."""
+    if not isinstance(value, bool):
+        raise InvalidParameterError(field_name, f"must be a bool, not {value!r}")
+
+
 def check_positive(field_name: str, value: float) -> None:
     """Reject a value that is not a finite number > 0 (nan included)."""
     if not 0 < value < math.inf:

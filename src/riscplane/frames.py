@@ -15,7 +15,7 @@ from typing import Optional
 
 from .channel import check_counts
 from .control import ControlMessage, ControlMode, MsgPhase, Scheme, out_of_band
-from .errors import InvalidParameterError, check_int, check_positive
+from .errors import InvalidParameterError, check_bool, check_int, check_positive
 
 # Most TTIs a frame may span. A 4096-trial chunk (metrics.CHUNK_TRIALS) then
 # sums at most 2^52 payload TTIs per frame, which int64 holds and float64
@@ -96,6 +96,7 @@ class SchemeParams:
         check_counts(self.n_elements, self.quant_bits, self.bsw_codebook_size)
         check_int("proc_ttis", self.proc_ttis, 0)
         check_int("switch_ttis", self.switch_ttis, 1)
+        check_bool("es_reservation", self.es_reservation)
 
 
 @dataclass(frozen=True)

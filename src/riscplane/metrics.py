@@ -36,7 +36,7 @@ from .control import (
     outage_thresholds,
     positive_linear,
 )
-from .errors import InvalidParameterError, check_int
+from .errors import InvalidParameterError
 from .frames import alg_ttis, frame_ttis, overhead_ttis
 
 CHUNK_TRIALS = 4096
@@ -92,15 +92,14 @@ def _phase_table(quant_bits: int) -> np.ndarray:
     return table
 
 
-class _Scratch(threading.local):
-    """Buffers for a chunk's (trials, N) arrays, reused from chunk to chunk, one set per thread.
+class _Scratch:
+    """Buffers for a chunk's (trials, N) arrays, reused from chunk to chunk.
 
-    Fresh multi-MiB temporaries in every chunk leave it to glibc's malloc
-    whether they come from the brk heap or from new mappings, and the place
-    of unrelated small allocations decides that: the length of the checkout
-    path alone moved a pool worker's peak RSS by 6 MiB. Fixed buffers keep
-    the peak the same from run to run and spare the page faults of fresh
-    mappings. threading.local runs __init__ again in each thread, so each has arrays of its own.
+    Fresh multi-MiB temporaries in every chunk leave it to glibc's malloc whether they
+    come from the brk heap or from new mappings, and the place of unrelated small
+    allocations decides that: the length of the checkout path alone moved a pool worker's
+    peak RSS by 6 MiB. Fixed buffers keep the peak the same from run to run and spare the
+    page faults of fresh mappings.
     """
 
     def __init__(self, trials: int, n_elements: int):
@@ -108,6 +107,9 @@ class _Scratch(threading.local):
         self.draws = np.empty(2 * size)             # one hop's normals, then phases and levels
         self.fg = np.empty(size, dtype=complex)     # the cascaded gains
         self.h = np.empty(size, dtype=complex)      # the second hop, then compensated gains
+
+
+_thread_buffers = threading.local()     # each thread's last chunk buffers and their shape
 
 
 # Largest per-process working set, in bytes, that a goodput run may need
@@ -118,40 +120,25 @@ MAX_WORKING_SET_BYTES = 1 << 30
 def working_set_bytes(cfg: RunConfig) -> int:
     """Upper estimate of the bytes one goodput process allocates for cfg; allocates nothing.
 
-    It adds _chunk_bytes, the codebook as levels and complex entries, three
-    per-count tables of 6 curves x frames rows and C + 1 counts with the rows'
-    result objects, and 8 MiB of fixed allocations. The stages do not all peak
-    at once: it errs high.
+    It adds the chunk buffers, a row block, a chunk's (trials, C) sweep SNR with temporaries,
+    the codebook as levels and complex entries, three per-count tables of 6 curves x frames
+    rows and C + 1 counts with the rows' result objects, and 8 MiB of fixed allocations. The
+    stages do not all peak at once: it errs high.
     """
+    m = min(int(cfg.n_trials), CHUNK_TRIALS)
     n, c = int(cfg.n_elements), int(cfg.bsw_codebook_size)     # no int64 wrap-around
     rows = 6 * len(cfg.frame_grid)
-    return (_chunk_bytes(int(cfg.n_trials), n, c) + 32 * c * n
+    return (48 * m * n + 8 * _FRAME_BLOCK * m + 32 * m * c + 32 * c * n
             + rows * (24 * (c + 1) + 512) + (16 << cfg.quant_bits) + (8 << 20))
-
-
-def _chunk_bytes(trials: int, n: int, c: int) -> int:
-    """Bytes of the chunk buffers, a row block and a chunk's (trials, C) sweep SNR with temps."""
-    m = min(trials, CHUNK_TRIALS)
-    return 48 * m * n + 8 * _FRAME_BLOCK * m + 32 * m * c
 
 
 def check_working_set(cfg: RunConfig) -> None:
     """Reject (field config) a valid cfg whose goodput run needs over MAX_WORKING_SET_BYTES."""
-    _check_budget("a goodput run", working_set_bytes(cfg))
-
-
-def _check_budget(run: str, need: int) -> None:
-    """Reject (field config) a run that needs over MAX_WORKING_SET_BYTES per process."""
+    need = working_set_bytes(cfg)
     if need > MAX_WORKING_SET_BYTES:
         raise InvalidParameterError(
-            "config", f"{run} needs about {need / 2 ** 30:.3g} GiB per process, "
+            "config", f"a goodput run needs about {need / 2 ** 30:.3g} GiB per process, "
             f"more than the {MAX_WORKING_SET_BYTES / 2 ** 30:g} GiB budget")
-
-
-@lru_cache(maxsize=1)
-def _process_scratch(trials: int, n_elements: int) -> _Scratch:
-    """The chunk buffers of a trials-trial run, the only ones runs make, one set per thread."""
-    return _Scratch(min(trials, CHUNK_TRIALS), n_elements)
 
 
 def _shaped(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -311,7 +298,10 @@ def _chunk_partials(
 ) -> np.ndarray:
     """Partial sums of one chunk, shape (curves, frames, 4); _reduce_curves plans its rows."""
     m = min(CHUNK_TRIALS, cfg.n_trials - chunk_index * CHUNK_TRIALS)
-    scratch = _process_scratch(cfg.n_trials, cfg.n_elements)
+    shape = (min(cfg.n_trials, CHUNK_TRIALS), cfg.n_elements)
+    if getattr(_thread_buffers, "shape", None) != shape:     # first chunk, or a new shape
+        _thread_buffers.shape, _thread_buffers.scratch = shape, _Scratch(*shape)
+    scratch = _thread_buffers.scratch
     fg = _cascade(cfg.master_seed, chunk_index, m, cfg.n_elements, scratch)
     kernels = {curve.kernel for curve in curves}
     outcomes = {}
@@ -463,33 +453,3 @@ def reliability_grid(
         factor = np.array([math.exp(-threshold / snr) for snr in axis])
         grid *= factor[None, :] if recipient is Recipient.UE else factor[:, None]
     return grid
-
-
-def calibrate_rho(
-    cfg: RunConfig, n_trials: int = 100_000, seed: int = 0, target_success: float = 0.5
-) -> float:
-    """Reference SNR making beam sweeping succeed at a chosen rate.
-
-    The surface, the codebook and the target SNR are cfg's; its rho is not
-    read. The per-entry SNR scales linearly in rho, so success(rho) is the
-    fraction of trials whose best entry statistic exceeds target/rho and the
-    calibrated value is read off the empirical quantile directly. An invalid
-    cfg or argument, or (field config) a calibration over the memory budget,
-    raises InvalidParameterError naming the field before anything is allocated.
-    """
-    cfg.validate()
-    check_int("n_trials", n_trials, 1)
-    check_int("seed", seed, 0)
-    if not 0.0 < target_success < 1.0:
-        raise InvalidParameterError("target_success", "must be in (0, 1)")
-    trials, n, c = int(n_trials), int(cfg.n_elements), int(cfg.bsw_codebook_size)  # no wrap-around
-    _check_budget("a calibration", _chunk_bytes(trials, n, c) + 8 * trials)  # best: 8 B per trial
-    entry_matrix = _entry_matrix(cfg)
-    best = np.empty(trials)
-    scratch = _process_scratch(trials, n)
-    for chunk_index, lo in enumerate(range(0, trials, CHUNK_TRIALS)):
-        fg = _cascade(seed, chunk_index, min(CHUNK_TRIALS, trials - lo), n, scratch)
-        np.max(np.abs(fg @ entry_matrix.T) ** 2, axis=1, out=best[lo:lo + CHUNK_TRIALS])
-    # best has no other use, so the quantile may partition it in place instead of a copy
-    quantile = np.quantile(best, 1.0 - target_success, overwrite_input=True)
-    return float(db_to_linear(cfg.target_snr_db) / quantile)

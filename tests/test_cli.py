@@ -112,14 +112,17 @@ _BAD_VALUES = {
     "bandwidth_hz": math.inf,
     "snr_ue_db": -4000.0,
     "snr_ris_db": math.nan,
+    "perfect_control": "false",
+    "es_reservation": 0,
+    "ini_carries_full_codebook": None,
     "master_seed": -1,
     "n_trials": 2.5,
     "workers": 0,
     "frame_grid": (),
     "snr_grid_db": (1.0, 0.0),
 }
-# The fields that accept any value: three switches and the output path.
-_FREE_FIELDS = {"perfect_control", "es_reservation", "ini_carries_full_codebook", "output_path"}
+# The field that accepts any value: the output path.
+_FREE_FIELDS = {"output_path"}
 _INT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "int"]
 
 
@@ -558,6 +561,8 @@ def test_validate_corrupted_config(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: config: cannot read ") and len(err.splitlines()) == 1
+    assert main(["validate", "--config", str(tmp_path)]) == EXIT_CONFIG    # a directory
+    assert capsys.readouterr().err == f"config error: config: not a regular file: {tmp_path}\n"
 
 
 # ---------------------------------------------------------------------------

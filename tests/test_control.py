@@ -89,7 +89,8 @@ def test_catalog_rejects_bad_counts():
 
 @pytest.mark.parametrize("field, value", [("n_elements", 0), ("quant_bits", 17),
                                           ("bsw_codebook_size", 0), ("bsw_codebook_size", 2.0),
-                                          ("header_bits", -1), ("symbols_per_tti", 0)])
+                                          ("header_bits", -1), ("symbols_per_tti", 0),
+                                          ("ini_carries_full_codebook", "no")])
 def test_catalog_errors_name_the_config_field(field, value):
     args = dict(scheme=Scheme.BSW, n_elements=4, quant_bits=2, bsw_codebook_size=8,
                 header_bits=16, ini_carries_full_codebook=False, symbols_per_tti=SYMBOLS)
