@@ -578,6 +578,50 @@ def test_calibration_reproduces_the_pinned_rhos(fields, calibrated, configured):
     assert float(f"{calibrated:.3g}") == configured
 
 
+def forbid_allocation(monkeypatch) -> None:
+    """Make every maker of chunk buffers, draws or codebooks in metrics raise."""
+    def no_allocation(*args):
+        raise AssertionError("goodput_curves allocated")
+    for name in ("_Scratch", "_cascade", "_codebook_matrix", "_entry_matrix"):
+        monkeypatch.setattr(metrics, name, no_allocation)
+
+
+@pytest.mark.parametrize("fields", [dict(n_trials=0), dict(n_trials=-4096),
+                                    dict(n_trials=2.5), dict(n_trials=True),
+                                    dict(master_seed=-1), dict(master_seed=2.5),
+                                    dict(master_seed=True),
+                                    dict(target_snr_db=math.inf), dict(target_snr_db=math.nan),
+                                    dict(bsw_codebook_style="x")])
+def test_goodput_curves_reject_a_bad_field_before_allocating(monkeypatch, fields):
+    forbid_allocation(monkeypatch)
+    (name, _), = fields.items()
+    with pytest.raises(InvalidParameterError) as err:
+        goodput_curves(RunConfig(**fields), SIX_SPECS)
+    assert err.value.field_name == name
+
+
+@pytest.mark.parametrize("fields", [dict(n_elements=200_000), dict(bsw_codebook_size=20_000),
+                                    dict(n_elements=np.int64(200_000)),
+                                    dict(bsw_codebook_size=np.int64(20_000))])
+def test_goodput_curves_check_each_budget_term_before_allocating(monkeypatch, fields):
+    # chunk buffers, then the (trials, C) sweep SNR; numpy integers count as ints
+    forbid_allocation(monkeypatch)
+    with pytest.raises(InvalidParameterError) as err:
+        goodput_curves(RunConfig(**fields), SIX_SPECS)
+    assert err.value.field_name == "config"
+    assert "budget" in str(err.value)
+
+
+@pytest.mark.parametrize("n_trials", [2 ** 27, np.int64(2 ** 61)])
+def test_goodput_budget_does_not_grow_with_trials(n_trials):
+    # a run keeps one chunk of trials per process, however many trials it draws
+    cfg = RunConfig(n_trials=n_trials)
+    cfg.validate()
+    metrics.check_working_set(cfg)
+    assert metrics.working_set_bytes(cfg) == metrics.working_set_bytes(
+        RunConfig(n_trials=CHUNK_TRIALS))
+
+
 def test_threads_running_at_once_get_the_serial_results():
     # each thread draws into chunk buffers of its own
     def run(seed):
