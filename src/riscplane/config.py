@@ -184,9 +184,12 @@ def load_config(path: str | None = None) -> RunConfig:
     if path is None:
         return RunConfig()
     p = Path(path)
-    if not p.is_file():     # reading a device such as /dev/zero would not end
-        raise InvalidParameterError(
-            "config", f"{'not a regular file' if p.exists() else 'no such file'}: {path}")
+    try:
+        if not p.is_file():     # reading a device such as /dev/zero would not end
+            raise InvalidParameterError(
+                "config", f"{'not a regular file' if p.exists() else 'no such file'}: {path}")
+    except OSError as exc:      # a path the system cannot look up, such as an over-long name
+        raise InvalidParameterError("config", f"cannot look up {path}: {exc.strerror}") from exc
     try:
         text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

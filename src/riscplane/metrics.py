@@ -45,6 +45,10 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # at 256 KiB, small enough for cache, and more rows per block only add
 # memory without speeding up the reduction.
 _FRAME_BLOCK = 8
+# Elements per block of the cascade's draws and of the phase compensation: a
+# block's buffers (32 B per element) stay within a core's L2 cache, and the
+# per-block calls cost little next to a block's arithmetic.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -93,20 +97,28 @@ def _phase_table(quant_bits: int) -> np.ndarray:
 
 
 class _Scratch:
-    """Buffers for a chunk's (trials, N) arrays, reused from chunk to chunk.
+    """A thread's chunk buffers, reused from chunk to chunk.
 
-    Fresh multi-MiB temporaries in every chunk leave it to glibc's malloc whether they
-    come from the brk heap or from new mappings, and the place of unrelated small
-    allocations decides that: the length of the checkout path alone moved a pool worker's
-    peak RSS by 6 MiB. Fixed buffers keep the peak the same from run to run and spare the
-    page faults of fresh mappings.
+    A chunk holds two (trials, N) arrays, 24 B per trial and element: its
+    cascaded gains and the second hop's real parts. The rest goes through
+    block buffers of max(_BLOCK, N) elements, 32 B per element: the cascade
+    draws the stream _BLOCK normals at a time, and the phase compensation
+    runs on blocks of whole trials of up to _BLOCK elements (one trial if N
+    is larger). Fresh multi-MiB temporaries in every chunk leave it to
+    glibc's malloc whether they come from the brk heap or from new mappings,
+    and the place of unrelated small allocations decides that: the length of
+    the checkout path alone moved a pool worker's peak RSS by 6 MiB. Fixed
+    buffers keep the peak the same from run to run and spare the page faults
+    of fresh mappings.
     """
 
     def __init__(self, trials: int, n_elements: int):
-        size = trials * n_elements
-        self.draws = np.empty(2 * size)             # one hop's normals, then phases and levels
-        self.fg = np.empty(size, dtype=complex)     # the cascaded gains
-        self.h = np.empty(size, dtype=complex)      # the second hop, then compensated gains
+        size, block = trials * n_elements, max(_BLOCK, n_elements)
+        self.fg = np.empty(size, dtype=complex)         # the cascaded gains
+        self.real = np.empty(size)                      # the second hop's real parts
+        self.draws = np.empty(block)                    # a block of normals, then of phases
+        self.wrap = np.empty(block)                     # a block's wraps, then levels
+        self.gains = np.empty(block, dtype=complex)     # a block of g, then compensated gains
 
 
 _thread_buffers = threading.local()     # each thread's last chunk buffers and their shape
@@ -120,7 +132,8 @@ MAX_WORKING_SET_BYTES = 1 << 30
 def working_set_bytes(cfg: RunConfig) -> int:
     """Upper estimate of the bytes one goodput process allocates for cfg; allocates nothing.
 
-    It adds the chunk buffers, a row block, a chunk's (trials, C) sweep SNR with temporaries,
+    It adds the chunk buffers (24 B per trial and element, and 32 B per element of the
+    block buffers), a row block, a chunk's (trials, C) sweep SNR with temporaries,
     the codebook as levels and complex entries, three per-count tables of 6 curves x frames
     rows and C + 1 counts with the rows' result objects, and 8 MiB of fixed allocations. The
     stages do not all peak at once: it errs high.
@@ -128,7 +141,7 @@ def working_set_bytes(cfg: RunConfig) -> int:
     m = min(int(cfg.n_trials), CHUNK_TRIALS)
     n, c = int(cfg.n_elements), int(cfg.bsw_codebook_size)     # no int64 wrap-around
     rows = 6 * len(cfg.frame_grid)
-    return (48 * m * n + 8 * _FRAME_BLOCK * m + 32 * m * c + 32 * c * n
+    return (24 * m * n + 32 * max(_BLOCK, n) + 8 * _FRAME_BLOCK * m + 32 * m * c + 32 * c * n
             + rows * (24 * (c + 1) + 512) + (16 << cfg.quant_bits) + (8 << 20))
 
 
@@ -152,27 +165,32 @@ def _cascade(
     """Cascaded gains f * g of m trials of i.i.d. CN(0, 1) hops, from the (seed, chunk) stream.
 
     The normals are the (4, m, N) block [Re f, Im f, Re g, Im g] of the
-    stream, drawn as two consecutive (2, m, N) halves (the same values), so
-    no more than one hop's draws are alive at a time. A hop is
-    (Re + 1j * Im) / sqrt(2), written as its two scaled parts: the same
-    bits, except that an exactly zero draw may keep its sign, which no
-    product, sum or modulus downstream can tell. The result is a view of
-    scratch's fg buffer; without scratch, new buffers are made.
+    stream, drawn in blocks of _BLOCK (the same values: a draw keeps no state
+    between calls). A hop is (Re + 1j * Im) / sqrt(2), written as its two
+    scaled parts: the same bits, except that an exactly zero draw may keep its
+    sign, which no product, sum or modulus downstream can tell. Re f and Im f
+    are scaled straight into fg, Re g into the real buffer, and each block of
+    Im g completes its block of g, which multiplies that block of fg in place.
+    The result is a view of scratch's fg buffer; without scratch, new buffers
+    are made.
     """
     rng = np.random.default_rng([seed, chunk_index])
     if scratch is None:
         scratch = _Scratch(m, n_elements)
-    draws = _shaped(scratch.draws, 2, m, n_elements)
-
-    def hop(h):
-        rng.standard_normal(out=draws)
-        np.multiply(draws[0], _INV_SQRT2, out=h.real)
-        np.multiply(draws[1], _INV_SQRT2, out=h.imag)
-        return h
-
-    fg = hop(_shaped(scratch.fg, m, n_elements))
-    fg *= hop(_shaped(scratch.h, m, n_elements))
-    return fg
+    size = m * n_elements
+    fg, real_g = scratch.fg[:size], scratch.real[:size]
+    blocks = [(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK)]
+    for part in (fg.real, fg.imag, real_g):
+        for lo, hi in blocks:
+            draws = rng.standard_normal(out=scratch.draws[:hi - lo])
+            np.multiply(draws, _INV_SQRT2, out=part[lo:hi])
+    for lo, hi in blocks:
+        g = scratch.gains[:hi - lo]
+        g.real = real_g[lo:hi]
+        draws = rng.standard_normal(out=scratch.draws[:hi - lo])
+        np.multiply(draws, _INV_SQRT2, out=g.imag)
+        np.multiply(fg[lo:hi], g, out=fg[lo:hi])
+    return fg.reshape(m, n_elements)
 
 
 def _oce_outcomes(fg: np.ndarray, rho: float, quant_bits: int, scratch: Optional[_Scratch] = None):
@@ -184,28 +202,33 @@ def _oce_outcomes(fg: np.ndarray, rho: float, quant_bits: int, scratch: Optional
     x + 2*pi for x < 0 and x itself otherwise (+0.0 for -0.0). Adding
     2*pi * (x < 0) performs that addition and adds 0.0 elsewhere, so it
     gives the same bits, signed zeros included, in three plain passes. The
-    draws and h buffers of scratch (new ones without it) hold the
-    intermediates, so fg must not be a view of them.
+    trials go through in blocks of max(1, _BLOCK // N) rows, in the block
+    buffers of scratch (new ones without it); a trial's compensation and its
+    row sum read only its own row, so the blocks give the same bits.
     """
     m, n_elements = fg.shape
     if scratch is None:
-        scratch = _Scratch(m, n_elements)
-    size = m * n_elements
-    phases = _shaped(scratch.draws, m, n_elements)
-    wrap = _shaped(scratch.draws[size:], m, n_elements)
-    levels = _shaped(scratch.draws[size:].view(np.int64), m, n_elements)    # wrap's memory
-    np.arctan2(fg.imag, fg.real, out=phases)        # np.angle(fg)
-    np.negative(phases, out=phases)
-    np.less(phases, 0.0, out=wrap)
-    wrap *= TWO_PI
-    phases += wrap                                  # np.remainder(phases, TWO_PI)
-    phase_indices(phases, quant_bits, out=levels)
-    compensated = _shaped(scratch.h, m, n_elements)
-    np.take(_phase_table(quant_bits), levels, out=compensated, mode="clip")  # levels are in range
-    np.multiply(fg, compensated, out=compensated)
-    s = np.sum(compensated, axis=1)
+        scratch = _Scratch(0, n_elements)       # the block buffers only
+    rows = max(1, _BLOCK // n_elements)
+    table = _phase_table(quant_bits)
+    s = np.empty(m, dtype=complex)
+    for lo in range(0, m, rows):
+        block = fg[lo:lo + rows]
+        phases = _shaped(scratch.draws, *block.shape)
+        wrap = _shaped(scratch.wrap, *block.shape)
+        levels = _shaped(scratch.wrap.view(np.int64), *block.shape)    # wrap's memory
+        np.arctan2(block.imag, block.real, out=phases)      # np.angle(block)
+        np.negative(phases, out=phases)
+        np.less(phases, 0.0, out=wrap)
+        wrap *= TWO_PI
+        phases += wrap                                      # np.remainder(phases, TWO_PI)
+        phase_indices(phases, quant_bits, out=levels)
+        compensated = _shaped(scratch.gains, *block.shape)
+        np.take(table, levels, out=compensated, mode="clip")    # levels are in range
+        np.multiply(block, compensated, out=compensated)
+        np.sum(compensated, axis=1, out=s[lo:lo + rows])
     snr = rho * np.abs(s) ** 2
-    return np.log2(1.0 + snr), np.ones(fg.shape[0]), None
+    return np.log2(1.0 + snr), np.ones(m), None
 
 
 def _bsw_outcomes(fg: np.ndarray, rho: float, target_snr: float, entry_matrix: np.ndarray):
@@ -215,7 +238,9 @@ def _bsw_outcomes(fg: np.ndarray, rho: float, target_snr: float, entry_matrix: n
     codebook entries tried up to the first qualifying one (the codebook size
     on outage), where an early-stopped sweep ends.
     """
-    snr = rho * np.abs(fg @ entry_matrix.T) ** 2
+    snr = np.abs(fg @ entry_matrix.T)
+    np.square(snr, out=snr)
+    snr *= rho                  # rho * |fg @ E.T| ** 2 in place, with the same bits
     qualifying = snr >= target_snr
     success = qualifying.any(axis=1).astype(float)
     first = np.argmax(qualifying, axis=1) + 1

@@ -206,6 +206,34 @@ def test_budget_leaves_other_commands_alone(tmp_path, capsys, command):
         assert len(out.read_text().splitlines()) - 1 == 5766     # 31 x 31 x 6
 
 
+_PEAK_SCRIPT = """
+import sys
+from riscplane import cli
+if sys.argv[1:]:
+    assert cli.main(sys.argv[1:]) == 0
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_working_set_estimate_bounds_the_measured_peak(tmp_path):
+    # the peak RSS of a goodput run over that of a process stopped right after import
+    (tmp_path / "run.cfg").write_text("n_elements = 1000\n")
+    args = ["goodput", "--config", str(tmp_path / "run.cfg"), "--trials", "4096",
+            "--frame-grid", "10:20:5", "--out", str(tmp_path / "g.csv")]
+
+    def peak(*argv):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *argv], env=child_env(),
+                              capture_output=True, text=True, check=True)
+        return int(proc.stdout)
+
+    growth = peak(*args) - peak()
+    cfg = RunConfig(n_elements=1000, n_trials=4096, frame_grid=(10.0, 15.0, 20.0))
+    assert growth <= working_set_bytes(cfg)     # the estimate never reads low
+    assert growth < 36 * 4096 * 1000            # chunk buffers well under 48 B per trial and element
+
+
 def test_oversized_run_exits_config_without_traceback(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_elements = 1000000\n")
@@ -563,6 +591,13 @@ def test_validate_corrupted_config(tmp_path, capsys):
     assert err.startswith("config error: config: cannot read ") and len(err.splitlines()) == 1
     assert main(["validate", "--config", str(tmp_path)]) == EXIT_CONFIG    # a directory
     assert capsys.readouterr().err == f"config error: config: not a regular file: {tmp_path}\n"
+
+
+def test_over_long_config_path_is_a_config_error(capsys):
+    # the file system cannot look the name up (ENAMETOOLONG), which is not an output error
+    assert main(["validate", "--config", "a" * 5000]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: ") and len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from riscplane.frames import build_frame
 from riscplane import metrics
 from riscplane.cli import main
 from riscplane.metrics import (
+    _BLOCK,
     CHUNK_TRIALS,
     _FRAME_BLOCK,
     _INV_SQRT2,
@@ -219,9 +220,22 @@ SIX_SPECS = [(scheme, mode)
              for mode in (ControlMode.IB_C, ControlMode.OB_C)]
 
 
+# (m, N) chunk shapes at the edges of the cascade's and the compensation's blocks
+BLOCK_EDGE_SHAPES = [
+    (4096, 17),     # m * N not a multiple of _BLOCK, m not one of the rows per block
+    (7, 3),         # m * N below one block
+    (3, 40_000),    # N > _BLOCK: one row per compensation block
+    (1000, 100),    # m not a multiple of the rows per block
+]
+
+
 def test_cascade_matches_one_block_draw():
+    # the edge shapes sit on the edges of the current _BLOCK
+    assert (4096 * 17) % _BLOCK and 4096 % (_BLOCK // 17) and 1000 % (_BLOCK // 100)
+    assert 7 * 3 < _BLOCK < 40_000
     # reference: the (4, m, N) draw [Re f, Im f, Re g, Im g] in one call
-    for seed, chunk, m, n in ((1, 0, 4096, 100), (5, 3, 904, 16), (9, 1, 7, 3)):
+    for seed, chunk, m, n in ((1, 0, 4096, 100), (5, 3, 904, 16), (9, 1, 7, 3),
+                              *((2, 1, m, n) for m, n in BLOCK_EDGE_SHAPES)):
         draws = np.random.default_rng([seed, chunk]).standard_normal((4, m, n))
         f = (draws[0] + 1j * draws[1]) * (1.0 / np.sqrt(2.0))
         g = (draws[2] + 1j * draws[3]) * (1.0 / np.sqrt(2.0))
@@ -230,8 +244,8 @@ def test_cascade_matches_one_block_draw():
 
 def test_cascade_hops_match_the_complex_formula_bitwise():
     # reference: each hop as (1j * Im + Re) * (1 / sqrt 2) in complex arithmetic
-    scratch = metrics._Scratch(4096, 100)
-    for seed, chunk, m, n in ((1, 0, 4096, 100), (5, 3, 904, 100), (9, 1, 7, 3)):
+    for seed, chunk, m, n in ((1, 0, 4096, 100), (5, 3, 904, 100), (9, 1, 7, 3),
+                              *((4, 2, m, n) for m, n in BLOCK_EDGE_SHAPES)):
         rng = np.random.default_rng([seed, chunk])
         hops = []
         for _ in range(2):
@@ -242,9 +256,24 @@ def test_cascade_hops_match_the_complex_formula_bitwise():
             hops.append(hop)
         expected = np.multiply(hops[0], hops[1]).view(np.uint64)
         assert np.array_equal(_cascade(seed, chunk, m, n).view(np.uint64), expected)
-        if n == 100:
-            fg = _cascade(seed, chunk, m, n, scratch)
-            assert np.array_equal(fg.view(np.uint64), expected)
+        # a chunk of fewer trials than its buffers, after a chunk of the buffers' size
+        scratch = metrics._Scratch(m + 5, n)
+        _cascade(seed + 1, chunk, m + 5, n, scratch)
+        fg = _cascade(seed, chunk, m, n, scratch)
+        assert np.array_equal(fg.view(np.uint64), expected)
+
+
+@pytest.mark.parametrize("m, n", BLOCK_EDGE_SHAPES + [(4096, 100)])
+def test_oce_blocks_match_the_unblocked_kernel_bitwise(m, n):
+    fg = _cascade(31, 2, m, n)
+    expected = remainder_oce_rates(fg, RHO, 2).view(np.uint64)
+    scratch = metrics._Scratch(m, n)
+    fg_in_scratch = _cascade(31, 2, m, n, scratch)     # a view of the scratch's fg buffer
+    for rate, success, evals in (_oce_outcomes(fg, RHO, 2),
+                                 _oce_outcomes(fg, RHO, 2, scratch),
+                                 _oce_outcomes(fg_in_scratch, RHO, 2, scratch)):
+        assert np.array_equal(rate.view(np.uint64), expected)
+        assert np.all(success == 1.0) and evals is None
 
 
 def test_batch_curves_equal_single_spec_sweeps():
