@@ -99,11 +99,14 @@ def _phase_table(quant_bits: int) -> np.ndarray:
 class _Scratch:
     """A thread's chunk buffers, reused from chunk to chunk.
 
-    A chunk holds two (trials, N) arrays, 24 B per trial and element: its
-    cascaded gains and the second hop's real parts. The rest goes through
-    block buffers of max(_BLOCK, N) elements, 32 B per element: the cascade
-    draws the stream _BLOCK normals at a time, and the phase compensation
-    runs on blocks of whole trials of up to _BLOCK elements (one trial if N
+    A chunk holds its cascaded gains, (trials, N) complex, and a real buffer
+    of trials x max(N, 2C) floats: first the second hop's real parts, then,
+    once the cascade has spent them, the beam sweep's (trials, C) complex
+    products. The rest goes through block buffers of max(_BLOCK, N, C)
+    elements, 32 B per element: the cascade draws the stream _BLOCK normals
+    at a time, the phase compensation runs on blocks of whole trials of up
+    to _BLOCK elements (one trial if N is larger) and the sweep's SNRs and
+    mask on blocks of whole trials of up to _BLOCK entries (one trial if C
     is larger). Fresh multi-MiB temporaries in every chunk leave it to
     glibc's malloc whether they come from the brk heap or from new mappings,
     and the place of unrelated small allocations decides that: the length of
@@ -112,16 +115,16 @@ class _Scratch:
     of fresh mappings.
     """
 
-    def __init__(self, trials: int, n_elements: int):
-        size, block = trials * n_elements, max(_BLOCK, n_elements)
+    def __init__(self, trials: int, n_elements: int, codebook_size: int):
+        size, block = trials * n_elements, max(_BLOCK, n_elements, codebook_size)
         self.fg = np.empty(size, dtype=complex)         # the cascaded gains
-        self.real = np.empty(size)                      # the second hop's real parts
-        self.draws = np.empty(block)                    # a block of normals, then of phases
-        self.wrap = np.empty(block)                     # a block's wraps, then levels
+        self.real = np.empty(trials * max(n_elements, 2 * codebook_size))  # Re g, then sweep
+        self.draws = np.empty(block)                    # a block of normals, phases or SNRs
+        self.wrap = np.empty(block)                     # a block's wraps, levels or mask
         self.gains = np.empty(block, dtype=complex)     # a block of g, then compensated gains
 
 
-_thread_buffers = threading.local()     # each thread's last chunk buffers and their shape
+_thread_buffers = threading.local()     # each thread's last chunk buffers and their key
 
 
 # Largest per-process working set, in bytes, that a goodput run may need
@@ -132,17 +135,19 @@ MAX_WORKING_SET_BYTES = 1 << 30
 def working_set_bytes(cfg: RunConfig) -> int:
     """Upper estimate of the bytes one goodput process allocates for cfg; allocates nothing.
 
-    It adds the chunk buffers (24 B per trial and element, and 32 B per element of the
-    block buffers), a row block, a chunk's (trials, C) sweep SNR with temporaries,
-    the codebook as levels and complex entries, three per-count tables of 6 curves x frames
-    rows and C + 1 counts with the rows' result objects, and 8 MiB of fixed allocations. The
+    It adds the chunk buffers (16 B per trial and element for the gains, 8 B per trial
+    and max(N, 2C) for the real buffer, which also holds the sweep's products, and 32 B
+    per element of the max(_BLOCK, N, C) block buffers), a row block, the codebook as
+    levels and complex entries, three per-count tables of 6 curves x frames rows and
+    C + 1 counts with the rows' result objects, and 10 MiB of fixed allocations (numpy's
+    random module, loaded at the first draw, and the BLAS buffers take about 8 MiB). The
     stages do not all peak at once: it errs high.
     """
     m = min(int(cfg.n_trials), CHUNK_TRIALS)
     n, c = int(cfg.n_elements), int(cfg.bsw_codebook_size)     # no int64 wrap-around
     rows = 6 * len(cfg.frame_grid)
-    return (24 * m * n + 32 * max(_BLOCK, n) + 8 * _FRAME_BLOCK * m + 32 * m * c + 32 * c * n
-            + rows * (24 * (c + 1) + 512) + (16 << cfg.quant_bits) + (8 << 20))
+    return (16 * m * n + 8 * m * max(n, 2 * c) + 32 * max(_BLOCK, n, c) + 8 * _FRAME_BLOCK * m
+            + 32 * c * n + rows * (24 * (c + 1) + 512) + (16 << cfg.quant_bits) + (10 << 20))
 
 
 def check_working_set(cfg: RunConfig) -> None:
@@ -176,7 +181,7 @@ def _cascade(
     """
     rng = np.random.default_rng([seed, chunk_index])
     if scratch is None:
-        scratch = _Scratch(m, n_elements)
+        scratch = _Scratch(m, n_elements, 0)
     size = m * n_elements
     fg, real_g = scratch.fg[:size], scratch.real[:size]
     blocks = [(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK)]
@@ -208,7 +213,7 @@ def _oce_outcomes(fg: np.ndarray, rho: float, quant_bits: int, scratch: Optional
     """
     m, n_elements = fg.shape
     if scratch is None:
-        scratch = _Scratch(0, n_elements)       # the block buffers only
+        scratch = _Scratch(0, n_elements, 0)    # the block buffers only
     rows = max(1, _BLOCK // n_elements)
     table = _phase_table(quant_bits)
     s = np.empty(m, dtype=complex)
@@ -231,21 +236,43 @@ def _oce_outcomes(fg: np.ndarray, rho: float, quant_bits: int, scratch: Optional
     return np.log2(1.0 + snr), np.ones(m), None
 
 
-def _bsw_outcomes(fg: np.ndarray, rho: float, target_snr: float, entry_matrix: np.ndarray):
+def _bsw_outcomes(
+    fg: np.ndarray, rho: float, target_snr: float, entry_matrix: np.ndarray,
+    scratch: Optional[_Scratch] = None,
+):
     """Per-trial (rate, success, evaluations) of a beam sweep against the target SNR.
 
     rate is the preset rate in bit/s/Hz; evaluations is the number of
     codebook entries tried up to the first qualifying one (the codebook size
-    on outage), where an early-stopped sweep ends.
+    on outage), where an early-stopped sweep ends. The products fg @ E.T are
+    one unblocked matmul (BLAS bits can depend on the row count), written
+    into scratch's real buffer, whose second hop the cascade has spent. The
+    SNRs rho * |fg @ E.T| ** 2, the qualifying mask, its any and its argmax
+    go through in blocks of max(1, _BLOCK // C) trials, in the block buffers
+    of scratch; each reads only its own trial's row, so the blocks give the
+    bits of whole-chunk passes. Without scratch, new buffers are made.
     """
-    snr = np.abs(fg @ entry_matrix.T)
-    np.square(snr, out=snr)
-    snr *= rho                  # rho * |fg @ E.T| ** 2 in place, with the same bits
-    qualifying = snr >= target_snr
-    success = qualifying.any(axis=1).astype(float)
-    first = np.argmax(qualifying, axis=1) + 1
-    evals = np.where(success > 0.0, first, entry_matrix.shape[0])
-    rate = np.full(fg.shape[0], np.log2(1.0 + target_snr))
+    m, size = fg.shape[0], entry_matrix.shape[0]
+    out = None if scratch is None else _shaped(scratch.real[:2 * m * size].view(complex), m, size)
+    products = np.matmul(fg, entry_matrix.T, out=out)
+    if scratch is None:
+        scratch = _Scratch(0, fg.shape[1], size)    # the block buffers only
+    rows = max(1, _BLOCK // size)
+    hit = np.empty(m, dtype=bool)
+    first = np.empty(m, dtype=np.intp)
+    for lo in range(0, m, rows):
+        block = products[lo:lo + rows]
+        snr = _shaped(scratch.draws, *block.shape)
+        qualifying = _shaped(scratch.wrap.view(bool), *block.shape)
+        np.abs(block, out=snr)
+        np.square(snr, out=snr)
+        snr *= rho              # rho * |fg @ E.T| ** 2 in place, with the same bits
+        np.greater_equal(snr, target_snr, out=qualifying)
+        np.any(qualifying, axis=1, out=hit[lo:lo + rows])
+        np.argmax(qualifying, axis=1, out=first[lo:lo + rows])
+    success = hit.astype(float)
+    evals = np.where(hit, first + 1, size)
+    rate = np.full(m, np.log2(1.0 + target_snr))
     return rate, success, evals
 
 
@@ -323,9 +350,9 @@ def _chunk_partials(
 ) -> np.ndarray:
     """Partial sums of one chunk, shape (curves, frames, 4); _reduce_curves plans its rows."""
     m = min(CHUNK_TRIALS, cfg.n_trials - chunk_index * CHUNK_TRIALS)
-    shape = (min(cfg.n_trials, CHUNK_TRIALS), cfg.n_elements)
-    if getattr(_thread_buffers, "shape", None) != shape:     # first chunk, or a new shape
-        _thread_buffers.shape, _thread_buffers.scratch = shape, _Scratch(*shape)
+    key = (min(cfg.n_trials, CHUNK_TRIALS), cfg.n_elements, cfg.bsw_codebook_size)
+    if getattr(_thread_buffers, "key", None) != key:     # first chunk, or a new shape
+        _thread_buffers.key, _thread_buffers.scratch = key, _Scratch(*key)
     scratch = _thread_buffers.scratch
     fg = _cascade(cfg.master_seed, chunk_index, m, cfg.n_elements, scratch)
     kernels = {curve.kernel for curve in curves}
@@ -334,7 +361,7 @@ def _chunk_partials(
         outcomes[Scheme.OCE] = _oce_outcomes(fg, cfg.rho, cfg.quant_bits, scratch)
     if Scheme.BSW in kernels:
         outcomes[Scheme.BSW] = _bsw_outcomes(fg, cfg.rho, db_to_linear(cfg.target_snr_db),
-                                             _entry_matrix(cfg))
+                                             _entry_matrix(cfg), scratch)
     return _reduce_curves(curves, frames_ttis, outcomes)
 
 

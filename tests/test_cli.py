@@ -217,9 +217,13 @@ with open("/proc/self/status") as status:
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_working_set_estimate_bounds_the_measured_peak(tmp_path):
+@pytest.mark.parametrize("n, c, bound", [
+    (1000, 32, 36 * 4096 * 1000),     # chunk buffers well under 48 B per trial and element
+    (16, 512, 24 * 4096 * 512),       # sweep products in the real buffer, no (trials, C) arrays
+])
+def test_working_set_estimate_bounds_the_measured_peak(tmp_path, n, c, bound):
     # the peak RSS of a goodput run over that of a process stopped right after import
-    (tmp_path / "run.cfg").write_text("n_elements = 1000\n")
+    (tmp_path / "run.cfg").write_text(f"n_elements = {n}\nbsw_codebook_size = {c}\n")
     args = ["goodput", "--config", str(tmp_path / "run.cfg"), "--trials", "4096",
             "--frame-grid", "10:20:5", "--out", str(tmp_path / "g.csv")]
 
@@ -229,9 +233,10 @@ def test_working_set_estimate_bounds_the_measured_peak(tmp_path):
         return int(proc.stdout)
 
     growth = peak(*args) - peak()
-    cfg = RunConfig(n_elements=1000, n_trials=4096, frame_grid=(10.0, 15.0, 20.0))
+    cfg = RunConfig(n_elements=n, bsw_codebook_size=c, n_trials=4096,
+                    frame_grid=(10.0, 15.0, 20.0))
     assert growth <= working_set_bytes(cfg)     # the estimate never reads low
-    assert growth < 36 * 4096 * 1000            # chunk buffers well under 48 B per trial and element
+    assert growth < bound
 
 
 def test_oversized_run_exits_config_without_traceback(tmp_path):

@@ -2,6 +2,7 @@ import cmath
 import concurrent.futures
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -257,7 +258,7 @@ def test_cascade_hops_match_the_complex_formula_bitwise():
         expected = np.multiply(hops[0], hops[1]).view(np.uint64)
         assert np.array_equal(_cascade(seed, chunk, m, n).view(np.uint64), expected)
         # a chunk of fewer trials than its buffers, after a chunk of the buffers' size
-        scratch = metrics._Scratch(m + 5, n)
+        scratch = metrics._Scratch(m + 5, n, 0)
         _cascade(seed + 1, chunk, m + 5, n, scratch)
         fg = _cascade(seed, chunk, m, n, scratch)
         assert np.array_equal(fg.view(np.uint64), expected)
@@ -267,13 +268,47 @@ def test_cascade_hops_match_the_complex_formula_bitwise():
 def test_oce_blocks_match_the_unblocked_kernel_bitwise(m, n):
     fg = _cascade(31, 2, m, n)
     expected = remainder_oce_rates(fg, RHO, 2).view(np.uint64)
-    scratch = metrics._Scratch(m, n)
+    scratch = metrics._Scratch(m, n, 0)
     fg_in_scratch = _cascade(31, 2, m, n, scratch)     # a view of the scratch's fg buffer
     for rate, success, evals in (_oce_outcomes(fg, RHO, 2),
                                  _oce_outcomes(fg, RHO, 2, scratch),
                                  _oce_outcomes(fg_in_scratch, RHO, 2, scratch)):
         assert np.array_equal(rate.view(np.uint64), expected)
         assert np.all(success == 1.0) and evals is None
+
+
+# (m, N, C) chunk shapes at the edges of the sweep's blocks of max(1, _BLOCK // C) trials
+SWEEP_EDGE_SHAPES = [
+    (3000, 100, 8),         # m not a multiple of the 2,048 rows per block
+    (4096, 100, 33),        # C not a divisor of _BLOCK, m not a multiple of its 496 rows
+    (3, 4, 16_400),         # C > _BLOCK: one trial per block
+    (1000, 16, 64),         # 2C > N: the sweep's products size the real buffer
+]
+
+
+@pytest.mark.parametrize("m, n, c", SWEEP_EDGE_SHAPES)
+def test_bsw_blocks_match_the_plain_formula_bitwise(m, n, c):
+    rows = max(1, _BLOCK // c)
+    assert m % rows if rows > 1 else c > _BLOCK     # the shape sits on an edge of _BLOCK
+    entries = _codebook_matrix(n, c, 2, 7, "random")
+    fg = _cascade(37, 1, m, n)
+    # the plain formula, as one whole-chunk pass
+    snr = RHO * np.abs(fg @ entries.T) ** 2
+    target = float(np.median(snr.max(axis=1)))      # about half the trials qualify
+    qualifying = snr >= target
+    success = qualifying.any(axis=1).astype(float)
+    evals = np.where(success > 0.0, np.argmax(qualifying, axis=1) + 1, c)
+    assert 0.0 < success.mean() < 1.0 and evals[success > 0.0].max() > 1
+    rate = np.full(m, np.log2(1.0 + target))
+    scratch = metrics._Scratch(m, n, c)
+    fg_in_scratch = _cascade(37, 1, m, n, scratch)     # a view of the scratch's fg buffer
+    assert scratch.real.shape == (m * max(n, 2 * c),)
+    for outcome in (_bsw_outcomes(fg, RHO, target, entries),
+                    _bsw_outcomes(fg, RHO, target, entries, scratch),
+                    _bsw_outcomes(fg_in_scratch, RHO, target, entries, scratch)):
+        for got, want in zip(outcome, (rate, success, evals)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_batch_curves_equal_single_spec_sweeps():
@@ -473,13 +508,13 @@ def test_pool_keeps_a_bounded_number_of_chunks_in_flight(monkeypatch):
 
 
 def counting_scratch(monkeypatch) -> list:
-    """Replace metrics._Scratch by a subclass that lists the (trials, N) of each set it makes."""
+    """Replace metrics._Scratch by a subclass listing the (trials, N, C) of each set it makes."""
     made = []
 
     class CountingScratch(metrics._Scratch):
-        def __init__(self, trials, n_elements):
-            made.append((trials, n_elements))
-            super().__init__(trials, n_elements)
+        def __init__(self, trials, n_elements, codebook_size):
+            made.append((trials, n_elements, codebook_size))
+            super().__init__(trials, n_elements, codebook_size)
 
     monkeypatch.setattr(metrics, "_Scratch", CountingScratch)
     return made
@@ -491,13 +526,13 @@ def test_chunk_buffers_made_once_per_process(tmp_path, capsys, monkeypatch):
     # a fresh process: this thread has no buffers yet
     monkeypatch.setattr(metrics, "_thread_buffers", threading.local())
     assert main(argv + ["--out", str(tmp_path / "one.csv")]) == 0
-    assert made == [(CHUNK_TRIALS, 100)]
+    assert made == [(CHUNK_TRIALS, 100, 32)]
     # a pool worker keeps its buffers across chunks; the stand-in pool is one fresh process
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(metrics, "_available_cpus", lambda: 2)
     monkeypatch.setattr(metrics, "_thread_buffers", threading.local())
     assert main(argv + ["--workers", "2", "--out", str(tmp_path / "pool.csv")]) == 0
-    assert made == [(CHUNK_TRIALS, 100)] * 2
+    assert made == [(CHUNK_TRIALS, 100, 32)] * 2
     capsys.readouterr()
     assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
@@ -633,7 +668,8 @@ def test_goodput_curves_reject_a_bad_field_before_allocating(monkeypatch, fields
                                     dict(n_elements=np.int64(200_000)),
                                     dict(bsw_codebook_size=np.int64(20_000))])
 def test_goodput_curves_check_each_budget_term_before_allocating(monkeypatch, fields):
-    # chunk buffers, then the (trials, C) sweep SNR; numpy integers count as ints
+    # the chunk buffers at a large N, the real buffer's 2C floats per trial at a large C;
+    # numpy integers count as ints
     forbid_allocation(monkeypatch)
     with pytest.raises(InvalidParameterError) as err:
         goodput_curves(RunConfig(**fields), SIX_SPECS)
@@ -667,14 +703,40 @@ def test_threads_running_at_once_get_the_serial_results():
 
 
 def test_a_thread_keeps_its_buffers_while_another_runs_another_shape(monkeypatch):
-    made = counting_scratch(monkeypatch)
-    specs = [(Scheme.OCE, ControlMode.IB_C)]
+    specs = [(Scheme.OCE, ControlMode.IB_C), (Scheme.BSW_ES, ControlMode.OB_C)]
     a, b = (RunConfig(n_trials=100, n_elements=n, frame_grid=(60.0,)) for n in (100, 64))
+    # at N = 100 the real buffer of C = 32 holds 100 floats per trial, C = 64 needs 128
+    wide = replace(a, bsw_codebook_size=64)
+    serial = [goodput_curves(cfg, specs) for cfg in (a, b, a, wide)]
+    made = counting_scratch(monkeypatch)
     with (concurrent.futures.ThreadPoolExecutor(1) as first,
           concurrent.futures.ThreadPoolExecutor(1) as second):
-        for pool, cfg in ((first, a), (second, b), (first, a)):
-            pool.submit(goodput_curves, cfg, specs).result(timeout=60)
-    assert made == [(100, 100), (100, 64)]
+        runs = [pool.submit(goodput_curves, cfg, specs).result(timeout=60)
+                for pool, cfg in ((first, a), (second, b), (first, a), (first, wide))]
+    assert runs == serial
+    assert made == [(100, 100, 32), (100, 64, 32), (100, 100, 64)]
+
+
+def test_a_warm_chunk_allocates_little_beyond_its_buffers(monkeypatch):
+    # the chunk kernels run in the thread's buffers; what is left are per-trial vectors
+    calls = []
+    chunk_partials = metrics._chunk_partials
+
+    def recording(*args):
+        calls.append(args)
+        return chunk_partials(*args)
+
+    monkeypatch.setattr(metrics, "_chunk_partials", recording)
+    monkeypatch.setattr(metrics, "_thread_buffers", threading.local())
+    goodput_curves(RunConfig(n_trials=CHUNK_TRIALS), SIX_SPECS)    # N = 100, C = 32
+    tracemalloc.start()
+    try:
+        partials = chunk_partials(*calls[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert partials.shape == (6, len(GRID), 4)
+    assert peak < 1 << 20
 
 
 def test_a_process_keeps_one_codebook():
