@@ -21,6 +21,9 @@ from .frames import MAX_FRAME_TTIS, SchemeParams, frame_ttis, overhead_ttis
 # Most points a START:STOP:STEP grid may have; the finest packaged benchmark
 # grid has 991, and the bound keeps a typo from allocating without limit.
 MAX_GRID_POINTS = 10_000
+# Largest rho * n_elements^2. A trial's SNR is at most rho * (sum_n |f_n g_n|)^2,
+# and that square stays far below 1e8 * N^2 for any draw, so every SNR stays finite.
+MAX_RHO_N2 = 1e300
 
 
 def parse_finite(raw: str, name: str, what: str) -> float:
@@ -140,6 +143,10 @@ class RunConfig:
                 if overhead_ttis(params, mode, catalog) > MAX_FRAME_TTIS:
                     raise InvalidParameterError("config", f"{scheme.value} {mode.value} frame "
                                                 f"overhead spans more than {MAX_FRAME_TTIS} TTIs")
+        n_squared = int(self.n_elements) ** 2   # n_elements is checked above
+        if self.rho * n_squared > MAX_RHO_N2:
+            raise InvalidParameterError("rho", f"must be <= {MAX_RHO_N2:g} / n_elements^2 "
+                                        f"= {MAX_RHO_N2 / n_squared:.6g}, or an SNR can overflow")
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
@@ -191,7 +198,7 @@ def load_config(path: str | None = None) -> RunConfig:
     except OSError as exc:      # a path the system cannot look up, such as an over-long name
         raise InvalidParameterError("config", f"cannot look up {path}: {exc.strerror}") from exc
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")    # a byte-order mark is not part of a key
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError("config", f"cannot read {path}: {exc}") from exc
     return parse_config_text(text)

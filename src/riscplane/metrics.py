@@ -73,19 +73,11 @@ class _Curve:
     es_per_eval_ttis: int       # TTIs per early-stopping evaluation, 0 for a fixed overhead
 
 
-@lru_cache(maxsize=1)
 def _codebook_matrix(
     n_elements: int, size: int, quant_bits: int, seed: int, style: str
 ) -> np.ndarray:
-    matrix = _phase_table(quant_bits)[make_codebook(n_elements, size, quant_bits, seed, style)]
-    matrix.setflags(write=False)    # cached and shared across calls
-    return matrix
-
-
-def _entry_matrix(cfg: RunConfig) -> np.ndarray:
-    """The complex matrix of cfg's beam-sweeping codebook, one row per entry."""
-    return _codebook_matrix(cfg.n_elements, cfg.bsw_codebook_size, cfg.quant_bits,
-                            cfg.codebook_seed, cfg.bsw_codebook_style)
+    """The complex (C, N) matrix of a beam-sweeping codebook; goodput_curves makes one per run."""
+    return _phase_table(quant_bits)[make_codebook(n_elements, size, quant_bits, seed, style)]
 
 
 @lru_cache(maxsize=16)
@@ -138,10 +130,11 @@ def working_set_bytes(cfg: RunConfig) -> int:
     It adds the chunk buffers (16 B per trial and element for the gains, 8 B per trial
     and max(N, 2C) for the real buffer, which also holds the sweep's products, and 32 B
     per element of the max(_BLOCK, N, C) block buffers), a row block, the codebook as
-    levels and complex entries, three per-count tables of 6 curves x frames rows and
-    C + 1 counts with the rows' result objects, and 10 MiB of fixed allocations (numpy's
-    random module, loaded at the first draw, and the BLAS buffers take about 8 MiB). The
-    stages do not all peak at once: it errs high.
+    levels and complex entries (a run makes it once, in the calling process; a pool
+    worker holds the copy that its task carries), three per-count tables of 6 curves x
+    frames rows and C + 1 counts with the rows' result objects, and 10 MiB of fixed
+    allocations (numpy's random module, loaded at the first draw, and the BLAS buffers take
+    about 8 MiB). The stages do not all peak at once: it errs high.
     """
     m = min(int(cfg.n_trials), CHUNK_TRIALS)
     n, c = int(cfg.n_elements), int(cfg.bsw_codebook_size)     # no int64 wrap-around
@@ -346,22 +339,26 @@ def _reduce_curves(curves: Sequence[_Curve], frames_ttis: Sequence[int], outcome
 
 
 def _chunk_partials(
-    cfg: RunConfig, frames_ttis: tuple[int, ...], curves: tuple[_Curve, ...], chunk_index: int
+    cfg: RunConfig, frames_ttis: tuple[int, ...], curves: tuple[_Curve, ...],
+    entries: Optional[np.ndarray], chunk_index: int,
 ) -> np.ndarray:
-    """Partial sums of one chunk, shape (curves, frames, 4); _reduce_curves plans its rows."""
+    """Partial sums of one chunk, shape (curves, frames, 4); _reduce_curves plans its rows.
+
+    entries, the run's codebook matrix, is None when no curve sweeps. Besides its arguments,
+    a chunk reads only its thread's buffers.
+    """
     m = min(CHUNK_TRIALS, cfg.n_trials - chunk_index * CHUNK_TRIALS)
     key = (min(cfg.n_trials, CHUNK_TRIALS), cfg.n_elements, cfg.bsw_codebook_size)
     if getattr(_thread_buffers, "key", None) != key:     # first chunk, or a new shape
         _thread_buffers.key, _thread_buffers.scratch = key, _Scratch(*key)
     scratch = _thread_buffers.scratch
     fg = _cascade(cfg.master_seed, chunk_index, m, cfg.n_elements, scratch)
-    kernels = {curve.kernel for curve in curves}
     outcomes = {}
-    if Scheme.OCE in kernels:
+    if any(curve.kernel is Scheme.OCE for curve in curves):
         outcomes[Scheme.OCE] = _oce_outcomes(fg, cfg.rho, cfg.quant_bits, scratch)
-    if Scheme.BSW in kernels:
+    if entries is not None:
         outcomes[Scheme.BSW] = _bsw_outcomes(fg, cfg.rho, db_to_linear(cfg.target_snr_db),
-                                             _entry_matrix(cfg), scratch)
+                                             entries, scratch)
     return _reduce_curves(curves, frames_ttis, outcomes)
 
 
@@ -395,9 +392,11 @@ def goodput_curves(
     reduced from the same per-trial channel outcomes: each chunk is drawn
     once, each scheme kernel runs at most once per chunk and each distinct
     payload row of a kernel and evaluation cost is reduced once per chunk,
-    so a curve is exactly what a batch of its spec alone gives. With
-    cfg.workers > 1 the chunks run on one process pool of at most
-    min(workers, chunks, available CPUs) processes. An invalid cfg raises
+    so a curve is exactly what a batch of its spec alone gives. A run with
+    a sweeping spec makes its codebook matrix once, in the calling process,
+    and every chunk task carries it. With cfg.workers > 1 the chunks run on
+    one process pool of at most min(workers, chunks, available CPUs)
+    processes. An invalid cfg raises
     InvalidParameterError naming the field, and so do empty or repeated
     specs, specs that are not (Scheme, ControlMode) pairs and a cfg over the
     memory budget (field config), before anything is allocated.
@@ -422,7 +421,11 @@ def goodput_curves(
         else:
             curves.append(_Curve(scheme, overhead_ttis(params, mode, catalog), 0))
         reliabilities.append(1.0 if state is None else control_reliability(catalog, state, mode))
-    chunk = partial(_chunk_partials, cfg, frames, tuple(curves))
+    entries = None
+    if any(curve.kernel is Scheme.BSW for curve in curves):
+        entries = _codebook_matrix(cfg.n_elements, cfg.bsw_codebook_size, cfg.quant_bits,
+                                   cfg.codebook_seed, cfg.bsw_codebook_style)
+    chunk = partial(_chunk_partials, cfg, frames, tuple(curves), entries)
 
     # Partials are summed in place in chunk order, which keeps the reduction
     # deterministic whatever the number of processes.

@@ -61,6 +61,14 @@ def test_config_file_overrides_and_comments(tmp_path):
     assert cfg.n_trials == 42 and cfg.rho == 0.5
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # as some editors save UTF-8
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xef\xbb\xbfn_elements = 16\nrho = 0.286\n")
+    cfg = load_config(str(path))
+    assert cfg.n_elements == 16 and cfg.rho == 0.286
+
+
 def test_unknown_config_key_is_an_error(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("n_triials = 42\n")
@@ -697,6 +705,7 @@ def test_goodput_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path):
     (["goodput", "--trials", "abc"], ""),
     (["goodput", "--seed", "1.5"], ""),
     (["goodput", "--workers", "x"], ""),
+    (["goodput"], "rho = 1e308\n"),
 ])
 def test_bad_numbers_exit_config_without_traceback(tmp_path, args, config):
     cfg = tmp_path / "run.cfg"

@@ -1,15 +1,18 @@
 import cmath
 import concurrent.futures
 import math
+import multiprocessing
+import os
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from riscplane.channel import TWO_PI
-from riscplane.config import RunConfig
+from riscplane.config import MAX_RHO_N2, RunConfig
 from riscplane.control import (
     ControlChannelState, ControlMode, Scheme, control_reliability, db_to_linear, message_catalog,
 )
@@ -26,7 +29,6 @@ from riscplane.metrics import (
     _cascade,
     _codebook_matrix,
     _Curve,
-    _entry_matrix,
     _oce_outcomes,
     _payload_rows,
     _phase_table,
@@ -613,6 +615,21 @@ def test_goodput_rejects_bad_arguments():
         assert err.value.field_name == "target_snr_db"
 
 
+@pytest.mark.parametrize("n_elements", [1, 100])
+def test_rho_at_the_overflow_bound_runs_without_warnings(n_elements):
+    # every trial SNR stays finite: no overflow, inf rate or nan reaches a sum
+    rho = MAX_RHO_N2 / n_elements ** 2
+    cfg = RunConfig(n_elements=n_elements, rho=rho, n_trials=CHUNK_TRIALS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curves = goodput_curves(cfg, SIX_SPECS)
+    assert all(math.isfinite(r.goodput_mbps) and math.isfinite(r.goodput_se)
+               for curve in curves for r in curve)
+    with pytest.raises(InvalidParameterError) as err:
+        replace(cfg, rho=rho * 1.001).validate()
+    assert err.value.field_name == "rho"
+
+
 def test_calibrated_rho_hits_target_success_band():
     r = goodput(Scheme.BSW, ControlMode.OB_C, 100.0, 10_000, 1)
     assert 0.3 <= r.success_prob <= 0.7
@@ -625,7 +642,9 @@ def calibrate_rho(cfg: RunConfig, n_trials: int, seed: int) -> float:
     the median of each trial's best entry statistic |fg @ E.T|^2; fg comes
     from the goodput kernel's (seed, chunk) streams.
     """
-    entries, best = _entry_matrix(cfg), []
+    entries = _codebook_matrix(cfg.n_elements, cfg.bsw_codebook_size, cfg.quant_bits,
+                               cfg.codebook_seed, cfg.bsw_codebook_style)
+    best = []
     for c, lo in enumerate(range(0, n_trials, CHUNK_TRIALS)):
         fg = _cascade(seed, c, min(CHUNK_TRIALS, n_trials - lo), cfg.n_elements)
         best.append((np.abs(fg @ entries.T) ** 2).max(axis=1))
@@ -646,7 +665,7 @@ def forbid_allocation(monkeypatch) -> None:
     """Make every maker of chunk buffers, draws or codebooks in metrics raise."""
     def no_allocation(*args):
         raise AssertionError("goodput_curves allocated")
-    for name in ("_Scratch", "_cascade", "_codebook_matrix", "_entry_matrix"):
+    for name in ("_Scratch", "_cascade", "_codebook_matrix", "make_codebook"):
         monkeypatch.setattr(metrics, name, no_allocation)
 
 
@@ -739,12 +758,64 @@ def test_a_warm_chunk_allocates_little_beyond_its_buffers(monkeypatch):
     assert peak < 1 << 20
 
 
-def test_a_process_keeps_one_codebook():
-    # working_set_bytes counts one codebook per process
-    specs = [(Scheme.BSW, ControlMode.OB_C)]
-    for seed in (7, 8):
-        goodput_curves(RunConfig(n_trials=100, frame_grid=(60.0,), codebook_seed=seed), specs)
-    assert _codebook_matrix.cache_info().currsize == 1
+def counting_codebooks(monkeypatch) -> list:
+    """Wrap metrics.make_codebook to list the (N, seed) of each codebook it makes."""
+    made, make_codebook = [], metrics.make_codebook
+
+    def counting(n_elements, size, quant_bits, seed, style):
+        made.append((n_elements, seed))
+        return make_codebook(n_elements, size, quant_bits, seed, style)
+
+    monkeypatch.setattr(metrics, "make_codebook", counting)
+    return made
+
+
+def test_threads_running_other_codebooks_make_one_codebook_per_run(monkeypatch):
+    # a run makes its codebook once and hands it to its chunks; no cache is shared with the
+    # other thread, so neither run evicts the other's codebook
+    specs = [(Scheme.BSW, ControlMode.OB_C), (Scheme.BSW_ES, ControlMode.IB_C)]
+    configs = [RunConfig(n_trials=10 * CHUNK_TRIALS, n_elements=n, codebook_seed=seed,
+                         frame_grid=(60.0,)) for n, seed in ((100, 7), (64, 8))]
+    serial = [goodput_curves(cfg, specs) for cfg in configs]
+    made = counting_codebooks(monkeypatch)
+    barrier = threading.Barrier(2)
+
+    def at_once(cfg):
+        barrier.wait(timeout=60)
+        return goodput_curves(cfg, specs)
+
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(at_once, configs, timeout=120)) == serial
+    assert sorted(made) == [(64, 8), (100, 7)]
+
+
+def test_an_oce_run_makes_no_codebook(monkeypatch):
+    made = counting_codebooks(monkeypatch)
+    goodput_curves(RunConfig(n_trials=100, frame_grid=(60.0,)),
+                   [(Scheme.OCE, ControlMode.IB_C), (Scheme.OCE, ControlMode.OB_C)])
+    assert made == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only forked pool workers inherit the patched make_codebook")
+def test_pool_workers_make_no_codebook(tmp_path, capsys, monkeypatch):
+    # the calling process makes the codebook; each pool task carries it to a worker
+    caller, make_codebook = os.getpid(), metrics.make_codebook
+
+    def caller_only(*args):
+        if os.getpid() != caller:
+            raise AssertionError("a pool worker made a codebook")
+        return make_codebook(*args)
+
+    monkeypatch.setattr(metrics, "make_codebook", caller_only)
+    monkeypatch.setattr(metrics, "_available_cpus", lambda: 2)
+    config = tmp_path / "run.cfg"
+    config.write_text("codebook_seed = 11\n")     # no earlier run here can have left it cached
+    argv = ["goodput", "--config", str(config), "--trials", "9000"]    # three chunks
+    assert main(argv + ["--workers", "2", "--out", str(tmp_path / "pool.csv")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "one.csv")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
