@@ -11,11 +11,13 @@ import os
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from .config import RunConfig, coerce, load_config, parse_finite
 from .control import ControlMode, Scheme
 from .errors import InvalidParameterError
 from .frames import ChannelUse, build_frame, overhead_ms
-from .metrics import check_working_set, goodput_curves, reliability_grid
+from .metrics import check_working_set, goodput_columns, reliability_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,14 +84,21 @@ def _resolve(args) -> RunConfig:
 def cmd_goodput(cfg: RunConfig, schemes, modes) -> int:
     out_path = cfg.output_path or "goodput.csv"
     specs = [(scheme, mode) for scheme in schemes for mode in modes]
+    # A frame's rows, one per spec, are one %-template call on the frame's
+    # [frame_ms, goodput_mbps, overhead_ms, success_prob] of every spec;
+    # '%.12g' gives the bytes of format(v, '.12g').
+    template = "".join(
+        "%.12g" + f",{scheme.value},{mode.value},".replace("%", "%%") + "%.12g,%.12g,%.12g"
+        + f",{cfg.n_trials},{cfg.master_seed}\n".replace("%", "%%") for scheme, mode in specs)
     # opened first, so an unwritable path fails before any chunk is drawn
     with open(out_path, "w", newline="") as fh:
         fh.write(GOODPUT_HEADER + "\n")
-        for frame_results in zip(*goodput_curves(cfg, specs)):
-            for r in frame_results:
-                fh.write(f"{r.frame_ms:.12g},{r.scheme.value},{r.mode.value},"
-                         f"{r.goodput_mbps:.12g},{r.overhead_ms:.12g},{r.success_prob:.12g},"
-                         f"{r.n_trials},{r.seed}\n")
+        columns = goodput_columns(cfg, specs)
+        rows = np.empty((len(cfg.frame_grid), len(specs), 4))
+        rows[:, :, 0] = np.array(cfg.frame_grid, dtype=float)[:, None]
+        rows[:, :, 1:] = columns[:, :, :3].swapaxes(0, 1)
+        for row in rows.reshape(len(cfg.frame_grid), -1):
+            fh.write(template % tuple(row.tolist()))
     print(f"wrote {out_path} ({len(cfg.frame_grid) * len(specs)} rows)", file=sys.stderr)
     return EXIT_OK
 

@@ -177,7 +177,7 @@ def overhead_ttis(
     """Frame TTIs consumed before PAY can start (unclamped).
 
     stop_index = 0 gives a BSW_ES frame's overhead without any evaluation;
-    goodput_curves adds each trial's evaluations to it. build_frame rejects
+    goodput_columns adds each trial's evaluations to it. build_frame rejects
     that value.
     """
     return sum(p.tti_span for p in _overhead_phases(params, mode, catalog, stop_index)

@@ -76,7 +76,7 @@ class _Curve:
 def _codebook_matrix(
     n_elements: int, size: int, quant_bits: int, seed: int, style: str
 ) -> np.ndarray:
-    """The complex (C, N) matrix of a beam-sweeping codebook; goodput_curves makes one per run."""
+    """The complex (C, N) matrix of a beam-sweeping codebook; goodput_columns makes one per run."""
     return _phase_table(quant_bits)[make_codebook(n_elements, size, quant_bits, seed, style)]
 
 
@@ -132,9 +132,10 @@ def working_set_bytes(cfg: RunConfig) -> int:
     per element of the max(_BLOCK, N, C) block buffers), a row block, the codebook as
     levels and complex entries (a run makes it once, in the calling process; a pool
     worker holds the copy that its task carries), three per-count tables of 6 curves x
-    frames rows and C + 1 counts with the rows' result objects, and 10 MiB of fixed
-    allocations (numpy's random module, loaded at the first draw, and the BLAS buffers take
-    about 8 MiB). The stages do not all peak at once: it errs high.
+    frames rows and C + 1 counts, 512 B per row for the result objects (only callers of
+    goodput_curves make them; the CLI writes from goodput_columns and makes none), and
+    10 MiB of fixed allocations (numpy's random module, loaded at the first draw, and the
+    BLAS buffers take about 8 MiB). The stages do not all peak at once: it errs high.
     """
     m = min(int(cfg.n_trials), CHUNK_TRIALS)
     n, c = int(cfg.n_elements), int(cfg.bsw_codebook_size)     # no int64 wrap-around
@@ -383,12 +384,12 @@ def _pooled_partials(pool, chunk, n_chunks: int, in_flight: int):
         yield pending.popleft().result()
 
 
-def goodput_curves(
-    cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]]
-) -> list[list[GoodputResult]]:
+def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]]) -> np.ndarray:
     """Estimate goodput for every (scheme, mode) spec and every frame of cfg.frame_grid.
 
-    Returns one curve per spec, in spec order. Every curve and grid point is
+    Returns a float64 (specs, frames, 4) array, specs in spec order, of the
+    GoodputResult fields [goodput_mbps, overhead_ms, success_prob,
+    goodput_se] per frame. Every curve and grid point is
     reduced from the same per-trial channel outcomes: each chunk is drawn
     once, each scheme kernel runs at most once per chunk and each distinct
     payload row of a kernel and evaluation cost is reduced once per chunk,
@@ -440,27 +441,35 @@ def goodput_curves(
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             sums = reduce(operator.iadd, _pooled_partials(pool, chunk, n_chunks, 2 * pool_size))
 
-    results = []
-    for (scheme, mode), reliability, curve_sums in zip(specs, reliabilities, sums):
-        curve = []
-        for f_ms, total, (sum_rsp, sum_rsp2, sum_success, sum_oh) in zip(
-                cfg.frame_grid, frames, curve_sums.tolist()):
-            scale = cfg.bandwidth_hz * reliability / (total * 1e6)
-            mean_rsp = sum_rsp / n_trials
-            var_rsp = max(0.0, sum_rsp2 / n_trials - mean_rsp * mean_rsp)
-            curve.append(GoodputResult(
-                frame_ms=float(f_ms),
-                scheme=scheme,
-                mode=mode,
-                goodput_mbps=scale * mean_rsp,
-                overhead_ms=sum_oh / n_trials * cfg.tti_ms,
-                success_prob=reliability * sum_success / n_trials,
-                n_trials=n_trials,
-                seed=cfg.master_seed,
-                goodput_se=scale * math.sqrt(var_rsp / n_trials),
-            ))
-        results.append(curve)
-    return results
+    # Elementwise, in the operand order of the scalar formulas, so every value has their bits.
+    sum_rsp, sum_rsp2, sum_success, sum_oh = np.moveaxis(sums, 2, 0)
+    reliability = np.array(reliabilities)[:, None]
+    scale = cfg.bandwidth_hz * reliability / (np.array(frames, dtype=float) * 1e6)
+    mean_rsp = sum_rsp / n_trials
+    var_rsp = sum_rsp2 / n_trials - mean_rsp * mean_rsp
+    var_rsp = np.where(var_rsp > 0.0, var_rsp, 0.0)     # max(0.0, var_rsp), -0.0 and NaN too
+    return np.stack([scale * mean_rsp,
+                     sum_oh / n_trials * cfg.tti_ms,
+                     reliability * sum_success / n_trials,
+                     scale * np.sqrt(var_rsp / n_trials)], axis=2)
+
+
+def goodput_curves(
+    cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]]
+) -> list[list[GoodputResult]]:
+    """goodput_columns(cfg, specs) as one curve of GoodputResults per spec, in spec order.
+
+    A curve holds one result per frame of cfg.frame_grid, its fields plain
+    floats and ints with the bits of the columns. It raises what
+    goodput_columns raises. The CLI writes its CSV from the columns and
+    makes no result objects.
+    """
+    columns = goodput_columns(cfg, specs)
+    return [[GoodputResult(frame_ms=float(f_ms), scheme=scheme, mode=mode, goodput_mbps=goodput,
+                           overhead_ms=overhead, success_prob=success, n_trials=cfg.n_trials,
+                           seed=cfg.master_seed, goodput_se=se)
+             for f_ms, (goodput, overhead, success, se) in zip(cfg.frame_grid, curve)]
+            for (scheme, mode), curve in zip(specs, columns.tolist())]
 
 
 def crossover_frame(

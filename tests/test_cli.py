@@ -428,6 +428,48 @@ def test_goodput_csv_bytes_pinned(tmp_path, capsys, args, config, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def _reference_goodput_rows(curves) -> str:
+    """goodput_curves' results, frame by frame in spec order, each formatted field by field."""
+    return "".join(f"{r.frame_ms:.12g},{r.scheme.value},{r.mode.value},"
+                   f"{r.goodput_mbps:.12g},{r.overhead_ms:.12g},{r.success_prob:.12g},"
+                   f"{r.n_trials},{r.seed}\n"
+                   for frame_results in zip(*curves) for r in frame_results)
+
+
+@pytest.mark.parametrize("args, schemes, modes", [
+    ([], list(Scheme), list(ControlMode)),
+    (["--scheme", "bsw-es"], [Scheme.BSW_ES], list(ControlMode)),
+    (["--mode", "ob"], list(Scheme), [ControlMode.OB_C]),
+    (["--scheme", "oce", "--mode", "ib"], [Scheme.OCE], [ControlMode.IB_C]),
+], ids=["all", "bsw-es", "ob", "oce-ib"])
+def test_goodput_csv_matches_per_row_format(tmp_path, capsys, args, schemes, modes):
+    # imperfect control on a 1-TTI step from 1 ms: the first frames are all overhead
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_elements = 16\nbsw_codebook_size = 8\nrho = 0.286\n"
+                   "perfect_control = false\nframe_grid = 1:60:0.5\n")
+    out = tmp_path / "g.csv"
+    argv = ["goodput", "--trials", "5000", "--seed", "4", "--config", str(cfg),
+            "--out", str(out), *args]
+    assert run_cli(argv, capsys) == EXIT_OK
+    config = load_config(str(cfg))
+    config.n_trials, config.master_seed = 5000, 4
+    curves = goodput_curves(config, [(scheme, mode) for scheme in schemes for mode in modes])
+    assert all(curve[0].goodput_mbps == 0.0 < curve[-1].goodput_mbps for curve in curves)
+    assert all(curve[0].success_prob < 1.0 for curve in curves)
+    assert out.read_text() == GOODPUT_HEADER + "\n" + _reference_goodput_rows(curves)
+
+
+def test_goodput_command_makes_no_result_objects(tmp_path, capsys, monkeypatch):
+    def no_results(*args, **kwargs):
+        raise AssertionError("a GoodputResult was made")
+    monkeypatch.setattr(metrics, "GoodputResult", no_results)
+    out = tmp_path / "g.csv"
+    assert run_cli(["goodput", "--trials", "300", "--out", str(out)], capsys) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 1 + 19 * 6
+    with pytest.raises(AssertionError, match="GoodputResult"):     # the patch is seen
+        goodput_curves(RunConfig(n_trials=300), [(Scheme.OCE, ControlMode.IB_C)])
+
+
 # sha256 of both reliability CSVs written before the grid became a product of
 # per-axis factors
 PINNED_RELIABILITY = {

@@ -2,11 +2,13 @@ import cmath
 import concurrent.futures
 import math
 import multiprocessing
+import operator
 import os
 import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from riscplane.control import (
     ControlChannelState, ControlMode, Scheme, control_reliability, db_to_linear, message_catalog,
 )
 from riscplane.errors import InvalidParameterError
-from riscplane.frames import build_frame
+from riscplane.frames import build_frame, frame_ttis
 from riscplane import metrics
 from riscplane.cli import main
 from riscplane.metrics import (
@@ -34,6 +36,7 @@ from riscplane.metrics import (
     _phase_table,
     _reduce_curves,
     crossover_frame,
+    goodput_columns,
     goodput_curves,
     reliability_grid,
 )
@@ -73,6 +76,45 @@ def test_goodput_result_fields_are_plain_numbers():
     for name in ("frame_ms", "goodput_mbps", "overhead_ms", "success_prob", "goodput_se"):
         assert type(getattr(r, name)) is float, name
     assert type(r.n_trials) is int and type(r.seed) is int
+
+
+def test_goodput_curves_fields_equal_the_columns_and_the_scalar_formulas_bitwise(monkeypatch):
+    # imperfect control on a 1-TTI step from 1 ms: the first frames are all overhead
+    cfg = RunConfig(n_trials=5000, master_seed=7, n_elements=16, bsw_codebook_size=8, rho=0.286,
+                    frame_grid=tuple(0.5 * k for k in range(2, 121)), **LOSSY)
+    specs = [(scheme, mode) for scheme in Scheme for mode in ControlMode]
+    partials, chunk_partials = [], metrics._chunk_partials
+
+    def recorded(*args):
+        out = chunk_partials(*args)
+        partials.append(out.copy())     # goodput_columns sums into the first chunk's array
+        return out
+    monkeypatch.setattr(metrics, "_chunk_partials", recorded)
+    columns = goodput_columns(cfg, specs)
+    sums = reduce(operator.iadd, partials)
+    curves = goodput_curves(cfg, specs)
+    assert columns.dtype == np.float64 and columns.shape == (len(specs), len(cfg.frame_grid), 4)
+
+    n, state, null_rows = cfg.n_trials, cfg.control_state(), 0
+    for (scheme, mode), curve, curve_columns, curve_sums in zip(
+            specs, curves, columns.tolist(), sums.tolist()):
+        reliability = control_reliability(cfg.catalog(scheme), state, mode)
+        assert reliability < 1.0
+        for f_ms, r, column, (sum_rsp, sum_rsp2, sum_success, sum_oh) in zip(
+                cfg.frame_grid, curve, curve_columns, curve_sums):
+            # the scalar formulas, one row at a time
+            scale = cfg.bandwidth_hz * reliability / (frame_ttis(f_ms, cfg.tti_ms) * 1e6)
+            mean_rsp = sum_rsp / n
+            var_rsp = max(0.0, sum_rsp2 / n - mean_rsp * mean_rsp)
+            scalar = [scale * mean_rsp, sum_oh / n * cfg.tti_ms, reliability * sum_success / n,
+                      scale * math.sqrt(var_rsp / n)]
+            fields = [r.goodput_mbps, r.overhead_ms, r.success_prob, r.goodput_se]
+            assert list(map(float.hex, fields)) == list(map(float.hex, column))
+            assert list(map(float.hex, column)) == list(map(float.hex, scalar))
+            assert r.frame_ms.hex() == float(f_ms).hex()
+            assert (r.scheme, r.mode, r.n_trials, r.seed) == (scheme, mode, n, cfg.master_seed)
+            null_rows += r.goodput_mbps == 0.0
+    assert 0 < null_rows < columns.shape[0] * columns.shape[1]
 
 
 def test_goodput_identical_across_worker_counts():
