@@ -13,7 +13,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .config import RunConfig, coerce, load_config, parse_finite
+from .config import RunConfig, load_config, parse_finite
 from .control import ControlMode, Scheme
 from .errors import InvalidParameterError
 from .frames import ChannelUse, build_frame, overhead_ms
@@ -63,13 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> RunConfig:
-    """The config file under the flags named after RunConfig fields, read alike, checked, logged."""
-    cfg = load_config(args.config)
-    for f in fields(cfg):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            coerce(cfg, f.name, value)
-    cfg.validate()
+    """The config file under the flags named after RunConfig fields: read alike, built, logged."""
+    flags = [(f.name, getattr(args, f.name)) for f in fields(RunConfig)
+             if getattr(args, f.name, None) is not None]
+    cfg = load_config(args.config, flags)
     if args.command == "goodput":
         check_working_set(cfg)
     if getattr(args, "threshold", None) is not None:

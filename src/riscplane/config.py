@@ -1,6 +1,8 @@
 """Run configuration: plain key = value files, defaults, validation.
 
-RunConfig's field defaults are the package's only default values. The
+RunConfig's field defaults are the package's only default values. A
+RunConfig is frozen and validates itself when built, so every one that
+exists is valid; dataclasses.replace makes (and validates) a variant. The
 domain constructors take every value as an argument, RunConfig builds them
 (scheme_params, catalog, control_state), and each CLI run logs the
 resolved values as `# resolved` lines.
@@ -10,7 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
+from typing import Iterable
 
 from .control import (
     ControlChannelState, ControlMessage, ControlMode, Scheme, message_catalog, positive_linear,
@@ -24,6 +28,9 @@ MAX_GRID_POINTS = 10_000
 # Largest rho * n_elements^2. A trial's SNR is at most rho * (sum_n |f_n g_n|)^2,
 # and that square stays far below 1e8 * N^2 for any draw, so every SNR stays finite.
 MAX_RHO_N2 = 1e300
+# Largest config file read; a config is about 30 lines, and the bound keeps a
+# huge file from being read whole into memory.
+MAX_CONFIG_BYTES = 1 << 20
 
 
 def parse_finite(raw: str, name: str, what: str) -> float:
@@ -55,7 +62,7 @@ def parse_grid(text: str, name: str) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(int(span) + 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     n_elements: int = 100
     quant_bits: int = 2
@@ -84,6 +91,14 @@ class RunConfig:
     frame_grid: tuple[float, ...] = parse_grid("10:100:5", "frame_grid")
     snr_grid_db: tuple[float, ...] = parse_grid("0:30:1", "snr_grid_db")
     output_path: str = ""
+
+    def __post_init__(self):
+        self.validate()
+
+    @cached_property
+    def frames_ttis(self) -> tuple[int, ...]:
+        """TTIs of each frame of frame_grid, derived once per config (pickles carry them)."""
+        return tuple(frame_ttis(f_ms, self.tti_ms) for f_ms in self.frame_grid)
 
     def scheme_params(self, scheme: Scheme) -> SchemeParams:
         return SchemeParams(
@@ -122,7 +137,10 @@ class RunConfig:
         return out
 
     def validate(self) -> None:
-        """Check the config's own rules, then build each domain object once to check the rest."""
+        """Check the config's own rules, then build each domain object once to check the rest.
+
+        Building a RunConfig runs it; calling it again is harmless.
+        """
         for key, low in [("n_trials", 1), ("workers", 1), ("master_seed", 0), ("codebook_seed", 0)]:
             check_int(key, getattr(self, key), low)
         check_bool("perfect_control", self.perfect_control)
@@ -130,10 +148,8 @@ class RunConfig:
             check_positive(name, getattr(self, name))
         if self.bsw_codebook_style not in ("random", "dft"):
             raise InvalidParameterError("bsw_codebook_style", "must be 'random' or 'dft'")
-        if len(self.frame_grid) == 0:
+        if not self.frames_ttis:     # deriving them checks every frame
             raise InvalidParameterError("frame_grid", "must be non-empty")
-        for f_ms in self.frame_grid:
-            frame_ttis(f_ms, self.tti_ms)
         positive_linear(self.target_snr_db, "target_snr_db")
         positive_linear(self.snr_grid_db, "snr_grid_db")
         self.control_state()
@@ -153,26 +169,29 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
 
 
-def coerce(cfg: RunConfig, key: str, raw: str) -> None:
-    """Set cfg's field key from its text raw, as a config file or a command-line flag gives it."""
-    current = getattr(cfg, key)
-    if isinstance(current, tuple):
-        value = parse_grid(raw, key)
-    elif isinstance(current, float):
-        value = parse_finite(raw, key, f"value {raw!r}")
-    elif isinstance(current, str):
-        value = raw
-    else:
-        try:
-            value = _BOOL_WORDS[raw.lower()] if isinstance(current, bool) else int(raw)
-        except (KeyError, ValueError):
-            raise InvalidParameterError(key, f"cannot parse value {raw!r}") from None
-    setattr(cfg, key, value)
+def coerce(key: str, raw: str):
+    """Field key's value from its text raw, as a config file or a command-line flag gives it."""
+    default = getattr(RunConfig, key)
+    if isinstance(default, tuple):
+        return parse_grid(raw, key)
+    if isinstance(default, float):
+        return parse_finite(raw, key, f"value {raw!r}")
+    if isinstance(default, str):
+        return raw
+    try:
+        return _BOOL_WORDS[raw.lower()] if isinstance(default, bool) else int(raw)
+    except (KeyError, ValueError):
+        raise InvalidParameterError(key, f"cannot parse value {raw!r}") from None
 
 
-def parse_config_text(text: str) -> RunConfig:
-    cfg = RunConfig()
-    known = {f.name for f in fields(cfg)}
+def parse_config_text(text: str, flags: Iterable[tuple[str, str]] = ()) -> RunConfig:
+    """A RunConfig of text's key = value lines over the defaults, flags' (key, raw) over both.
+
+    Every line is parsed, and any parse error raised, before any flag; the
+    one validation runs after both.
+    """
+    known = {f.name for f in fields(RunConfig)}
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -182,14 +201,19 @@ def parse_config_text(text: str) -> RunConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise InvalidParameterError(key, f"unknown configuration key (line {lineno})")
-        coerce(cfg, key, raw)
-    return cfg
+        values[key] = coerce(key, raw)
+    for key, raw in flags:
+        values[key] = coerce(key, raw)
+    return RunConfig(**values)
 
 
-def load_config(path: str | None = None) -> RunConfig:
-    """Parse a config file over the RunConfig defaults (the defaults alone if None)."""
+def load_config(path: str | None = None, flags: Iterable[tuple[str, str]] = ()) -> RunConfig:
+    """parse_config_text of the file at path (of no lines if None) and flags.
+
+    A file over MAX_CONFIG_BYTES is rejected after reading one byte more.
+    """
     if path is None:
-        return RunConfig()
+        return parse_config_text("", flags)
     p = Path(path)
     try:
         if not p.is_file():     # reading a device such as /dev/zero would not end
@@ -198,7 +222,11 @@ def load_config(path: str | None = None) -> RunConfig:
     except OSError as exc:      # a path the system cannot look up, such as an over-long name
         raise InvalidParameterError("config", f"cannot look up {path}: {exc.strerror}") from exc
     try:
-        text = p.read_text(encoding="utf-8-sig")    # a byte-order mark is not part of a key
+        with p.open("rb") as fh:
+            data = fh.read(MAX_CONFIG_BYTES + 1)
+        if len(data) > MAX_CONFIG_BYTES:
+            raise InvalidParameterError("config", f"more than {MAX_CONFIG_BYTES} bytes: {path}")
+        text = data.decode("utf-8-sig")     # a byte-order mark is not part of a key
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError("config", f"cannot read {path}: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text, flags)

@@ -37,7 +37,7 @@ from .control import (
     positive_linear,
 )
 from .errors import InvalidParameterError
-from .frames import alg_ttis, frame_ttis, overhead_ttis
+from .frames import alg_ttis, overhead_ttis
 
 CHUNK_TRIALS = 4096
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -340,13 +340,13 @@ def _reduce_curves(curves: Sequence[_Curve], frames_ttis: Sequence[int], outcome
 
 
 def _chunk_partials(
-    cfg: RunConfig, frames_ttis: tuple[int, ...], curves: tuple[_Curve, ...],
-    entries: Optional[np.ndarray], chunk_index: int,
+    cfg: RunConfig, curves: tuple[_Curve, ...], entries: Optional[np.ndarray], chunk_index: int,
 ) -> np.ndarray:
     """Partial sums of one chunk, shape (curves, frames, 4); _reduce_curves plans its rows.
 
-    entries, the run's codebook matrix, is None when no curve sweeps. Besides its arguments,
-    a chunk reads only its thread's buffers.
+    entries, the run's codebook matrix, is None when no curve sweeps. The frames' TTIs are
+    cfg.frames_ttis, which a pickled cfg carries. Besides its arguments, a chunk reads only
+    its thread's buffers.
     """
     m = min(CHUNK_TRIALS, cfg.n_trials - chunk_index * CHUNK_TRIALS)
     key = (min(cfg.n_trials, CHUNK_TRIALS), cfg.n_elements, cfg.bsw_codebook_size)
@@ -360,7 +360,7 @@ def _chunk_partials(
     if entries is not None:
         outcomes[Scheme.BSW] = _bsw_outcomes(fg, cfg.rho, db_to_linear(cfg.target_snr_db),
                                              entries, scratch)
-    return _reduce_curves(curves, frames_ttis, outcomes)
+    return _reduce_curves(curves, cfg.frames_ttis, outcomes)
 
 
 def _available_cpus() -> int:
@@ -397,10 +397,10 @@ def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]])
     a sweeping spec makes its codebook matrix once, in the calling process,
     and every chunk task carries it. With cfg.workers > 1 the chunks run on
     one process pool of at most min(workers, chunks, available CPUs)
-    processes. An invalid cfg raises
-    InvalidParameterError naming the field, and so do empty or repeated
-    specs, specs that are not (Scheme, ControlMode) pairs and a cfg over the
-    memory budget (field config), before anything is allocated.
+    processes. cfg was validated, and its frames' TTIs derived, when it
+    was built. Empty or repeated specs, specs that are not (Scheme,
+    ControlMode) pairs and a cfg over the memory budget (field config)
+    raise InvalidParameterError before anything is allocated.
     """
     pairs = (isinstance(spec, tuple) and tuple(map(type, spec)) == (Scheme, ControlMode)
              for spec in specs)
@@ -408,9 +408,7 @@ def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]])
         raise InvalidParameterError("specs", "must be non-empty (Scheme, ControlMode) pairs")
     if len(set(specs)) < len(specs):
         raise InvalidParameterError("specs", "must be distinct (scheme, mode) pairs")
-    cfg.validate()
     check_working_set(cfg)
-    frames = tuple(frame_ttis(f, cfg.tti_ms) for f in cfg.frame_grid)
     state = None if cfg.perfect_control else cfg.control_state()
 
     curves, reliabilities = [], []
@@ -426,7 +424,7 @@ def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]])
     if any(curve.kernel is Scheme.BSW for curve in curves):
         entries = _codebook_matrix(cfg.n_elements, cfg.bsw_codebook_size, cfg.quant_bits,
                                    cfg.codebook_seed, cfg.bsw_codebook_style)
-    chunk = partial(_chunk_partials, cfg, frames, tuple(curves), entries)
+    chunk = partial(_chunk_partials, cfg, tuple(curves), entries)
 
     # Partials are summed in place in chunk order, which keeps the reduction
     # deterministic whatever the number of processes.
@@ -444,7 +442,7 @@ def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]])
     # Elementwise, in the operand order of the scalar formulas, so every value has their bits.
     sum_rsp, sum_rsp2, sum_success, sum_oh = np.moveaxis(sums, 2, 0)
     reliability = np.array(reliabilities)[:, None]
-    scale = cfg.bandwidth_hz * reliability / (np.array(frames, dtype=float) * 1e6)
+    scale = cfg.bandwidth_hz * reliability / (np.array(cfg.frames_ttis, dtype=float) * 1e6)
     mean_rsp = sum_rsp / n_trials
     var_rsp = sum_rsp2 / n_trials - mean_rsp * mean_rsp
     var_rsp = np.where(var_rsp > 0.0, var_rsp, 0.0)     # max(0.0, var_rsp), -0.0 and NaN too

@@ -53,10 +53,11 @@ def test_sampling_is_deterministic_in_seed():
 
 @pytest.mark.parametrize("n,rho", [(0, 1.0), (-3, 1.0), (4, 0.0), (4, -1.0)])
 def test_sampling_rejects_bad_parameters(n, rho):
-    # no channel is drawn for an empty surface or a non-positive reference SNR
-    cfg = RunConfig(n_elements=n, rho=rho, frame_grid=(60.0,), n_trials=10)
+    # no channel is drawn for an empty surface or a non-positive reference SNR:
+    # such a config cannot be built
     with pytest.raises(InvalidParameterError):
-        goodput_curves(cfg, [(Scheme.OCE, ControlMode.IB_C)])
+        goodput_curves(RunConfig(n_elements=n, rho=rho, frame_grid=(60.0,), n_trials=10),
+                       [(Scheme.OCE, ControlMode.IB_C)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riscplane import cli, metrics
+from riscplane import cli, frames, metrics
 from riscplane.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -22,7 +22,9 @@ from riscplane.cli import (
     THRESHOLD_HEADER,
     main,
 )
-from riscplane.config import RunConfig, load_config, parse_config_text, parse_grid
+from riscplane.config import (
+    MAX_CONFIG_BYTES, RunConfig, load_config, parse_config_text, parse_grid,
+)
 from riscplane.control import ControlChannelState, ControlMode, Scheme, db_to_linear
 from riscplane.errors import InvalidParameterError
 from riscplane.frames import build_frame
@@ -96,10 +98,8 @@ def test_invalid_parameter_error_survives_pickling():
 
 
 def test_validation_names_offending_field():
-    cfg = RunConfig()
-    cfg.n_elements = 0
     with pytest.raises(InvalidParameterError) as err:
-        cfg.validate()
+        RunConfig(n_elements=0)
     assert err.value.field_name == "n_elements"
 
 
@@ -284,10 +284,9 @@ _REAL = _mostly(st.floats(1e-6, 1e9), st.floats())
        n_trials=_SIZE, workers=_SIZE)
 def test_validated_config_builds_domain_objects(target, ue, ris, grid, **values):
     # only objects are built, never a codebook or a chunk, so huge counts allocate nothing
-    cfg = RunConfig(target_snr_db=target, snr_ue_db=ue, snr_ris_db=ris,
-                    snr_grid_db=tuple(grid), **values)
     try:
-        cfg.validate()
+        cfg = RunConfig(target_snr_db=target, snr_ue_db=ue, snr_ris_db=ris,
+                        snr_grid_db=tuple(grid), **values)
     except InvalidParameterError:
         return
     # validate leaves the goodput budget to the goodput path
@@ -308,13 +307,119 @@ def test_validated_config_builds_domain_objects(target, ue, ris, grid, **values)
 
 
 def test_validation_bounds_phase_bits():
-    cfg = RunConfig()
-    cfg.quant_bits = 16
-    cfg.validate()
-    cfg.quant_bits = 17
+    cfg = dataclasses.replace(RunConfig(), quant_bits=16)      # accepted
     with pytest.raises(InvalidParameterError) as err:
-        cfg.validate()
+        dataclasses.replace(cfg, quant_bits=17)
     assert err.value.field_name == "quant_bits"
+
+
+def test_config_is_frozen():
+    cfg = RunConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_elements = 0
+    assert cfg.n_elements == 100
+
+
+def test_replace_validates_the_variant():
+    with pytest.raises(InvalidParameterError) as err:
+        dataclasses.replace(RunConfig(), n_elements=0)
+    assert err.value.field_name == "n_elements"
+
+
+def test_unpickling_does_not_validate_and_keeps_the_frames(monkeypatch):
+    # a pool task's config is rebuilt from its state, frame TTIs included
+    cfg = RunConfig(frame_grid=(1.0, 60.0))
+    assert cfg.frames_ttis == (2, 120)
+
+    def refuse(self):
+        raise AssertionError("validated again")
+    monkeypatch.setattr(RunConfig, "validate", refuse)
+    back = pickle.loads(pickle.dumps(cfg))
+    assert back == cfg
+    assert vars(back)["frames_ttis"] == (2, 120)
+
+
+def test_goodput_run_validates_once_and_derives_each_frame_once(tmp_path, capsys, monkeypatch):
+    # the goodput-fine-grid config: 991 frames on the imperfect-control path
+    path = tmp_path / "fine.cfg"
+    path.write_text("n_elements = 16\nbsw_codebook_size = 8\nrho = 0.286\n"
+                    "perfect_control = false\nframe_grid = 5:500:0.5\n")
+    counts = {"validate": 0, "frame_ttis": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+    monkeypatch.setattr(RunConfig, "validate", counted("validate", RunConfig.validate))
+    original = frames.frame_ttis
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "riscplane" and getattr(module, "frame_ttis", None) is original:
+            monkeypatch.setattr(module, "frame_ttis", counted("frame_ttis", original))
+    argv = ["goodput", "--config", str(path), "--trials", "50", "--out", str(tmp_path / "g.csv")]
+    assert run_cli(argv, capsys) == EXIT_OK
+    assert counts == {"validate": 1, "frame_ttis": 991}
+
+
+# ---------------------------------------------------------------------------
+# Precedence: every file line, then every flag, then one validation
+# ---------------------------------------------------------------------------
+
+def test_flag_over_a_file_value_that_alone_is_invalid(tmp_path, capsys):
+    path = tmp_path / "zero.cfg"
+    path.write_text("n_trials = 0\n")
+    out = tmp_path / "z.csv"
+    assert run_cli(["goodput", "--config", str(path), "--trials", "50", "--frame-grid", "20",
+                    "--out", str(out)], capsys) == EXIT_OK
+    assert out.read_text().count(",50,1\n") == 6
+    assert main(["goodput", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: n_trials: must be >= 1\n"
+
+
+def test_file_parse_error_precedes_the_flags(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("n_trials = abc\n")
+    out = tmp_path / "g.csv"
+    assert main(["goodput", "--config", str(path), "--trials", "5", "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: n_trials: cannot parse value 'abc'\n"
+    assert not out.exists()
+
+
+def test_bad_flag_over_a_good_file_names_the_flag(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("n_trials = 100\nworkers = 2\n")
+    assert main(["goodput", "--config", str(path), "--seed", "x",
+                 "--out", str(tmp_path / "g.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: master_seed: cannot parse value 'x'\n"
+    assert main(["goodput", "--config", str(path), "--workers", "0",
+                 "--out", str(tmp_path / "g.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: workers: must be >= 1\n"
+
+
+_RESOLVED = (
+    "n_elements = 100\nquant_bits = 2\nbsw_codebook_size = 32\nbsw_codebook_style = random\n"
+    "codebook_seed = 7\ntarget_snr_db = 9.87654321\nrho = 0.0268\ntti_ms = 0.5\n"
+    "proc_ttis = 2\nswitch_ttis = 1\nsymbols_per_tti = 84\nheader_bits = 16\n"
+    "bandwidth_hz = 180000.0\nsnr_ue_db = 30.0\nsnr_ris_db = 30.0\nperfect_control = true\n"
+    "es_reservation = true\nini_carries_full_codebook = false\nmaster_seed = 3\n"
+    "n_trials = 50\nworkers = 1\nframe_grid = 10.0,12.5,15.0,17.5,20.0\n"
+    "snr_grid_db = 0.0,1.0,2.0,3.0,4.0,5.0,6.0,7.0,8.0,9.0,10.0,11.0,12.0,13.0,14.0,15.0,"
+    "16.0,17.0,18.0,19.0,20.0,21.0,22.0,23.0,24.0,25.0,26.0,27.0,28.0,29.0,30.0\n"
+    "output_path = {out}\n"
+)
+
+
+def test_resolved_lines_of_a_flagged_run_are_pinned(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("target_snr_db = 9.87654321\nn_trials = 0\n")
+    out = tmp_path / "g.csv"
+    assert main(["goodput", "--config", str(path), "--trials", "50", "--seed", "3",
+                 "--frame-grid", "10:20:2.5", "--out", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err
+    resolved = "".join(line.removeprefix("# resolved ")
+                       for line in err.splitlines(keepends=True) if line.startswith("# "))
+    assert resolved == _RESOLVED.format(out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +485,7 @@ def test_resolved_parameters_logged(tmp_path, capsys):
     # every float, grid points included, is logged in a form float() restores exactly
     logged = dict(line.removeprefix("# resolved ").split(" = ", 1)
                   for line in err.splitlines() if line.startswith("# resolved "))
-    cfg = load_config(str(path))
-    cfg.frame_grid = (10.0,)
+    cfg = dataclasses.replace(load_config(str(path)), frame_grid=(10.0,))
     for key, value in logged.items():
         field = getattr(cfg, key)
         if isinstance(field, float):
@@ -451,8 +555,7 @@ def test_goodput_csv_matches_per_row_format(tmp_path, capsys, args, schemes, mod
     argv = ["goodput", "--trials", "5000", "--seed", "4", "--config", str(cfg),
             "--out", str(out), *args]
     assert run_cli(argv, capsys) == EXIT_OK
-    config = load_config(str(cfg))
-    config.n_trials, config.master_seed = 5000, 4
+    config = dataclasses.replace(load_config(str(cfg)), n_trials=5000, master_seed=4)
     curves = goodput_curves(config, [(scheme, mode) for scheme in schemes for mode in modes])
     assert all(curve[0].goodput_mbps == 0.0 < curve[-1].goodput_mbps for curve in curves)
     assert all(curve[0].success_prob < 1.0 for curve in curves)
@@ -653,6 +756,47 @@ def test_over_long_config_path_is_a_config_error(capsys):
     assert main(["validate", "--config", "a" * 5000]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: config: ") and len(err.splitlines()) == 1
+
+
+def test_config_file_size_is_capped(tmp_path, capsys):
+    path = tmp_path / "big.cfg"
+    path.write_bytes(b"n_trials = 5\n" + b" " * (MAX_CONFIG_BYTES - 14) + b"\n")
+    assert load_config(str(path)).n_trials == 5     # exactly MAX_CONFIG_BYTES is read
+    with open(path, "ab") as fh:
+        fh.write(b"#")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"config error: config: more than {MAX_CONFIG_BYTES} bytes: {path}\n"
+
+
+_EXIT_AND_PEAK_SCRIPT = """
+import sys
+from riscplane import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(code, next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_huge_config_file_is_rejected_without_reading_it(tmp_path):
+    # a sparse 200 MB file: reading it whole would add 400 MiB (bytes and text) to the peak
+    path = tmp_path / "big.cfg"
+    with open(path, "wb") as fh:
+        fh.truncate(200 << 20)
+
+    def exit_and_peak(*argv):
+        proc = subprocess.run([sys.executable, "-c", _EXIT_AND_PEAK_SCRIPT, *argv],
+                              env=child_env(), capture_output=True, text=True, check=True)
+        code, peak = proc.stdout.splitlines()[-1].split()     # after validate's plan lines
+        return int(code), int(peak), proc.stderr
+
+    code, peak, err = exit_and_peak("validate", "--config", str(path))
+    assert code == EXIT_CONFIG
+    assert err == f"config error: config: more than {MAX_CONFIG_BYTES} bytes: {path}\n"
+    plain_code, plain_peak, _ = exit_and_peak("validate")
+    assert plain_code == EXIT_OK
+    assert peak < plain_peak + 8 * MAX_CONFIG_BYTES
 
 
 # ---------------------------------------------------------------------------
