@@ -1,6 +1,7 @@
 """Command-line front end: goodput sweeps, reliability grids, plan checks.
 
-Exit codes: 0 ok, 2 configuration error, 3 output I/O error.
+Exit codes: 0 ok, 2 configuration error, 3 output I/O error, 4 a pool worker
+died, 130 interrupted (SIGINT). Each error ends the run with one line on stderr.
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ from .metrics import check_working_set, goodput_columns, reliability_grid
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_WORKER = 4
+EXIT_INTERRUPTED = 130
 
 GOODPUT_HEADER = "frame_ms,scheme,mode,goodput_mbps,overhead_ms,success_prob,n_trials,seed"
 RELIABILITY_HEADER = "snr_ris_db,snr_ue_db,scheme,mode,reliability"
 THRESHOLD_HEADER = "scheme,mode,axis,min_snr_db"
+RELIABILITY_OUT = "reliability.csv"     # the reliability CSV without --out
 
 _SCHEMES = {**{scheme.value: [scheme] for scheme in Scheme}, "all": list(Scheme)}
 _MODES = {**{mode.value: [mode] for mode in ControlMode}, "both": list(ControlMode)}
@@ -73,6 +77,11 @@ def _resolve(args) -> RunConfig:
         args.threshold = parse_finite(args.threshold, "threshold", f"value {args.threshold!r}")
         if not 0.0 < args.threshold < 1.0:
             raise InvalidParameterError("threshold", "must be in (0, 1)")
+        # the thresholds file goes next to --out, so --out must name a file, not a device
+        out_path = cfg.output_path or RELIABILITY_OUT
+        if os.path.exists(out_path) and not os.path.isfile(out_path):
+            raise InvalidParameterError(
+                "threshold", f"needs --out to be a regular file or a new path, not {out_path!r}")
     for key, value in cfg.resolved_items():
         print(f"# resolved {key} = {value}", file=sys.stderr)
     return cfg
@@ -127,7 +136,7 @@ def _write_block(fh, m, grid_s: list[str], scheme: Scheme, mode: ControlMode) ->
 
 
 def cmd_reliability(cfg: RunConfig, schemes, modes, threshold) -> int:
-    out_path = cfg.output_path or "reliability.csv"
+    out_path = cfg.output_path or RELIABILITY_OUT
     grid = cfg.snr_grid_db
     grid_s = [format(v, ".12g") for v in grid]
     n_rows = 0
@@ -197,6 +206,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except RuntimeError as exc:
+        # the pool's module is loaded only once a pool has run, not at start-up
+        pool = sys.modules.get("concurrent.futures.process")
+        if pool is None or not isinstance(exc, pool.BrokenProcessPool):
+            raise
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

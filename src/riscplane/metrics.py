@@ -88,32 +88,41 @@ def _phase_table(quant_bits: int) -> np.ndarray:
     return table
 
 
-class _Scratch:
-    """A thread's chunk buffers, reused from chunk to chunk.
+def _chunk_buffers(trials: int, n_elements: int, codebook_size: int):
+    """(name, dtype, elements) of each chunk buffer, for chunks of up to trials trials.
 
-    A chunk holds its cascaded gains, (trials, N) complex, and a real buffer
-    of trials x max(N, 2C) floats: first the second hop's real parts, then,
+    The one place the buffers' sizes are written: _Scratch allocates from it
+    and working_set_bytes counts its bytes. fg holds the cascaded gains,
+    (trials, N) complex. real holds first the second hop's real parts, then,
     once the cascade has spent them, the beam sweep's (trials, C) complex
-    products. The rest goes through block buffers of max(_BLOCK, N, C)
-    elements, 32 B per element: the cascade draws the stream _BLOCK normals
-    at a time, the phase compensation runs on blocks of whole trials of up
-    to _BLOCK elements (one trial if N is larger) and the sweep's SNRs and
-    mask on blocks of whole trials of up to _BLOCK entries (one trial if C
-    is larger). Fresh multi-MiB temporaries in every chunk leave it to
-    glibc's malloc whether they come from the brk heap or from new mappings,
-    and the place of unrelated small allocations decides that: the length of
-    the checkout path alone moved a pool worker's peak RSS by 6 MiB. Fixed
-    buffers keep the peak the same from run to run and spare the page faults
-    of fresh mappings.
+    products. draws, wrap and gains are block buffers: a block of normals,
+    phases or SNRs; its wraps, levels or mask; a block of g, then of
+    compensated gains. The cascade draws the stream _BLOCK normals at a
+    time, the phase compensation runs on blocks of whole trials of up to
+    _BLOCK elements (one trial if N is larger) and the sweep's SNRs and mask
+    on blocks of whole trials of up to _BLOCK entries (one trial if C is
+    larger).
+    """
+    block = max(_BLOCK, n_elements, codebook_size)
+    return (("fg", complex, trials * n_elements),
+            ("real", float, trials * max(n_elements, 2 * codebook_size)),
+            ("draws", float, block), ("wrap", float, block), ("gains", complex, block))
+
+
+class _Scratch:
+    """A thread's chunk buffers, reused from chunk to chunk, as _chunk_buffers sizes them.
+
+    Fresh multi-MiB temporaries in every chunk leave it to glibc's malloc
+    whether they come from the brk heap or from new mappings, and the place
+    of unrelated small allocations decides that: the length of the checkout
+    path alone moved a pool worker's peak RSS by 6 MiB. Fixed buffers keep
+    the peak the same from run to run and spare the page faults of fresh
+    mappings.
     """
 
     def __init__(self, trials: int, n_elements: int, codebook_size: int):
-        size, block = trials * n_elements, max(_BLOCK, n_elements, codebook_size)
-        self.fg = np.empty(size, dtype=complex)         # the cascaded gains
-        self.real = np.empty(trials * max(n_elements, 2 * codebook_size))  # Re g, then sweep
-        self.draws = np.empty(block)                    # a block of normals, phases or SNRs
-        self.wrap = np.empty(block)                     # a block's wraps, levels or mask
-        self.gains = np.empty(block, dtype=complex)     # a block of g, then compensated gains
+        for name, dtype, size in _chunk_buffers(trials, n_elements, codebook_size):
+            setattr(self, name, np.empty(size, dtype=dtype))
 
 
 _thread_buffers = threading.local()     # each thread's last chunk buffers and their key
@@ -127,21 +136,20 @@ MAX_WORKING_SET_BYTES = 1 << 30
 def working_set_bytes(cfg: RunConfig) -> int:
     """Upper estimate of the bytes one goodput process allocates for cfg; allocates nothing.
 
-    It adds the chunk buffers (16 B per trial and element for the gains, 8 B per trial
-    and max(N, 2C) for the real buffer, which also holds the sweep's products, and 32 B
-    per element of the max(_BLOCK, N, C) block buffers), a row block, the codebook as
-    levels and complex entries (a run makes it once, in the calling process; a pool
-    worker holds the copy that its task carries), three per-count tables of 6 curves x
-    frames rows and C + 1 counts, 512 B per row for the result objects (only callers of
-    goodput_curves make them; the CLI writes from goodput_columns and makes none), and
-    10 MiB of fixed allocations (numpy's random module, loaded at the first draw, and the
-    BLAS buffers take about 8 MiB). The stages do not all peak at once: it errs high.
+    It adds the chunk buffers of a run's shape, as _chunk_buffers sizes them, a row
+    block, the codebook as levels and complex entries (a run makes it once, in the
+    calling process; a pool worker holds the copy that its task carries), three
+    per-count tables of 6 curves x frames rows and C + 1 counts, 512 B per row for the
+    result objects (only callers of goodput_curves make them; the CLI writes from
+    goodput_columns and makes none), and 10 MiB of fixed allocations (numpy's random
+    module, loaded at the first draw, and the BLAS buffers take about 8 MiB). The
+    stages do not all peak at once: it errs high.
     """
     m = min(int(cfg.n_trials), CHUNK_TRIALS)
     n, c = int(cfg.n_elements), int(cfg.bsw_codebook_size)     # no int64 wrap-around
-    rows = 6 * len(cfg.frame_grid)
-    return (16 * m * n + 8 * m * max(n, 2 * c) + 32 * max(_BLOCK, n, c) + 8 * _FRAME_BLOCK * m
-            + 32 * c * n + rows * (24 * (c + 1) + 512) + (16 << cfg.quant_bits) + (10 << 20))
+    buffers = sum(np.dtype(dtype).itemsize * size for _, dtype, size in _chunk_buffers(m, n, c))
+    return (buffers + 8 * _FRAME_BLOCK * m + 32 * c * n + (16 << cfg.quant_bits) + (10 << 20)
+            + 6 * len(cfg.frame_grid) * (24 * (c + 1) + 512))
 
 
 def check_working_set(cfg: RunConfig) -> None:
@@ -170,8 +178,8 @@ def _cascade(
     sign, which no product, sum or modulus downstream can tell. Re f and Im f
     are scaled straight into fg, Re g into the real buffer, and each block of
     Im g completes its block of g, which multiplies that block of fg in place.
-    The result is a view of scratch's fg buffer; without scratch, new buffers
-    are made.
+    The result is a view of scratch's fg buffer; a call without scratch
+    first makes a _Scratch sized for the call.
     """
     rng = np.random.default_rng([seed, chunk_index])
     if scratch is None:
@@ -202,8 +210,9 @@ def _oce_outcomes(fg: np.ndarray, rho: float, quant_bits: int, scratch: Optional
     2*pi * (x < 0) performs that addition and adds 0.0 elsewhere, so it
     gives the same bits, signed zeros included, in three plain passes. The
     trials go through in blocks of max(1, _BLOCK // N) rows, in the block
-    buffers of scratch (new ones without it); a trial's compensation and its
-    row sum read only its own row, so the blocks give the same bits.
+    buffers of scratch (a call without scratch first makes a _Scratch of
+    block buffers only); a trial's compensation and its row sum read only
+    its own row, so the blocks give the same bits.
     """
     m, n_elements = fg.shape
     if scratch is None:
@@ -244,13 +253,13 @@ def _bsw_outcomes(
     SNRs rho * |fg @ E.T| ** 2, the qualifying mask, its any and its argmax
     go through in blocks of max(1, _BLOCK // C) trials, in the block buffers
     of scratch; each reads only its own trial's row, so the blocks give the
-    bits of whole-chunk passes. Without scratch, new buffers are made.
+    bits of whole-chunk passes. A call without scratch first makes a _Scratch
+    sized for the call, so the products have one path.
     """
     m, size = fg.shape[0], entry_matrix.shape[0]
-    out = None if scratch is None else _shaped(scratch.real[:2 * m * size].view(complex), m, size)
-    products = np.matmul(fg, entry_matrix.T, out=out)
     if scratch is None:
-        scratch = _Scratch(0, fg.shape[1], size)    # the block buffers only
+        scratch = _Scratch(m, 0, size)      # the products' and the block buffers only
+    products = np.matmul(fg, entry_matrix.T, out=_shaped(scratch.real, m, 2 * size).view(complex))
     rows = max(1, _BLOCK // size)
     hit = np.empty(m, dtype=bool)
     first = np.empty(m, dtype=np.intp)

@@ -2,10 +2,13 @@ import dataclasses
 import hashlib
 import io
 import math
+import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 from riscplane import cli, frames, metrics
 from riscplane.cli import (
     EXIT_CONFIG,
+    EXIT_INTERRUPTED,
     EXIT_IO,
     EXIT_OK,
+    EXIT_WORKER,
     GOODPUT_HEADER,
     RELIABILITY_HEADER,
     THRESHOLD_HEADER,
@@ -258,6 +263,75 @@ def test_oversized_run_exits_config_without_traceback(tmp_path):
     assert proc.stderr.startswith("config error: config: a goodput run needs about ")
     assert len(proc.stderr.splitlines()) == 1
     assert not (tmp_path / "out.csv").exists()
+
+
+# a goodput run through cli.main with Python's SIGINT handler, even where SIGINT was
+# ignored when this interpreter started (as in a background job)
+_INTERRUPTIBLE = """
+import signal, sys
+signal.signal(signal.SIGINT, signal.default_int_handler)
+from riscplane import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def error_lines(stderr: str) -> list:
+    """stderr without the resolved-config log."""
+    return [line for line in stderr.splitlines() if not line.startswith("# resolved ")]
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sigint_mid_run_exits_130_with_one_line(tmp_path, workers):
+    # SIGINT goes to the whole process group, as a terminal's Ctrl-C does
+    out = tmp_path / "g.csv"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTIBLE, "goodput", "--trials", str(10 ** 8),
+         "--workers", workers, "--out", str(out)],
+        env=child_env(), stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not out.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(1.0)         # the chunks are running, in the pool's workers too
+        os.killpg(proc.pid, signal.SIGINT)
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == EXIT_INTERRUPTED
+    assert error_lines(stderr) == ["interrupted"]
+
+
+# a goodput run whose second chunk kills the pool worker running it
+_DYING_WORKER = """
+import multiprocessing, os, sys
+from riscplane import cli, metrics
+multiprocessing.set_start_method("fork")
+chunk_partials = metrics._chunk_partials
+
+def dying(cfg, curves, entries, chunk_index):
+    if chunk_index == 1:
+        os._exit(9)
+    return chunk_partials(cfg, curves, entries, chunk_index)
+
+metrics._chunk_partials = dying
+metrics._available_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_dead_pool_worker_exits_4_with_one_line(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _DYING_WORKER, "goodput", "--trials", "9000", "--workers", "2",
+         "--out", str(tmp_path / "g.csv")],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_WORKER
+    lines = error_lines(proc.stderr)
+    assert len(lines) == 1 and lines[0].startswith("worker error: ")
 
 
 def _mostly(usual, other):
@@ -708,6 +782,20 @@ def test_reliability_rejects_goodput_only_flags(tmp_path, capsys, flag):
     assert exc.value.code == EXIT_CONFIG
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_reliability_threshold_needs_a_regular_out(tmp_path, capsys, monkeypatch):
+    # the thresholds file would go next to the device; the stand-in path keeps it in tmp_path
+    summary = tmp_path / "null_thresholds"
+    monkeypatch.setattr(cli, "_threshold_path", lambda out_path: str(summary))
+    for out in (os.devnull, str(tmp_path)):
+        assert main(["reliability", "--threshold", "0.99", "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: threshold: needs --out to be a regular file or a new " \
+                      f"path, not {out!r}\n"
+        assert not summary.exists()
+    # without --threshold a device takes the CSV
+    assert run_cli(["reliability", "--out", os.devnull], capsys) == EXIT_OK
 
 
 def test_reliability_rejects_bad_threshold(tmp_path, capsys):

@@ -355,6 +355,49 @@ def test_bsw_blocks_match_the_plain_formula_bitwise(m, n, c):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def scratch_bytes(scratch) -> int:
+    """The bytes of a _Scratch's buffers."""
+    return sum(buffer.nbytes for buffer in vars(scratch).values())
+
+
+def budgeted_buffer_bytes(monkeypatch, cfg) -> int:
+    """What working_set_bytes(cfg) counts for the chunk buffers: its total less that without."""
+    total = metrics.working_set_bytes(cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "_chunk_buffers", lambda *shape: ())
+        return total - metrics.working_set_bytes(cfg)
+
+
+@pytest.mark.parametrize("n_trials, n, c", [
+    (4096, 100, 32), (4096, 16, 8), (100, 20_000, 8), (3, 4, 16_400), (4096, 8, 64),
+    (9000, 100, 32),        # more trials than a chunk: the buffers hold one chunk
+    (1000, 16, 64),         # fewer trials than a chunk: the buffers hold those trials
+])
+def test_scratch_allocates_what_the_budget_counts(monkeypatch, n_trials, n, c):
+    cfg = RunConfig(n_trials=n_trials, n_elements=n, bsw_codebook_size=c)
+    m = min(n_trials, CHUNK_TRIALS)
+    allocated = scratch_bytes(metrics._Scratch(m, n, c))
+    assert allocated == budgeted_buffer_bytes(monkeypatch, cfg)
+    # the gains, the real buffer and the block buffers keep their sizes
+    assert allocated == 16 * m * n + 8 * m * max(n, 2 * c) + 32 * max(_BLOCK, n, c)
+
+
+def test_scratch_and_budget_follow_the_one_sizing_function(monkeypatch):
+    cfg = RunConfig(n_trials=1000, n_elements=16, bsw_codebook_size=8)
+    scratch, need = metrics._Scratch(1000, 16, 8), metrics.working_set_bytes(cfg)
+    chunk_buffers = metrics._chunk_buffers
+
+    def one_more_real(*shape):
+        return tuple((name, dtype, size + (name == "real")) for name, dtype, size in
+                     chunk_buffers(*shape))
+
+    monkeypatch.setattr(metrics, "_chunk_buffers", one_more_real)
+    grown = metrics._Scratch(1000, 16, 8)
+    assert grown.real.shape == (scratch.real.shape[0] + 1,)
+    assert scratch_bytes(grown) == scratch_bytes(scratch) + 8
+    assert metrics.working_set_bytes(cfg) == need + 8
+
+
 def test_batch_curves_equal_single_spec_sweeps():
     cfg = RunConfig(frame_grid=(1.0, 4.0) + GRID + (250.0,), n_trials=9000, master_seed=4,
                     **LOSSY)
