@@ -2,14 +2,20 @@
 
 Exit codes: 0 ok, 2 configuration error, 3 output I/O error, 4 a pool worker
 died, 130 interrupted (SIGINT). Each error ends the run with one line on stderr.
+A run that fails, with exit 3 too, leaves the earlier files at its output
+paths as they were: every output is opened before any work, written to a
+temporary file beside it and put in place only once the run is complete.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
+import stat
 import sys
+import tempfile
 from dataclasses import fields
 
 import numpy as np
@@ -29,7 +35,6 @@ EXIT_INTERRUPTED = 130
 GOODPUT_HEADER = "frame_ms,scheme,mode,goodput_mbps,overhead_ms,success_prob,n_trials,seed"
 RELIABILITY_HEADER = "snr_ris_db,snr_ue_db,scheme,mode,reliability"
 THRESHOLD_HEADER = "scheme,mode,axis,min_snr_db"
-RELIABILITY_OUT = "reliability.csv"     # the reliability CSV without --out
 
 _SCHEMES = {**{scheme.value: [scheme] for scheme in Scheme}, "all": list(Scheme)}
 _MODES = {**{mode.value: [mode] for mode in ControlMode}, "both": list(ControlMode)}
@@ -78,7 +83,7 @@ def _resolve(args) -> RunConfig:
         if not 0.0 < args.threshold < 1.0:
             raise InvalidParameterError("threshold", "must be in (0, 1)")
         # the thresholds file goes next to --out, so --out must name a file, not a device
-        out_path = cfg.output_path or RELIABILITY_OUT
+        out_path = _output_paths(args, cfg)[0]
         if os.path.exists(out_path) and not os.path.isfile(out_path):
             raise InvalidParameterError(
                 "threshold", f"needs --out to be a regular file or a new path, not {out_path!r}")
@@ -87,8 +92,61 @@ def _resolve(args) -> RunConfig:
     return cfg
 
 
-def cmd_goodput(cfg: RunConfig, schemes, modes) -> int:
-    out_path = cfg.output_path or "goodput.csv"
+def _output_paths(args, cfg: RunConfig) -> list[str]:
+    """The files a goodput or reliability run writes: --out, or <command>.csv without it,
+    then with --threshold the thresholds file next to it."""
+    out_path = cfg.output_path or f"{args.command}.csv"
+    with_thresholds = getattr(args, "threshold", None) is not None
+    return [out_path, _threshold_path(out_path)] if with_thresholds else [out_path]
+
+
+def _file_mode(path: str) -> int:
+    """The mode open(path, "w") leaves on path: an existing file's, or 0666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)     # read by setting it, then put back
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
+def _discard(path: str) -> None:
+    """Remove path if it is there."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+
+
+@contextlib.contextmanager
+def _opened(paths: list[str]):
+    """Text handles on paths, all opened before the caller does any work.
+
+    A regular file (not a symlink), or a path that does not exist yet, is
+    written to a temporary file in its directory, which is replaced onto the
+    path only after the caller's block has returned and every handle has
+    closed. On any exception the temporary files are removed, so the files
+    at paths stay as they were. A device, FIFO or symlink is written directly.
+    """
+    with contextlib.ExitStack() as stack:
+        handles, moves = [], []
+        for path in paths:
+            if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+                handles.append(stack.enter_context(open(path, "w", newline="")))
+                continue
+            fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+                                       dir=os.path.dirname(path) or ".")
+            stack.callback(_discard, tmp)       # after the handle closes; gone once replaced
+            handles.append(stack.enter_context(open(fd, "w", newline="")))
+            os.fchmod(fd, _file_mode(path))
+            moves.append((tmp, path))
+        yield handles
+        for fh in handles:
+            fh.close()          # a failed flush raises here, before any file is replaced
+        for tmp, path in moves:
+            os.replace(tmp, path)
+
+
+def cmd_goodput(cfg: RunConfig, schemes, modes, fh) -> list[int]:
+    """Write the goodput CSV to fh; its row count, in a list."""
     specs = [(scheme, mode) for scheme in schemes for mode in modes]
     # A frame's rows, one per spec, are one %-template call on the frame's
     # [frame_ms, goodput_mbps, overhead_ms, success_prob] of every spec;
@@ -96,17 +154,14 @@ def cmd_goodput(cfg: RunConfig, schemes, modes) -> int:
     template = "".join(
         "%.12g" + f",{scheme.value},{mode.value},".replace("%", "%%") + "%.12g,%.12g,%.12g"
         + f",{cfg.n_trials},{cfg.master_seed}\n".replace("%", "%%") for scheme, mode in specs)
-    # opened first, so an unwritable path fails before any chunk is drawn
-    with open(out_path, "w", newline="") as fh:
-        fh.write(GOODPUT_HEADER + "\n")
-        columns = goodput_columns(cfg, specs)
-        rows = np.empty((len(cfg.frame_grid), len(specs), 4))
-        rows[:, :, 0] = np.array(cfg.frame_grid, dtype=float)[:, None]
-        rows[:, :, 1:] = columns[:, :, :3].swapaxes(0, 1)
-        for row in rows.reshape(len(cfg.frame_grid), -1):
-            fh.write(template % tuple(row.tolist()))
-    print(f"wrote {out_path} ({len(cfg.frame_grid) * len(specs)} rows)", file=sys.stderr)
-    return EXIT_OK
+    fh.write(GOODPUT_HEADER + "\n")
+    columns = goodput_columns(cfg, specs)
+    rows = np.empty((len(cfg.frame_grid), len(specs), 4))
+    rows[:, :, 0] = np.array(cfg.frame_grid, dtype=float)[:, None]
+    rows[:, :, 1:] = columns[:, :, :3].swapaxes(0, 1)
+    for row in rows.reshape(len(cfg.frame_grid), -1):
+        fh.write(template % tuple(row.tolist()))
+    return [len(cfg.frame_grid) * len(specs)]
 
 
 def _grid_threshold_db(m, grid_db, axis: str, threshold: float) -> float:
@@ -135,31 +190,27 @@ def _write_block(fh, m, grid_s: list[str], scheme: Scheme, mode: ControlMode) ->
         fh.write(ris_s + cells.replace("\n", f"\n{ris_s}") + "\n")
 
 
-def cmd_reliability(cfg: RunConfig, schemes, modes, threshold) -> int:
-    out_path = cfg.output_path or RELIABILITY_OUT
+def cmd_reliability(cfg: RunConfig, schemes, modes, threshold, fh, summary=None) -> list[int]:
+    """Write the reliability CSV to fh and, with a threshold, the thresholds to summary;
+    the row count of each."""
     grid = cfg.snr_grid_db
     grid_s = [format(v, ".12g") for v in grid]
-    n_rows = 0
-    summary = [THRESHOLD_HEADER]
-    with open(out_path, "w", newline="") as fh:
-        fh.write(RELIABILITY_HEADER + "\n")
-        for scheme in schemes:
-            catalog = cfg.catalog(scheme)
-            for mode in modes:
-                m = reliability_grid(catalog, mode, grid, grid, cfg.symbols_per_tti)
-                _write_block(fh, m, grid_s, scheme, mode)
-                n_rows += m.size
-                if threshold is not None:
-                    for axis in ("ris", "ue"):
-                        min_db = _grid_threshold_db(m, grid, axis, threshold)
-                        summary.append(f"{scheme.value},{mode.value},{axis},{min_db:.12g}")
-    print(f"wrote {out_path} ({n_rows} rows)", file=sys.stderr)
-    if threshold is not None:
-        summary_path = _threshold_path(out_path)
-        with open(summary_path, "w", newline="") as fh:
-            fh.write("\n".join(summary) + "\n")
-        print(f"wrote {summary_path} ({len(summary) - 1} rows)", file=sys.stderr)
-    return EXIT_OK
+    counts = [0] if summary is None else [0, 0]
+    fh.write(RELIABILITY_HEADER + "\n")
+    if summary is not None:
+        summary.write(THRESHOLD_HEADER + "\n")
+    for scheme in schemes:
+        catalog = cfg.catalog(scheme)
+        for mode in modes:
+            m = reliability_grid(catalog, mode, grid, grid, cfg.symbols_per_tti)
+            _write_block(fh, m, grid_s, scheme, mode)
+            counts[0] += m.size
+            if summary is not None:
+                for axis in ("ris", "ue"):
+                    min_db = _grid_threshold_db(m, grid, axis, threshold)
+                    summary.write(f"{scheme.value},{mode.value},{axis},{min_db:.12g}\n")
+                    counts[1] += 1
+    return counts
 
 
 def _threshold_path(out_path: str) -> str:
@@ -195,11 +246,15 @@ def main(argv=None) -> int:
     modes = _MODES[getattr(args, "mode", "both")]
     try:
         cfg = _resolve(args)
-        if args.command == "goodput":
-            return cmd_goodput(cfg, schemes, modes)
-        if args.command == "reliability":
-            return cmd_reliability(cfg, schemes, modes, args.threshold)
-        return cmd_validate(cfg)
+        if args.command == "validate":
+            return cmd_validate(cfg)
+        paths = _output_paths(args, cfg)
+        with _opened(paths) as handles:
+            counts = (cmd_goodput(cfg, schemes, modes, *handles) if args.command == "goodput"
+                      else cmd_reliability(cfg, schemes, modes, args.threshold, *handles))
+        for path, n_rows in zip(paths, counts):
+            print(f"wrote {path} ({n_rows} rows)", file=sys.stderr)
+        return EXIT_OK
     except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

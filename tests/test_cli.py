@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -275,6 +276,15 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+EARLIER = b"an earlier result\n"
+
+
+def assert_left_as_before(out):
+    """out holds EARLIER and is alone in its directory: no temporary file is left."""
+    assert out.read_bytes() == EARLIER
+    assert os.listdir(out.parent) == [out.name]
+
+
 def error_lines(stderr: str) -> list:
     """stderr without the resolved-config log."""
     return [line for line in stderr.splitlines() if not line.startswith("# resolved ")]
@@ -285,13 +295,15 @@ def error_lines(stderr: str) -> list:
 def test_sigint_mid_run_exits_130_with_one_line(tmp_path, workers):
     # SIGINT goes to the whole process group, as a terminal's Ctrl-C does
     out = tmp_path / "g.csv"
+    out.write_bytes(EARLIER)
     proc = subprocess.Popen(
         [sys.executable, "-c", _INTERRUPTIBLE, "goodput", "--trials", str(10 ** 8),
          "--workers", workers, "--out", str(out)],
         env=child_env(), stderr=subprocess.PIPE, text=True, start_new_session=True)
     try:
+        # the run's temporary file appears next to g.csv once the outputs are open
         deadline = time.monotonic() + 60
-        while not out.exists() and time.monotonic() < deadline:
+        while len(os.listdir(tmp_path)) < 2 and time.monotonic() < deadline:
             time.sleep(0.05)
         time.sleep(1.0)         # the chunks are running, in the pool's workers too
         os.killpg(proc.pid, signal.SIGINT)
@@ -302,6 +314,7 @@ def test_sigint_mid_run_exits_130_with_one_line(tmp_path, workers):
             proc.wait()
     assert proc.returncode == EXIT_INTERRUPTED
     assert error_lines(stderr) == ["interrupted"]
+    assert_left_as_before(out)
 
 
 # a goodput run whose second chunk kills the pool worker running it
@@ -325,13 +338,77 @@ sys.exit(cli.main(sys.argv[1:]))
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
 def test_dead_pool_worker_exits_4_with_one_line(tmp_path):
+    out = tmp_path / "g.csv"
+    out.write_bytes(EARLIER)
     proc = subprocess.run(
         [sys.executable, "-c", _DYING_WORKER, "goodput", "--trials", "9000", "--workers", "2",
-         "--out", str(tmp_path / "g.csv")],
+         "--out", str(out)],
         env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_WORKER
     lines = error_lines(proc.stderr)
     assert len(lines) == 1 and lines[0].startswith("worker error: ")
+    assert_left_as_before(out)
+
+
+# a run through cli.main whose files may not grow past 64 KiB, failing a write with
+# EFBIG instead of being killed by SIGXFSZ
+_FILE_SIZE_LIMITED = """
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+from riscplane import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE and SIGXFSZ")
+@pytest.mark.parametrize("args", [
+    ["goodput", "--trials", "2000", "--frame-grid", "5:500:0.5"],     # 5,946 rows
+    ["reliability", "--threshold", "0.99"],                           # 5,766 rows
+])
+def test_write_over_the_file_size_limit_leaves_the_earlier_file(tmp_path, args):
+    out = tmp_path / "out.csv"
+    out.write_bytes(EARLIER)
+    proc = subprocess.run([sys.executable, "-c", _FILE_SIZE_LIMITED, *args, "--out", str(out)],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_IO
+    lines = error_lines(proc.stderr)
+    assert len(lines) == 1 and lines[0].startswith("i/o error: [Errno 27] ")
+    assert_left_as_before(out)
+
+
+def test_outputs_keep_the_mode_a_plain_open_gives(tmp_path, capsys):
+    out, new, reference = tmp_path / "r.csv", tmp_path / "new.csv", tmp_path / "reference"
+    out.write_bytes(EARLIER)
+    out.chmod(0o640)
+    umask = os.umask(0o027)
+    try:
+        open(reference, "w").close()
+        assert run_cli(["reliability", "--out", str(out)], capsys) == EXIT_OK
+        assert run_cli(["reliability", "--out", str(new)], capsys) == EXIT_OK
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode) == 0o640
+
+
+def test_a_symlinked_output_is_written_through(tmp_path, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(EARLIER)
+    link.symlink_to(target)
+    assert run_cli(["reliability", "--out", str(link)], capsys) == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_text().splitlines()[0] == RELIABILITY_HEADER
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+
+def test_outputs_default_to_the_command_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["goodput", "--trials", "200"]) == EXIT_OK
+    assert main(["reliability"]) == EXIT_OK
+    assert sorted(os.listdir(tmp_path)) == ["goodput.csv", "reliability.csv"]
+    assert (tmp_path / "goodput.csv").read_text().splitlines()[0] == GOODPUT_HEADER
+    assert (tmp_path / "reliability.csv").read_text().splitlines()[0] == RELIABILITY_HEADER
 
 
 def _mostly(usual, other):
@@ -796,6 +873,20 @@ def test_reliability_threshold_needs_a_regular_out(tmp_path, capsys, monkeypatch
         assert not summary.exists()
     # without --threshold a device takes the CSV
     assert run_cli(["reliability", "--out", os.devnull], capsys) == EXIT_OK
+
+
+def test_reliability_opens_the_thresholds_file_before_the_grid(tmp_path, capsys, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a grid was computed")
+    monkeypatch.setattr(cli, "reliability_grid", no_grid)
+    out = tmp_path / "r.csv"
+    out.write_bytes(EARLIER)
+    (tmp_path / "r_thresholds.csv").mkdir()
+    assert main(["reliability", "--threshold", "0.99", "--out", str(out)]) == EXIT_IO
+    assert error_lines(capsys.readouterr().err) == [
+        f"i/o error: [Errno 21] Is a directory: {str(tmp_path / 'r_thresholds.csv')!r}"]
+    assert out.read_bytes() == EARLIER
+    assert sorted(os.listdir(tmp_path)) == ["r.csv", "r_thresholds.csv"]
 
 
 def test_reliability_rejects_bad_threshold(tmp_path, capsys):
