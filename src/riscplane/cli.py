@@ -150,10 +150,10 @@ def cmd_goodput(cfg: RunConfig, schemes, modes, fh) -> list[int]:
     specs = [(scheme, mode) for scheme in schemes for mode in modes]
     # A frame's rows, one per spec, are one %-template call on the frame's
     # [frame_ms, goodput_mbps, overhead_ms, success_prob] of every spec;
-    # '%.12g' gives the bytes of format(v, '.12g').
+    # '%.12g' gives the bytes of format(v, '.12g'), and no label holds a '%'.
     template = "".join(
-        "%.12g" + f",{scheme.value},{mode.value},".replace("%", "%%") + "%.12g,%.12g,%.12g"
-        + f",{cfg.n_trials},{cfg.master_seed}\n".replace("%", "%%") for scheme, mode in specs)
+        f"%.12g,{scheme.value},{mode.value},%.12g,%.12g,%.12g,{cfg.n_trials},{cfg.master_seed}\n"
+        for scheme, mode in specs)
     fh.write(GOODPUT_HEADER + "\n")
     columns = goodput_columns(cfg, specs)
     rows = np.empty((len(cfg.frame_grid), len(specs), 4))
@@ -174,13 +174,12 @@ def _write_block(fh, m, grid_s: list[str], scheme: Scheme, mode: ControlMode) ->
     """Write the rows of one (scheme, mode) grid m, rows over the RIS axis, labelled by grid_s.
 
     A row's cells after the RIS column are formatted by one %-template call,
-    whose '%.12g' gives the bytes of format(v, '.12g'). A row whose float64
-    bits equal the previous row's (so -0.0 is not 0.0) writes that text
-    again behind its own RIS column: every out-of-band grid is one repeated
-    row. Holds one row's text.
+    whose '%.12g' gives the bytes of format(v, '.12g'); no label holds a
+    '%'. A row whose float64 bits equal the previous row's (so -0.0 is not
+    0.0) writes that text again behind its own RIS column: every
+    out-of-band grid is one repeated row. Holds one row's text.
     """
-    template = "\n".join(f",{ue_s},{scheme.value},{mode.value},".replace("%", "%%") + "%.12g"
-                         for ue_s in grid_s)
+    template = "\n".join(f",{ue_s},{scheme.value},{mode.value},%.12g" for ue_s in grid_s)
     prev_bits = None
     for ris_s, row in zip(grid_s, m):
         bits = row.tobytes()

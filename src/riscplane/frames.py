@@ -17,9 +17,11 @@ from .channel import check_counts
 from .control import ControlMessage, ControlMode, MsgPhase, Scheme, out_of_band
 from .errors import InvalidParameterError, check_bool, check_int, check_positive
 
-# Most TTIs a frame may span. A 4096-trial chunk (metrics.CHUNK_TRIALS) then
-# sums at most 2^52 payload TTIs per frame, which int64 holds and float64
-# represents exactly.
+# Most TTIs a frame (and, by RunConfig's check, a frame overhead) may span. A
+# 4096-trial chunk (metrics.CHUNK_TRIALS) then sums at most 2^52 payload or
+# overhead TTIs per frame, which int64 holds and float64 represents exactly.
+# The run adds the chunks' overhead sums in float64, so a curve's total
+# rounds once it passes 2^53 TTIs (more than 8,192 trials at this bound).
 MAX_FRAME_TTIS = 2 ** 40
 
 

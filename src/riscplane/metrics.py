@@ -6,9 +6,10 @@ partial sums are reduced in chunk order, so results are bit-identical for a
 given seed no matter how many workers evaluate the chunks. The channel
 stream does not depend on the scheme or the control mode, so every curve of
 a batch is reduced from one draw per chunk, and plain beam sweeping and its
-early-stopping variant share the qualifying event of every trial. Per chunk,
-_reduce_curves plans and sums once each payload row shared by curves of one
-kernel and evaluation cost; squares and overheads come from per-count sums.
+early-stopping variant share the qualifying event of every trial.
+goodput_columns plans once per run, beside the codebook, the payload rows
+shared by curves of one kernel and evaluation cost; a chunk only sums each
+live row once, and squares and overheads come from per-count sums.
 """
 
 from __future__ import annotations
@@ -62,15 +63,6 @@ class GoodputResult:
     n_trials: int
     seed: int
     goodput_se: float = 0.0   # Monte Carlo standard error of goodput_mbps
-
-
-@dataclass(frozen=True)
-class _Curve:
-    """Per-trial overhead model of one (scheme, mode) curve."""
-
-    kernel: Scheme              # OCE or BSW; early stopping reduces the BSW outcomes
-    overhead_ttis: int          # frame TTIs before PAY, early-stopping evaluations excluded
-    es_per_eval_ttis: int       # TTIs per early-stopping evaluation, 0 for a fixed overhead
 
 
 def _codebook_matrix(
@@ -295,30 +287,25 @@ def _payload_rows(table: np.ndarray, index: Optional[np.ndarray], rs: np.ndarray
     return pay.sum(axis=1)
 
 
-def _reduce_curves(curves: Sequence[_Curve], frames_ttis: Sequence[int], outcomes) -> np.ndarray:
+def _reduce_curves(plan: tuple, frames_ttis: Sequence[int], outcomes) -> np.ndarray:
     """Per-curve, per-frame partial sums [sum rsp, sum rsp^2, sum success, sum overhead_ttis].
 
-    rsp is rate * success * payload TTIs per trial. Each chunk plans its
-    rows: the curves of one kernel and evaluation cost es share a row per
-    distinct payload budget D = max(0, frame - overhead_ttis), since the
-    per-trial payload max(0, D - es * evals) depends on a trial only through
-    its evaluation count. Each live row is summed in one pass over the
-    trials, by a multiply or (early stopping) a gather, and gathered into
-    every curve and frame using it. With payload(k) a row's payload at
-    evaluation count k (one count for rate adaptation), sum rsp^2 = sum_k
-    payload(k)^2 * S2[k], S2[k] summing rs^2 over count k's trials, and the
-    overhead is frame * trials - sum_k payload(k) * hist[k], both summed
-    along k: a matmul's bits would depend on the batch size.
+    rsp is rate * success * payload TTIs per trial. plan holds, per group of
+    curves of one kernel and evaluation cost es, (kernel, es, positions,
+    budget, rows): the curves' places in the result, the group's increasing
+    distinct payload budgets D = max(0, frame - overhead_ttis) and each
+    curve's budget index per frame. A trial's payload max(0, D - es * evals)
+    depends on it only through its evaluation count, so each live row takes
+    one pass over the trials, a multiply or (early stopping) a gather. With
+    payload(k) a row's payload at count k (one count for rate adaptation),
+    sum rsp^2 = sum_k payload(k)^2 * S2[k], S2[k] summing rs^2 over count
+    k's trials, and the overhead is frame * trials - sum_k payload(k) *
+    hist[k], both summed along the chunk's own counts: a matmul's bits would
+    depend on the batch size, the sum's on the number of counts.
     """
     frames = np.array(frames_ttis, dtype=np.int64)
-    out = np.empty((len(curves), frames.shape[0], 4))
-    members: dict[tuple[Scheme, int], list[int]] = {}
-    for position, curve in enumerate(curves):
-        members.setdefault((curve.kernel, curve.es_per_eval_ttis), []).append(position)
-    for (kernel, es), positions in members.items():
-        overheads = np.array([curves[p].overhead_ttis for p in positions], dtype=np.int64)
-        budgets = np.maximum(0, frames - overheads[:, None])
-        budget, rows = np.unique(budgets, return_inverse=True)    # numpy 1.x: rows is flat
+    out = np.empty((sum(len(group[2]) for group in plan), frames.shape[0], 4))
+    for kernel, es, positions, budget, rows in plan:
         rate, success, evals = outcomes[kernel]
         m = rate.shape[0]
         rs = rate * success
@@ -341,7 +328,7 @@ def _reduce_curves(curves: Sequence[_Curve], frames_ttis: Sequence[int], outcome
             block = table[lo:lo + _FRAME_BLOCK]
             sums[lo:lo + _FRAME_BLOCK, 0] = _payload_rows(block, index, rs, pay[:block.shape[0]])
         success_sum, pay_sum = success.sum(), per_count @ hist
-        for position, row in zip(positions, rows.reshape(budgets.shape)):
+        for position, row in zip(positions, rows):
             out[position, :, :2] = sums[row]
             out[position, :, 2] = success_sum
             out[position, :, 3] = frames * m - pay_sum[row]
@@ -349,13 +336,13 @@ def _reduce_curves(curves: Sequence[_Curve], frames_ttis: Sequence[int], outcome
 
 
 def _chunk_partials(
-    cfg: RunConfig, curves: tuple[_Curve, ...], entries: Optional[np.ndarray], chunk_index: int,
+    cfg: RunConfig, plan: tuple, entries: Optional[np.ndarray], chunk_index: int,
 ) -> np.ndarray:
-    """Partial sums of one chunk, shape (curves, frames, 4); _reduce_curves plans its rows.
+    """Partial sums of one chunk, shape (curves, frames, 4), summed along the run's row plan.
 
-    entries, the run's codebook matrix, is None when no curve sweeps. The frames' TTIs are
-    cfg.frames_ttis, which a pickled cfg carries. Besides its arguments, a chunk reads only
-    its thread's buffers.
+    plan is goodput_columns' row plan (see _reduce_curves). entries, the run's codebook
+    matrix, is None when no curve sweeps. The frames' TTIs are cfg.frames_ttis, which a
+    pickled cfg carries. Besides its arguments, a chunk reads only its thread's buffers.
     """
     m = min(CHUNK_TRIALS, cfg.n_trials - chunk_index * CHUNK_TRIALS)
     key = (min(cfg.n_trials, CHUNK_TRIALS), cfg.n_elements, cfg.bsw_codebook_size)
@@ -364,12 +351,12 @@ def _chunk_partials(
     scratch = _thread_buffers.scratch
     fg = _cascade(cfg.master_seed, chunk_index, m, cfg.n_elements, scratch)
     outcomes = {}
-    if any(curve.kernel is Scheme.OCE for curve in curves):
+    if any(kernel is Scheme.OCE for kernel, *_ in plan):
         outcomes[Scheme.OCE] = _oce_outcomes(fg, cfg.rho, cfg.quant_bits, scratch)
     if entries is not None:
         outcomes[Scheme.BSW] = _bsw_outcomes(fg, cfg.rho, db_to_linear(cfg.target_snr_db),
                                              entries, scratch)
-    return _reduce_curves(curves, cfg.frames_ttis, outcomes)
+    return _reduce_curves(plan, cfg.frames_ttis, outcomes)
 
 
 def _available_cpus() -> int:
@@ -398,18 +385,18 @@ def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]])
 
     Returns a float64 (specs, frames, 4) array, specs in spec order, of the
     GoodputResult fields [goodput_mbps, overhead_ms, success_prob,
-    goodput_se] per frame. Every curve and grid point is
-    reduced from the same per-trial channel outcomes: each chunk is drawn
-    once, each scheme kernel runs at most once per chunk and each distinct
-    payload row of a kernel and evaluation cost is reduced once per chunk,
-    so a curve is exactly what a batch of its spec alone gives. A run with
-    a sweeping spec makes its codebook matrix once, in the calling process,
-    and every chunk task carries it. With cfg.workers > 1 the chunks run on
-    one process pool of at most min(workers, chunks, available CPUs)
-    processes. cfg was validated, and its frames' TTIs derived, when it
-    was built. Empty or repeated specs, specs that are not (Scheme,
-    ControlMode) pairs and a cfg over the memory budget (field config)
-    raise InvalidParameterError before anything is allocated.
+    goodput_se] per frame. Every curve and grid point is reduced from the
+    same per-trial channel outcomes: each chunk is drawn once, each scheme
+    kernel runs at most once per chunk and each distinct payload row of a
+    kernel and evaluation cost is summed once per chunk, so a curve is
+    exactly what a batch of its spec alone gives. The run derives its row
+    plan and, with a sweeping spec, its codebook matrix once, in the calling
+    process, and every chunk task carries both. With cfg.workers > 1 the
+    chunks run on one process pool of at most min(workers, chunks,
+    available CPUs) processes. cfg was validated, and its frames' TTIs
+    derived, when it was built. Empty or repeated specs, specs that are not
+    (Scheme, ControlMode) pairs and a cfg over the memory budget (field
+    config) raise InvalidParameterError before anything is allocated.
     """
     pairs = (isinstance(spec, tuple) and tuple(map(type, spec)) == (Scheme, ControlMode)
              for spec in specs)
@@ -420,20 +407,26 @@ def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]])
     check_working_set(cfg)
     state = None if cfg.perfect_control else cfg.control_state()
 
-    curves, reliabilities = [], []
-    for scheme, mode in specs:
+    # each curve's overhead and row plan, grouped by kernel and TTIs per early-stopping evaluation
+    groups: dict[tuple[Scheme, int], list[tuple[int, int]]] = {}
+    reliabilities = []
+    for position, (scheme, mode) in enumerate(specs):
         params, catalog = cfg.scheme_params(scheme), cfg.catalog(scheme)
-        if scheme is Scheme.BSW_ES:
-            curves.append(_Curve(Scheme.BSW, overhead_ttis(params, mode, catalog, stop_index=0),
-                                 alg_ttis(params, 1)))
-        else:
-            curves.append(_Curve(scheme, overhead_ttis(params, mode, catalog), 0))
+        stop = 0 if scheme is Scheme.BSW_ES else None   # each trial adds es per evaluation
+        key = (scheme, 0) if stop is None else (Scheme.BSW, alg_ttis(params, 1))
+        groups.setdefault(key, []).append((position, overhead_ttis(params, mode, catalog, stop)))
         reliabilities.append(1.0 if state is None else control_reliability(catalog, state, mode))
+    frames, plan = np.array(cfg.frames_ttis, dtype=np.int64), []
+    for (kernel, es), curves in groups.items():
+        positions, overheads = zip(*curves)
+        budgets = np.maximum(0, frames - np.array(overheads, dtype=np.int64)[:, None])
+        budget, rows = np.unique(budgets, return_inverse=True)    # numpy 1.x: rows is flat
+        plan.append((kernel, es, positions, budget, rows.reshape(budgets.shape)))
     entries = None
-    if any(curve.kernel is Scheme.BSW for curve in curves):
+    if any(kernel is Scheme.BSW for kernel, _ in groups):
         entries = _codebook_matrix(cfg.n_elements, cfg.bsw_codebook_size, cfg.quant_bits,
                                    cfg.codebook_seed, cfg.bsw_codebook_style)
-    chunk = partial(_chunk_partials, cfg, tuple(curves), entries)
+    chunk = partial(_chunk_partials, cfg, tuple(plan), entries)
 
     # Partials are summed in place in chunk order, which keeps the reduction
     # deterministic whatever the number of processes.

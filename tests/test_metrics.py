@@ -30,7 +30,6 @@ from riscplane.metrics import (
     _bsw_outcomes,
     _cascade,
     _codebook_matrix,
-    _Curve,
     _oce_outcomes,
     _payload_rows,
     _phase_table,
@@ -399,16 +398,34 @@ def test_scratch_and_budget_follow_the_one_sizing_function(monkeypatch):
 
 
 def test_batch_curves_equal_single_spec_sweeps():
-    cfg = RunConfig(frame_grid=(1.0, 4.0) + GRID + (250.0,), n_trials=9000, master_seed=4,
-                    **LOSSY)
-    curves = goodput_curves(cfg, SIX_SPECS)
-    assert len(curves) == 6
-    for spec, curve in zip(SIX_SPECS, curves):
-        assert curve == goodput_curves(cfg, [spec])[0]
+    # the lossy 1-TTI grid from one TTI shares the IB and OB rows of each scheme, and its
+    # first frames are all overhead
+    one_tti = tuple(0.5 * k for k in range(1, 241))
+    for grid, workers in (((1.0, 4.0) + GRID + (250.0,), 1), (one_tti, 1), (one_tti, 2)):
+        cfg = RunConfig(frame_grid=grid, n_trials=9000, master_seed=4, workers=workers, **LOSSY)
+        curves = goodput_curves(cfg, SIX_SPECS)
+        assert len(curves) == 6
+        for spec, curve in zip(SIX_SPECS, curves):
+            assert curve == goodput_curves(cfg, [spec])[0]
+
+
+def row_plan(curves, frames):
+    """The row plan goodput_columns binds into its chunks, of (kernel, overhead, es) curves."""
+    groups = {}
+    for position, (kernel, overhead, es) in enumerate(curves):
+        groups.setdefault((kernel, es), []).append((position, overhead))
+    plan = []
+    for (kernel, es), members in groups.items():
+        positions, overheads = zip(*members)
+        budgets = np.maximum(0, np.array(frames)[None, :] - np.array(overheads)[:, None])
+        budget, rows = np.unique(budgets, return_inverse=True)
+        plan.append((kernel, es, positions, budget, rows.reshape(budgets.shape)))
+    return tuple(plan)
 
 
 def _frame_loop_partials(curve, frames, rate, success, evals):
-    """Reference reducer: one frame at a time, one trial vector per frame.
+    """Reference reducer of one (kernel, overhead, es) curve: one frame at a time, one trial
+    vector per frame.
 
     Returns the partials and the direct sum of rsp^2 per frame. The partials'
     sum rsp^2 adds payload(k)^2 * S2[k] over the evaluation counts k, with
@@ -419,15 +436,16 @@ def _frame_loop_partials(curve, frames, rate, success, evals):
     rs = rate * success
     s2 = np.bincount(np.zeros(m, dtype=np.intp) if evals is None else evals, weights=rs * rs)
     k = np.arange(s2.shape[0])
+    _, overhead, es = curve
     out, direct = np.zeros((len(frames), 4)), np.zeros(len(frames))
     for i, total in enumerate(frames):
-        if curve.es_per_eval_ttis:
-            oh = curve.overhead_ttis + curve.es_per_eval_ttis * evals
+        if es:
+            oh = overhead + es * evals
             pay = np.maximum(0, total - oh)
-            pay_k = np.maximum(0, total - (curve.overhead_ttis + curve.es_per_eval_ttis * k))
+            pay_k = np.maximum(0, total - (overhead + es * k))
             overhead_sum = float(np.minimum(oh, total).sum())
         else:
-            oh = curve.overhead_ttis
+            oh = overhead
             pay = max(0, total - oh)
             pay_k = np.full(k.shape, pay)
             overhead_sum = float(min(oh, total)) * m
@@ -439,20 +457,21 @@ def _frame_loop_partials(curve, frames, rate, success, evals):
 
 
 def assert_reducer_matches_frame_loop(curves, frames, outcomes):
-    partials = _reduce_curves(curves, frames, outcomes)
+    partials = _reduce_curves(row_plan(curves, frames), frames, outcomes)
     assert partials.shape == (len(curves), len(frames), 4)
     for curve, blocked in zip(curves, partials):
-        reference, direct = _frame_loop_partials(curve, frames, *outcomes[curve.kernel])
+        reference, direct = _frame_loop_partials(curve, frames, *outcomes[curve[0]])
         # bit for bit: array_equal would take -0.0 for 0.0, which %.12g writes as -0
         assert np.array_equal(blocked.view(np.uint64), reference.view(np.uint64))
         assert np.allclose(blocked[:, 1], direct, rtol=1e-12, atol=0.0)
 
 
-# IB/OB-like pairs two TTIs apart on a 1-TTI grid share rows; frames start
-# below every overhead, and the grid is not a whole number of blocks
+# (kernel, overhead TTIs, TTIs per early-stopping evaluation) curves: IB/OB-like
+# pairs two TTIs apart on a 1-TTI grid share rows; frames start below every
+# overhead, and the grid is not a whole number of blocks
 LOOP_FRAMES = tuple(range(2, 2 + 14 * _FRAME_BLOCK + 3))
-SWEEP_CURVES = (_Curve(Scheme.BSW, 39, 0), _Curve(Scheme.BSW, 37, 0),
-                _Curve(Scheme.BSW, 5, 2), _Curve(Scheme.BSW, 3, 2), _Curve(Scheme.BSW, 6, 1))
+SWEEP_CURVES = ((Scheme.BSW, 39, 0), (Scheme.BSW, 37, 0),
+                (Scheme.BSW, 5, 2), (Scheme.BSW, 3, 2), (Scheme.BSW, 6, 1))
 
 
 def test_blocked_reducer_matches_frame_loop():
@@ -461,7 +480,7 @@ def test_blocked_reducer_matches_frame_loop():
         Scheme.OCE: _oce_outcomes(fg, RHO, 2),
         Scheme.BSW: _bsw_outcomes(fg, RHO, 10.0, _codebook_matrix(100, 32, 2, 7, "random")),
     }
-    curves = (_Curve(Scheme.OCE, 105, 0), _Curve(Scheme.OCE, 103, 0)) + SWEEP_CURVES
+    curves = ((Scheme.OCE, 105, 0), (Scheme.OCE, 103, 0)) + SWEEP_CURVES
     assert_reducer_matches_frame_loop(curves, LOOP_FRAMES, outcomes)
 
 
@@ -504,6 +523,19 @@ def test_default_curves_reduce_each_distinct_row_once_per_chunk(monkeypatch):
                 keys.add((scheme, pay))
     assert 0 < len(keys) < 3 * len(grid)
     assert sum(reduced) == 3 * len(keys)
+
+
+def test_a_run_plans_its_rows_once_per_kernel_and_evaluation_cost(monkeypatch):
+    planned, unique = [], np.unique
+
+    def counting(budgets, **kwargs):
+        planned.append(budgets.shape)
+        return unique(budgets, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    goodput_curves(RunConfig(n_trials=9000), SIX_SPECS)     # three chunks
+    # OCE, BSW and early-stopping BSW, each an IB and an OB curve, not once per chunk
+    assert planned == [(2, len(GRID))] * 3
 
 
 def test_batch_rejects_empty_specs():
