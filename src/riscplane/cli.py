@@ -132,8 +132,11 @@ def _opened(paths: list[str]):
             if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
                 handles.append(stack.enter_context(open(path, "w", newline="")))
                 continue
-            fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
-                                       dir=os.path.dirname(path) or ".")
+            try:
+                fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+                                           dir=os.path.dirname(path) or ".")
+            except OSError as exc:      # name the output, not the temporary file
+                raise OSError(exc.errno, exc.strerror, path) from None
             stack.callback(_discard, tmp)       # after the handle closes; gone once replaced
             handles.append(stack.enter_context(open(fd, "w", newline="")))
             os.fchmod(fd, _file_mode(path))

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .channel import check_counts
 from .errors import InvalidParameterError, check_bool, check_int, check_positive
 
@@ -190,20 +192,30 @@ def msg_success_prob(payload_bits: int, symbols: int, avg_snr: float) -> float:
     return math.exp(-outage_threshold(payload_bits, symbols) / avg_snr)
 
 
+def reliability_matrix(catalog: list[ControlMessage], mode: ControlMode, snr_ris: Sequence[float],
+                       snr_ue: Sequence[float], symbols_per_tti: int) -> np.ndarray:
+    """Probability that all four control messages of a frame decode, rows over linear snr_ris.
+
+    Messages see independent fading draws; see outage_thresholds. A factor is
+    computed once per point of its recipient's axis, and the factors are
+    multiplied in catalog order into a matrix of ones.
+    """
+    matrix = np.ones((len(snr_ris), len(snr_ue)))
+    for recipient, threshold in outage_thresholds(catalog, mode, symbols_per_tti):
+        axis = snr_ue if recipient is Recipient.UE else snr_ris
+        factor = np.array([math.exp(-threshold / snr) for snr in axis])
+        matrix *= factor[None, :] if recipient is Recipient.UE else factor[:, None]
+    return matrix
+
+
 def control_reliability(
     catalog: list[ControlMessage],
     state: ControlChannelState,
     mode: ControlMode,
 ) -> float:
-    """Probability that all four control messages of a frame decode.
-
-    Messages see independent fading draws; see outage_thresholds.
-    """
-    prob = 1.0
-    for recipient, threshold in outage_thresholds(catalog, mode, state.symbols_per_tti):
-        snr = state.avg_snr_ue if recipient is Recipient.UE else state.avg_snr_ris
-        prob *= math.exp(-threshold / snr)
-    return prob
+    """reliability_matrix at the one SNR pair of state."""
+    return float(reliability_matrix(catalog, mode, [state.avg_snr_ris], [state.avg_snr_ue],
+                                    state.symbols_per_tti)[0, 0])
 
 
 def min_snr_for_reliability(

@@ -62,9 +62,7 @@ class FramePlan:
     total_ttis: int
 
     def __post_init__(self):
-        phases = tuple(self.phases)
-        object.__setattr__(self, "phases", phases)
-        inband = sum(p.tti_span for p in phases
+        inband = sum(p.tti_span for p in self.phases
                      if p.channel_usage is not ChannelUse.OUT_OF_BAND)
         if inband != self.total_ttis:
             raise InvalidParameterError(

@@ -30,12 +30,11 @@ from .config import RunConfig
 from .control import (
     ControlMessage,
     ControlMode,
-    Recipient,
     Scheme,
     control_reliability,
     db_to_linear,
-    outage_thresholds,
     positive_linear,
+    reliability_matrix,
 )
 from .errors import InvalidParameterError
 from .frames import alg_ttis, overhead_ttis
@@ -503,17 +502,8 @@ def reliability_grid(
 ) -> np.ndarray:
     """Closed-form control reliability on a dB grid, rows over the RIS axis.
 
-    Reliability is a product of per-message factors, each depending on one
-    axis only, so every factor is computed once per point of its own axis
-    and the (len(ris), len(ue)) matrix is their broadcast product. The
-    factors are multiplied in `control_reliability`'s order, so every cell
-    equals it bit for bit.
+    control.reliability_matrix on the linear axes, so every cell equals
+    control_reliability bit for bit.
     """
-    ris = positive_linear(snr_ris_grid_db, "snr_ris_grid_db")
-    ue = positive_linear(snr_ue_grid_db, "snr_ue_grid_db")
-    grid = np.ones((len(ris), len(ue)))
-    for recipient, threshold in outage_thresholds(catalog, mode, symbols_per_tti):
-        axis = ue if recipient is Recipient.UE else ris
-        factor = np.array([math.exp(-threshold / snr) for snr in axis])
-        grid *= factor[None, :] if recipient is Recipient.UE else factor[:, None]
-    return grid
+    return reliability_matrix(catalog, mode, positive_linear(snr_ris_grid_db, "snr_ris_grid_db"),
+                              positive_linear(snr_ue_grid_db, "snr_ue_grid_db"), symbols_per_tti)

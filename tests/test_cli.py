@@ -324,10 +324,10 @@ from riscplane import cli, metrics
 multiprocessing.set_start_method("fork")
 chunk_partials = metrics._chunk_partials
 
-def dying(cfg, curves, entries, chunk_index):
+def dying(cfg, plan, entries, chunk_index):
     if chunk_index == 1:
         os._exit(9)
-    return chunk_partials(cfg, curves, entries, chunk_index)
+    return chunk_partials(cfg, plan, entries, chunk_index)
 
 metrics._chunk_partials = dying
 metrics._available_cpus = lambda: 2
@@ -611,8 +611,12 @@ def test_goodput_accepts_single_point_grid(tmp_path, capsys):
 
 def test_goodput_unwritable_output_is_io_error(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "g.csv"
-    code = run_cli(["goodput", "--trials", "50", "--out", str(missing)], capsys)
+    code = main(["goodput", "--trials", "50", "--out", str(missing)])
     assert code == EXIT_IO
+    # the one line names the output given, not the temporary file beside it
+    lines = error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and lines[0].startswith("i/o error: ")
+    assert lines[0].endswith(repr(str(missing))) and ".tmp" not in lines[0]
 
 
 def test_goodput_unwritable_output_fails_before_drawing(tmp_path, capsys, monkeypatch):
