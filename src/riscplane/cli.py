@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import math
 import os
+import shutil
 import stat
 import sys
 import tempfile
@@ -21,10 +22,10 @@ from dataclasses import fields
 import numpy as np
 
 from .config import RunConfig, load_config, parse_finite
-from .control import ControlMode, Scheme
+from .control import ControlMode, Scheme, outage_thresholds
 from .errors import InvalidParameterError
 from .frames import ChannelUse, build_frame, overhead_ms
-from .metrics import check_working_set, goodput_columns, reliability_grid
+from .metrics import check_working_set, goodput_columns, reliability_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,6 +36,8 @@ EXIT_INTERRUPTED = 130
 GOODPUT_HEADER = "frame_ms,scheme,mode,goodput_mbps,overhead_ms,success_prob,n_trials,seed"
 RELIABILITY_HEADER = "snr_ris_db,snr_ue_db,scheme,mode,reliability"
 THRESHOLD_HEADER = "scheme,mode,axis,min_snr_db"
+# Buffer of every output file and reliability spool: a 10 KB grid row is not a write call.
+OUTPUT_BUFFER = 1 << 20
 
 _SCHEMES = {**{scheme.value: [scheme] for scheme in Scheme}, "all": list(Scheme)}
 _MODES = {**{mode.value: [mode] for mode in ControlMode}, "both": list(ControlMode)}
@@ -130,7 +133,8 @@ def _opened(paths: list[str]):
         handles, moves = [], []
         for path in paths:
             if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
-                handles.append(stack.enter_context(open(path, "w", newline="")))
+                handles.append(stack.enter_context(
+                    open(path, "w", buffering=OUTPUT_BUFFER, newline="")))
                 continue
             try:
                 fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
@@ -138,7 +142,8 @@ def _opened(paths: list[str]):
             except OSError as exc:      # name the output, not the temporary file
                 raise OSError(exc.errno, exc.strerror, path) from None
             stack.callback(_discard, tmp)       # after the handle closes; gone once replaced
-            handles.append(stack.enter_context(open(fd, "w", newline="")))
+            handles.append(stack.enter_context(
+                open(fd, "w", buffering=OUTPUT_BUFFER, newline="")))
             os.fchmod(fd, _file_mode(path))
             moves.append((tmp, path))
         yield handles
@@ -167,49 +172,86 @@ def cmd_goodput(cfg: RunConfig, schemes, modes, fh) -> list[int]:
     return [len(cfg.frame_grid) * len(specs)]
 
 
-def _grid_threshold_db(m, grid_db, axis: str, threshold: float) -> float:
-    """Minimum grid SNR on one axis reaching the threshold, other axis at grid max."""
-    line = m[:, -1] if axis == "ris" else m[-1, :]    # other axis pinned at its max
-    return next((db for db, rel in zip(grid_db, line.tolist()) if rel >= threshold), math.inf)
+def _grid_threshold_db(line: list[float], grid_db, threshold: float) -> float:
+    """Minimum grid SNR at which line, the reliability along one axis with the other axis at
+    its grid maximum, reaches the threshold."""
+    return next((db for db, rel in zip(grid_db, line) if rel >= threshold), math.inf)
 
 
-def _write_block(fh, m, grid_s: list[str], scheme: Scheme, mode: ControlMode) -> None:
-    """Write the rows of one (scheme, mode) grid m, rows over the RIS axis, labelled by grid_s.
+def _write_grid(blocks, grid_s: list[str], scheme: Scheme, mode: ControlMode, fh,
+                copies=()) -> tuple[list[float], list[float]]:
+    """Write the rows of one (scheme, mode) grid, given as row blocks over the RIS axis and
+    labelled by grid_s, to fh, and the same rows labelled (scheme, mode) of each
+    (handle, scheme, mode) of copies to that handle; the grid's last column and last row.
 
     A row's cells after the RIS column are formatted by one %-template call,
-    whose '%.12g' gives the bytes of format(v, '.12g'); no label holds a
-    '%'. A row whose float64 bits equal the previous row's (so -0.0 is not
-    0.0) writes that text again behind its own RIS column: every
-    out-of-band grid is one repeated row. Holds one row's text.
+    built once per grid, whose '%.12g' gives the bytes of format(v, '.12g');
+    no label holds a '%', and no number a ','. A row whose float64 bits equal
+    the previous row's, in its block or the one before (so -0.0 is not 0.0),
+    writes that text again behind its own RIS column: every out-of-band grid
+    is one repeated row. Holds one block and one row's text per handle.
     """
-    template = "\n".join(f",{ue_s},{scheme.value},{mode.value},%.12g" for ue_s in grid_s)
-    prev_bits = None
-    for ris_s, row in zip(grid_s, m):
-        bits = row.tobytes()
-        if bits != prev_bits:
-            cells = template % tuple(row.tolist())
-            prev_bits = bits
-        fh.write(ris_s + cells.replace("\n", f"\n{ris_s}") + "\n")
+    label = f",{scheme.value},{mode.value},"
+    template = "\n".join(f",{ue_s}{label}%.12g" for ue_s in grid_s)
+    outputs = [fh] + [handle for handle, _, _ in copies]
+    relabels = [f",{s.value},{m.value}," for _, s, m in copies]
+    prev_bits, start, last_column = None, 0, []
+    for block in blocks:
+        for ris_s, row in zip(grid_s[start:start + len(block)], block):
+            bits = row.tobytes()
+            if bits != prev_bits:
+                cells = template % tuple(row.tolist())
+                texts = [cells] + [cells.replace(label, other) for other in relabels]
+                prev_bits = bits
+            for out, text in zip(outputs, texts):
+                out.write(ris_s + text.replace("\n", f"\n{ris_s}") + "\n")
+        start += len(block)
+        last_column += block[:, -1].tolist()
+        last_row = block[-1].tolist()
+        del block, row      # before the next block is made, so only one is held
+    return last_column, last_row
 
 
 def cmd_reliability(cfg: RunConfig, schemes, modes, threshold, fh, summary=None) -> list[int]:
     """Write the reliability CSV to fh and, with a threshold, the thresholds to summary;
-    the row count of each."""
+    the row count of each.
+
+    Specs with equal outage thresholds have bit-identical grids: BSW and
+    BSW-ES share a catalog, and out of band only the UE messages, which all
+    schemes share, can fail. The first such spec streams its grid's row
+    blocks and writes each later one's rows, relabelled, to an anonymous
+    temporary spool, which is copied into the CSV at that spec's turn. So a
+    run formats each distinct grid once, and holds one row block at a time.
+    """
     grid = cfg.snr_grid_db
     grid_s = [format(v, ".12g") for v in grid]
+    specs = [(scheme, mode, cfg.catalog(scheme)) for scheme in schemes for mode in modes]
+    keys = [tuple(outage_thresholds(catalog, mode, cfg.symbols_per_tti))
+            for _, mode, catalog in specs]
     counts = [0] if summary is None else [0, 0]
     fh.write(RELIABILITY_HEADER + "\n")
     if summary is not None:
         summary.write(THRESHOLD_HEADER + "\n")
-    for scheme in schemes:
-        catalog = cfg.catalog(scheme)
-        for mode in modes:
-            m = reliability_grid(catalog, mode, grid, grid, cfg.symbols_per_tti)
-            _write_block(fh, m, grid_s, scheme, mode)
-            counts[0] += m.size
+    lines, spools = {}, {}      # key -> (last column, last row); spec index -> its spool
+    with contextlib.ExitStack() as stack:
+        for i, ((scheme, mode, catalog), key) in enumerate(zip(specs, keys)):
+            if key in lines:
+                spool = spools.pop(i)
+                spool.seek(0)
+                shutil.copyfileobj(spool, fh, OUTPUT_BUFFER)
+                spool.close()
+            else:
+                later = [j for j in range(i + 1, len(specs)) if keys[j] == key]
+                for j in later:
+                    spools[j] = stack.enter_context(tempfile.TemporaryFile(
+                        "w+", buffering=OUTPUT_BUFFER, newline=""))
+                blocks = reliability_rows(catalog, mode, grid, grid, cfg.symbols_per_tti)
+                lines[key] = _write_grid(blocks, grid_s, scheme, mode, fh,
+                                         [(spools[j], *specs[j][:2]) for j in later])
+            counts[0] += len(grid) ** 2
             if summary is not None:
-                for axis in ("ris", "ue"):
-                    min_db = _grid_threshold_db(m, grid, axis, threshold)
+                for axis, line in zip(("ris", "ue"), lines[key]):
+                    min_db = _grid_threshold_db(line, grid, threshold)
                     summary.write(f"{scheme.value},{mode.value},{axis},{min_db:.12g}\n")
                     counts[1] += 1
     return counts

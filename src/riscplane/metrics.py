@@ -21,7 +21,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,10 @@ _FRAME_BLOCK = 8
 # block's buffers (32 B per element) stay within a core's L2 cache, and the
 # per-block calls cost little next to a block's arithmetic.
 _BLOCK = 1 << 14
+# Cells per row block of a reliability grid: a block holds 2 MiB of float64,
+# and each block's recomputed UE-axis factors (O(points) work) stay near 1%
+# of a grid's time even at config.MAX_GRID_POINTS.
+_GRID_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -493,6 +497,27 @@ def crossover_frame(
     return None if idx is None else oce_curve[idx].frame_ms
 
 
+def reliability_rows(
+    catalog: list[ControlMessage],
+    mode: ControlMode,
+    snr_ris_grid_db: Sequence[float],
+    snr_ue_grid_db: Sequence[float],
+    symbols_per_tti: int,
+) -> Iterator[np.ndarray]:
+    """Closed-form control reliability on a dB grid, as successive blocks of its rows.
+
+    Both axes are checked when called. Each block is control.reliability_matrix
+    on a slice of about _GRID_BLOCK_CELLS cells of the linear RIS axis; rows
+    are independent, so the blocks stacked are the whole grid bit for bit,
+    and a caller holds one block at a time.
+    """
+    ris = positive_linear(snr_ris_grid_db, "snr_ris_grid_db")
+    ue = positive_linear(snr_ue_grid_db, "snr_ue_grid_db")
+    step = max(1, _GRID_BLOCK_CELLS // len(ue))
+    return (reliability_matrix(catalog, mode, ris[start:start + step], ue, symbols_per_tti)
+            for start in range(0, len(ris), step))
+
+
 def reliability_grid(
     catalog: list[ControlMessage],
     mode: ControlMode,
@@ -502,8 +527,8 @@ def reliability_grid(
 ) -> np.ndarray:
     """Closed-form control reliability on a dB grid, rows over the RIS axis.
 
-    control.reliability_matrix on the linear axes, so every cell equals
+    The blocks of reliability_rows stacked, so every cell equals
     control_reliability bit for bit.
     """
-    return reliability_matrix(catalog, mode, positive_linear(snr_ris_grid_db, "snr_ris_grid_db"),
-                              positive_linear(snr_ue_grid_db, "snr_ue_grid_db"), symbols_per_tti)
+    return np.vstack(list(reliability_rows(catalog, mode, snr_ris_grid_db, snr_ue_grid_db,
+                                           symbols_per_tti)))

@@ -17,6 +17,7 @@ from riscplane.channel import TWO_PI
 from riscplane.config import MAX_RHO_N2, RunConfig
 from riscplane.control import (
     ControlChannelState, ControlMode, Scheme, control_reliability, db_to_linear, message_catalog,
+    positive_linear, reliability_matrix,
 )
 from riscplane.errors import InvalidParameterError
 from riscplane.frames import build_frame, frame_ttis
@@ -38,6 +39,7 @@ from riscplane.metrics import (
     goodput_columns,
     goodput_curves,
     reliability_grid,
+    reliability_rows,
 )
 
 CFG = RunConfig()
@@ -1036,6 +1038,21 @@ def test_grid_equals_control_reliability_bitwise():
     assert zeros > 0
 
 
+@pytest.mark.parametrize("mode", list(ControlMode))
+def test_grid_row_blocks_stack_to_the_whole_grid_bitwise(monkeypatch, mode):
+    # 62 cells per block on a 31-point UE axis: blocks of 2 RIS rows and a last one of 1
+    axis = tuple(0.5 * k - 3.0 for k in range(31))
+    catalog = CFG.catalog(Scheme.BSW)
+    linear = positive_linear(axis, "axis")
+    whole = reliability_matrix(catalog, mode, linear, linear, CFG.symbols_per_tti)
+    monkeypatch.setattr(metrics, "_GRID_BLOCK_CELLS", 62)
+    blocks = list(reliability_rows(catalog, mode, axis, axis, CFG.symbols_per_tti))
+    assert [block.shape for block in blocks] == [(2, 31)] * 15 + [(1, 31)]
+    assert np.vstack(blocks).tobytes() == whole.tobytes()
+    assert reliability_grid(catalog, mode, axis, axis, CFG.symbols_per_tti).tobytes() == \
+        whole.tobytes()
+
+
 @pytest.mark.parametrize("ris, ue, name", [([0.0, 4000.0], [0.0], "snr_ris_grid_db"),
                                            ([0.0], [-4000.0, 0.0], "snr_ue_grid_db")])
 def test_grid_rejects_points_without_finite_linear_values(ris, ue, name):
@@ -1043,6 +1060,8 @@ def test_grid_rejects_points_without_finite_linear_values(ris, ue, name):
     with pytest.raises(InvalidParameterError) as err:
         reliability_grid(CFG.catalog(Scheme.OCE), ControlMode.IB_C, ris, ue, CFG.symbols_per_tti)
     assert err.value.field_name == name
+    with pytest.raises(InvalidParameterError):     # when called, before any block is drawn
+        reliability_rows(CFG.catalog(Scheme.OCE), ControlMode.IB_C, ris, ue, CFG.symbols_per_tti)
 
 
 def test_grid_rejects_bad_axes():
