@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import math
 import os
-import shutil
 import stat
 import sys
 import tempfile
@@ -36,8 +35,11 @@ EXIT_INTERRUPTED = 130
 GOODPUT_HEADER = "frame_ms,scheme,mode,goodput_mbps,overhead_ms,success_prob,n_trials,seed"
 RELIABILITY_HEADER = "snr_ris_db,snr_ue_db,scheme,mode,reliability"
 THRESHOLD_HEADER = "scheme,mode,axis,min_snr_db"
-# Buffer of every output file and reliability spool: a 10 KB grid row is not a write call.
+# Buffer of every output file: a 10 KB grid row is not a write call of its own.
 OUTPUT_BUFFER = 1 << 20
+# Cells of the largest reliability grid whose row texts a run keeps for a later spec with
+# the same grid: one grid of about 2^18 cells is at most about 9 MB of text.
+KEEP_CELLS = 1 << 18
 
 _SCHEMES = {**{scheme.value: [scheme] for scheme in Scheme}, "all": list(Scheme)}
 _MODES = {**{mode.value: [mode] for mode in ControlMode}, "both": list(ControlMode)}
@@ -178,33 +180,30 @@ def _grid_threshold_db(line: list[float], grid_db, threshold: float) -> float:
     return next((db for db, rel in zip(grid_db, line) if rel >= threshold), math.inf)
 
 
-def _write_grid(blocks, grid_s: list[str], scheme: Scheme, mode: ControlMode, fh,
-                copies=()) -> tuple[list[float], list[float]]:
-    """Write the rows of one (scheme, mode) grid, given as row blocks over the RIS axis and
-    labelled by grid_s, to fh, and the same rows labelled (scheme, mode) of each
-    (handle, scheme, mode) of copies to that handle; the grid's last column and last row.
+def _write_grid(blocks, grid_s: list[str], label: str, fh,
+                keep: list[str] | None = None) -> tuple[list[float], list[float]]:
+    """Write the rows of one grid, given as row blocks over the RIS axis, labelled by grid_s
+    and label (',scheme,mode,'), to fh, appending each row's text after its RIS column to
+    keep when given; the grid's last column and last row.
 
     A row's cells after the RIS column are formatted by one %-template call,
     built once per grid, whose '%.12g' gives the bytes of format(v, '.12g');
-    no label holds a '%', and no number a ','. A row whose float64 bits equal
-    the previous row's, in its block or the one before (so -0.0 is not 0.0),
-    writes that text again behind its own RIS column: every out-of-band grid
-    is one repeated row. Holds one block and one row's text per handle.
+    no label holds a '%'. A row whose float64 bits equal the previous row's,
+    in its block or the one before (so -0.0 is not 0.0), writes that text
+    again behind its own RIS column: every out-of-band grid is one repeated
+    row. Holds one block and one row's text, besides keep.
     """
-    label = f",{scheme.value},{mode.value},"
     template = "\n".join(f",{ue_s}{label}%.12g" for ue_s in grid_s)
-    outputs = [fh] + [handle for handle, _, _ in copies]
-    relabels = [f",{s.value},{m.value}," for _, s, m in copies]
     prev_bits, start, last_column = None, 0, []
     for block in blocks:
         for ris_s, row in zip(grid_s[start:start + len(block)], block):
             bits = row.tobytes()
             if bits != prev_bits:
                 cells = template % tuple(row.tolist())
-                texts = [cells] + [cells.replace(label, other) for other in relabels]
                 prev_bits = bits
-            for out, text in zip(outputs, texts):
-                out.write(ris_s + text.replace("\n", f"\n{ris_s}") + "\n")
+            fh.write(ris_s + cells.replace("\n", f"\n{ris_s}") + "\n")
+            if keep is not None:
+                keep.append(cells)
         start += len(block)
         last_column += block[:, -1].tolist()
         last_row = block[-1].tolist()
@@ -212,48 +211,58 @@ def _write_grid(blocks, grid_s: list[str], scheme: Scheme, mode: ControlMode, fh
     return last_column, last_row
 
 
+def _write_kept(texts: list[str], kept_label: str, grid_s: list[str], label: str, fh) -> None:
+    """Write the rows kept by _write_grid under kept_label again, labelled by label.
+
+    No number holds a ',', so only the labels match kept_label. Each distinct
+    text (a repeated row's is one object) is relabelled once.
+    """
+    prev = None
+    for ris_s, cells in zip(grid_s, texts):
+        if cells is not prev:
+            prev, relabelled = cells, cells.replace(kept_label, label)
+        fh.write(ris_s + relabelled.replace("\n", f"\n{ris_s}") + "\n")
+
+
 def cmd_reliability(cfg: RunConfig, schemes, modes, threshold, fh, summary=None) -> list[int]:
     """Write the reliability CSV to fh and, with a threshold, the thresholds to summary;
     the row count of each.
 
-    Specs with equal outage thresholds have bit-identical grids: BSW and
-    BSW-ES share a catalog, and out of band only the UE messages, which all
-    schemes share, can fail. The first such spec streams its grid's row
-    blocks and writes each later one's rows, relabelled, to an anonymous
-    temporary spool, which is copied into the CSV at that spec's turn. So a
-    run formats each distinct grid once, and holds one row block at a time.
+    Each grid is streamed in row blocks. Specs with equal outage thresholds
+    have bit-identical grids: BSW and BSW-ES share a catalog, and out of band
+    only the UE messages, which all schemes share, can fail. On a grid of at
+    most KEEP_CELLS cells, the first such spec keeps its row texts and each
+    later one writes them relabelled, so the grid is formatted once; larger
+    grids are streamed and formatted again.
     """
     grid = cfg.snr_grid_db
     grid_s = [format(v, ".12g") for v in grid]
-    specs = [(scheme, mode, cfg.catalog(scheme)) for scheme in schemes for mode in modes]
-    keys = [tuple(outage_thresholds(catalog, mode, cfg.symbols_per_tti))
-            for _, mode, catalog in specs]
+    catalogs = {scheme: cfg.catalog(scheme) for scheme in schemes}
+    specs = [(scheme, mode) for scheme in schemes for mode in modes]
+    keys = [tuple(outage_thresholds(catalogs[scheme], mode, cfg.symbols_per_tti))
+            for scheme, mode in specs]
     counts = [0] if summary is None else [0, 0]
     fh.write(RELIABILITY_HEADER + "\n")
     if summary is not None:
         summary.write(THRESHOLD_HEADER + "\n")
-    lines, spools = {}, {}      # key -> (last column, last row); spec index -> its spool
-    with contextlib.ExitStack() as stack:
-        for i, ((scheme, mode, catalog), key) in enumerate(zip(specs, keys)):
-            if key in lines:
-                spool = spools.pop(i)
-                spool.seek(0)
-                shutil.copyfileobj(spool, fh, OUTPUT_BUFFER)
-                spool.close()
-            else:
-                later = [j for j in range(i + 1, len(specs)) if keys[j] == key]
-                for j in later:
-                    spools[j] = stack.enter_context(tempfile.TemporaryFile(
-                        "w+", buffering=OUTPUT_BUFFER, newline=""))
-                blocks = reliability_rows(catalog, mode, grid, grid, cfg.symbols_per_tti)
-                lines[key] = _write_grid(blocks, grid_s, scheme, mode, fh,
-                                         [(spools[j], *specs[j][:2]) for j in later])
-            counts[0] += len(grid) ** 2
-            if summary is not None:
-                for axis, line in zip(("ris", "ue"), lines[key]):
-                    min_db = _grid_threshold_db(line, grid, threshold)
-                    summary.write(f"{scheme.value},{mode.value},{axis},{min_db:.12g}\n")
-                    counts[1] += 1
+    kept = {}       # key -> label, row texts and threshold lines of its first spec
+    for i, ((scheme, mode), key) in enumerate(zip(specs, keys)):
+        label = f",{scheme.value},{mode.value},"
+        if key in kept:
+            kept_label, texts, lines = kept[key]
+            _write_kept(texts, kept_label, grid_s, label, fh)
+        else:
+            texts = [] if len(grid) ** 2 <= KEEP_CELLS and key in keys[i + 1:] else None
+            blocks = reliability_rows(catalogs[scheme], mode, grid, grid, cfg.symbols_per_tti)
+            lines = _write_grid(blocks, grid_s, label, fh, texts)
+            if texts is not None:
+                kept[key] = label, texts, lines
+        counts[0] += len(grid) ** 2
+        if summary is not None:
+            for axis, line in zip(("ris", "ue"), lines):
+                min_db = _grid_threshold_db(line, grid, threshold)
+                summary.write(f"{scheme.value},{mode.value},{axis},{min_db:.12g}\n")
+                counts[1] += 1
     return counts
 
 

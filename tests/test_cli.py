@@ -819,14 +819,15 @@ _ROW_B = [0.25, 1.0, 1e-300, 0.30000000000000004]
     [[0.875]],
 ], ids=["all-equal", "all-different", "AABA", "signed-zero", "1x1"])
 def test_reliability_block_matches_per_cell_format(rows):
-    # in row blocks of every size, so a repeated row may start the next block
+    # in row blocks of every size, so a repeated row may start the next block; the kept
+    # texts written again under another label
     m = np.array(rows, dtype=np.float64)
     grid_s = [format(v, ".12g") for v in np.linspace(-1.5, 1.5, len(rows))]
     for size in range(1, len(rows) + 1):
-        fh, copy = io.StringIO(), io.StringIO()
+        fh, copy, keep = io.StringIO(), io.StringIO(), []
         blocks = (m[start:start + size] for start in range(0, len(m), size))
-        last = cli._write_grid(blocks, grid_s, Scheme.BSW, ControlMode.IB_C, fh,
-                               [(copy, Scheme.BSW_ES, ControlMode.IB_C)])
+        last = cli._write_grid(blocks, grid_s, ",bsw,ib,", fh, keep)
+        cli._write_kept(keep, ",bsw,ib,", grid_s, ",bsw-es,ib,", copy)
         assert fh.getvalue() == _reference_block(m, grid_s, Scheme.BSW, ControlMode.IB_C)
         assert copy.getvalue() == _reference_block(m, grid_s, Scheme.BSW_ES, ControlMode.IB_C)
         assert last == (m[:, -1].tolist(), m[-1].tolist())
@@ -899,12 +900,14 @@ def test_reliability_opens_the_thresholds_file_before_the_grid(tmp_path, capsys,
     assert sorted(os.listdir(tmp_path)) == ["r.csv", "r_thresholds.csv"]
 
 
-@pytest.mark.parametrize("args, grids", [
-    ([], 3),                                    # OCE IB, BSW IB and one OB grid for six specs
-    (["--scheme", "bsw-es"], 2),
-    (["--scheme", "oce", "--mode", "ob"], 1),
+@pytest.mark.parametrize("args, grids, specs", [
+    ([], 3, 6),                     # OCE IB, BSW IB and one OB grid for six specs
+    (["--scheme", "bsw-es"], 2, 2),
+    (["--scheme", "oce", "--mode", "ob"], 1, 1),
 ])
-def test_reliability_formats_each_distinct_grid_once(tmp_path, capsys, monkeypatch, args, grids):
+@pytest.mark.parametrize("keep", [True, False], ids=["kept", "streamed-again"])
+def test_reliability_formats_each_distinct_grid_once(tmp_path, capsys, monkeypatch, args, grids,
+                                                     specs, keep):
     full = tmp_path / "full.csv"
     assert run_cli(["reliability", "--threshold", "0.99", "--out", str(full)], capsys) == EXIT_OK
     calls = []
@@ -913,44 +916,38 @@ def test_reliability_formats_each_distinct_grid_once(tmp_path, capsys, monkeypat
         calls.append(call_args)
         return metrics.reliability_rows(*call_args)
     monkeypatch.setattr(cli, "reliability_rows", counted)
+    if not keep:        # a grid above the limit: every spec streams its own
+        monkeypatch.setattr(cli, "KEEP_CELLS", len(RunConfig().snr_grid_db) ** 2 - 1)
     out = tmp_path / "r.csv"
     argv = ["reliability", *args, "--threshold", "0.99", "--out", str(out)]
     assert run_cli(argv, capsys) == EXIT_OK
-    assert len(calls) == grids
-    # every row, spooled or not, is the row the full run wrote for its spec; thresholds too
+    assert len(calls) == (grids if keep else specs)
+    # every row, kept or not, is the row the full run wrote for its spec; thresholds too
     def rows(name, column):
         """(scheme, mode) and text of each row of a file, its labels at column."""
         return [(tuple(row.split(",")[column:column + 2]), row)
                 for row in (tmp_path / name).read_text().splitlines()[1:]]
-    specs = {spec for spec, _ in rows("r.csv", 2)}
-    assert len(specs) == {3: 6, 2: 2, 1: 1}[grids]
+    written = {spec for spec, _ in rows("r.csv", 2)}
+    assert len(written) == specs
     for name, reference, column in (("r.csv", "full.csv", 2),
                                     ("r_thresholds.csv", "full_thresholds.csv", 0)):
         assert rows(name, column) == [(spec, row) for spec, row in rows(reference, column)
-                                      if spec in specs]
-
-
-def test_reliability_spool_error_leaves_the_earlier_output(tmp_path, capsys, monkeypatch):
-    def no_spool(*args, **kwargs):
-        raise OSError(28, "No space left on device")
-    monkeypatch.setattr(cli.tempfile, "TemporaryFile", no_spool)
-    out = tmp_path / "r.csv"
-    out.write_bytes(EARLIER)
-    assert main(["reliability", "--out", str(out)]) == EXIT_IO
-    lines = error_lines(capsys.readouterr().err)
-    assert len(lines) == 1 and lines[0].startswith("i/o error: ")
-    assert_left_as_before(out)
+                                      if spec in written]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_reliability_memory_does_not_grow_with_the_grid(tmp_path):
-    # 3,001 points: a whole out-of-band grid would add 69 MiB; a row block holds 2 MiB
-    (tmp_path / "run.cfg").write_text("snr_grid_db = 0:300:0.1\n")
+@pytest.mark.parametrize("scheme, mode, grid", [
+    ("oce", "ob", "0:300:0.1"),     # 3,001 points: a whole grid would add 69 MiB
+    ("bsw", "ib", "0:200:0.1"),     # 2,001 distinct rows: a whole grid would add 31 MiB
+], ids=["ob-3001", "ib-2001"])
+def test_reliability_memory_does_not_grow_with_the_grid(tmp_path, scheme, mode, grid):
+    # a row block holds 2 MiB, whatever the grid's size
+    (tmp_path / "run.cfg").write_text(f"snr_grid_db = {grid}\n")
 
     def peak(*argv):
         proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_SCRIPT, "reliability", "--scheme", "oce", "--mode", "ob",
-             "--out", os.devnull, *argv],
+            [sys.executable, "-c", _PEAK_SCRIPT, "reliability", "--scheme", scheme,
+             "--mode", mode, "--out", os.devnull, *argv],
             env=child_env(), capture_output=True, text=True, check=True)
         return int(proc.stdout)
 
