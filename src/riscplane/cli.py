@@ -174,54 +174,43 @@ def cmd_goodput(cfg: RunConfig, schemes, modes, fh) -> list[int]:
     return [len(cfg.frame_grid) * len(specs)]
 
 
-def _grid_threshold_db(line: list[float], grid_db, threshold: float) -> float:
-    """Minimum grid SNR at which line, the reliability along one axis with the other axis at
-    its grid maximum, reaches the threshold."""
+def _grid_threshold_db(blocks, grid_db, threshold: float) -> float:
+    """Minimum grid SNR at which a line of the grid, given as row blocks (the RIS column at the
+    UE maximum or the UE row at the RIS maximum), reaches the threshold."""
+    line = np.vstack(list(blocks)).ravel().tolist()
     return next((db for db, rel in zip(grid_db, line) if rel >= threshold), math.inf)
 
 
-def _write_grid(blocks, grid_s: list[str], label: str, fh,
-                keep: list[str] | None = None) -> tuple[list[float], list[float]]:
-    """Write the rows of one grid, given as row blocks over the RIS axis, labelled by grid_s
-    and label (',scheme,mode,'), to fh, appending each row's text after its RIS column to
-    keep when given; the grid's last column and last row.
+def _grid_texts(blocks, grid_s: list[str], label: str):
+    """Each row's text after its RIS column, of one grid given as row blocks over the RIS axis
+    and labelled by grid_s and label (',scheme,mode,').
 
-    A row's cells after the RIS column are formatted by one %-template call,
-    built once per grid, whose '%.12g' gives the bytes of format(v, '.12g');
-    no label holds a '%'. A row whose float64 bits equal the previous row's,
-    in its block or the one before (so -0.0 is not 0.0), writes that text
-    again behind its own RIS column: every out-of-band grid is one repeated
-    row. Holds one block and one row's text, besides keep.
+    A row's cells are formatted by one %-template call, built once per grid,
+    whose '%.12g' gives the bytes of format(v, '.12g'); no label holds a '%'.
+    A row whose float64 bits equal the previous row's, in its block or the
+    one before (so -0.0 is not 0.0), yields the same text object again: every
+    out-of-band grid is one repeated row. Holds one block and one row's text.
     """
     template = "\n".join(f",{ue_s}{label}%.12g" for ue_s in grid_s)
-    prev_bits, start, last_column = None, 0, []
+    prev_bits = None
     for block in blocks:
-        for ris_s, row in zip(grid_s[start:start + len(block)], block):
+        for row in block:
             bits = row.tobytes()
             if bits != prev_bits:
                 cells = template % tuple(row.tolist())
                 prev_bits = bits
-            fh.write(ris_s + cells.replace("\n", f"\n{ris_s}") + "\n")
-            if keep is not None:
-                keep.append(cells)
-        start += len(block)
-        last_column += block[:, -1].tolist()
-        last_row = block[-1].tolist()
+            yield cells
         del block, row      # before the next block is made, so only one is held
-    return last_column, last_row
 
 
-def _write_kept(texts: list[str], kept_label: str, grid_s: list[str], label: str, fh) -> None:
-    """Write the rows kept by _write_grid under kept_label again, labelled by label.
-
-    No number holds a ',', so only the labels match kept_label. Each distinct
-    text (a repeated row's is one object) is relabelled once.
-    """
+def _relabelled(kept_label: str, texts: list[str], label: str):
+    """texts with kept_label replaced by label. No number holds a ',', so only the labels match
+    kept_label. Each distinct text (a repeated row's is one object) is relabelled once."""
     prev = None
-    for ris_s, cells in zip(grid_s, texts):
+    for cells in texts:
         if cells is not prev:
             prev, relabelled = cells, cells.replace(kept_label, label)
-        fh.write(ris_s + relabelled.replace("\n", f"\n{ris_s}") + "\n")
+        yield relabelled
 
 
 def cmd_reliability(cfg: RunConfig, schemes, modes, threshold, fh, summary=None) -> list[int]:
@@ -233,7 +222,9 @@ def cmd_reliability(cfg: RunConfig, schemes, modes, threshold, fh, summary=None)
     only the UE messages, which all schemes share, can fail. On a grid of at
     most KEEP_CELLS cells, the first such spec keeps its row texts and each
     later one writes them relabelled, so the grid is formatted once; larger
-    grids are streamed and formatted again.
+    grids are streamed and formatted again. A spec's thresholds are read off
+    its grid's last column and last row, computed again as one-point-axis
+    grids: each cell is its own product, so they equal the written cells.
     """
     grid = cfg.snr_grid_db
     grid_s = [format(v, ".12g") for v in grid]
@@ -245,22 +236,24 @@ def cmd_reliability(cfg: RunConfig, schemes, modes, threshold, fh, summary=None)
     fh.write(RELIABILITY_HEADER + "\n")
     if summary is not None:
         summary.write(THRESHOLD_HEADER + "\n")
-    kept = {}       # key -> label, row texts and threshold lines of its first spec
+    kept = {}       # key -> label and row texts of its first spec
     for i, ((scheme, mode), key) in enumerate(zip(specs, keys)):
         label = f",{scheme.value},{mode.value},"
         if key in kept:
-            kept_label, texts, lines = kept[key]
-            _write_kept(texts, kept_label, grid_s, label, fh)
+            texts = _relabelled(*kept[key], label)
         else:
-            texts = [] if len(grid) ** 2 <= KEEP_CELLS and key in keys[i + 1:] else None
             blocks = reliability_rows(catalogs[scheme], mode, grid, grid, cfg.symbols_per_tti)
-            lines = _write_grid(blocks, grid_s, label, fh, texts)
-            if texts is not None:
-                kept[key] = label, texts, lines
+            texts = _grid_texts(blocks, grid_s, label)
+            if len(grid) ** 2 <= KEEP_CELLS and key in keys[i + 1:]:
+                texts = list(texts)
+                kept[key] = label, texts
+        for ris_s, cells in zip(grid_s, texts):
+            fh.write(ris_s + cells.replace("\n", f"\n{ris_s}") + "\n")
         counts[0] += len(grid) ** 2
         if summary is not None:
-            for axis, line in zip(("ris", "ue"), lines):
-                min_db = _grid_threshold_db(line, grid, threshold)
+            for axis, ris, ue in (("ris", grid, grid[-1:]), ("ue", grid[-1:], grid)):
+                blocks = reliability_rows(catalogs[scheme], mode, ris, ue, cfg.symbols_per_tti)
+                min_db = _grid_threshold_db(blocks, grid, threshold)
                 summary.write(f"{scheme.value},{mode.value},{axis},{min_db:.12g}\n")
                 counts[1] += 1
     return counts

@@ -819,18 +819,26 @@ _ROW_B = [0.25, 1.0, 1e-300, 0.30000000000000004]
     [[0.875]],
 ], ids=["all-equal", "all-different", "AABA", "signed-zero", "1x1"])
 def test_reliability_block_matches_per_cell_format(rows):
-    # in row blocks of every size, so a repeated row may start the next block; the kept
-    # texts written again under another label
+    # in row blocks of every size, so a repeated row may start the next block; the texts
+    # relabelled as a later spec with the same grid writes them
     m = np.array(rows, dtype=np.float64)
     grid_s = [format(v, ".12g") for v in np.linspace(-1.5, 1.5, len(rows))]
+
+    def written(texts):
+        """The CSV rows of texts, behind their RIS columns, as cmd_reliability writes them."""
+        return "".join(ris_s + cells.replace("\n", f"\n{ris_s}") + "\n"
+                       for ris_s, cells in zip(grid_s, texts))
+
     for size in range(1, len(rows) + 1):
-        fh, copy, keep = io.StringIO(), io.StringIO(), []
         blocks = (m[start:start + size] for start in range(0, len(m), size))
-        last = cli._write_grid(blocks, grid_s, ",bsw,ib,", fh, keep)
-        cli._write_kept(keep, ",bsw,ib,", grid_s, ",bsw-es,ib,", copy)
-        assert fh.getvalue() == _reference_block(m, grid_s, Scheme.BSW, ControlMode.IB_C)
-        assert copy.getvalue() == _reference_block(m, grid_s, Scheme.BSW_ES, ControlMode.IB_C)
-        assert last == (m[:, -1].tolist(), m[-1].tolist())
+        texts = list(cli._grid_texts(blocks, grid_s, ",bsw,ib,"))
+        relabelled = list(cli._relabelled(",bsw,ib,", texts, ",bsw-es,ib,"))
+        assert written(texts) == _reference_block(m, grid_s, Scheme.BSW, ControlMode.IB_C)
+        assert written(relabelled) == _reference_block(m, grid_s, Scheme.BSW_ES, ControlMode.IB_C)
+        # a row equal in bits to the previous one is the same text, and is relabelled once
+        repeats = [a.tobytes() == b.tobytes() for a, b in zip(m, m[1:])]
+        assert [a is b for a, b in zip(texts, texts[1:])] == repeats
+        assert [a is b for a, b in zip(relabelled, relabelled[1:])] == repeats
 
 
 def test_reliability_csv_matches_per_cell_format(tmp_path, capsys):
@@ -900,6 +908,28 @@ def test_reliability_opens_the_thresholds_file_before_the_grid(tmp_path, capsys,
     assert sorted(os.listdir(tmp_path)) == ["r.csv", "r_thresholds.csv"]
 
 
+def _thresholds_of_csv(path, threshold: float) -> list[str]:
+    """The thresholds lines of a reliability CSV, read off its own cells: per spec, in file
+    order, the first RIS (UE) SNR whose cell at the UE (RIS) grid maximum reaches threshold.
+
+    A cell's 12 digits stand for its float; no cell of the grids read here is that close to
+    the threshold.
+    """
+    grids = {}
+    for row in path.read_text().splitlines()[1:]:
+        ris, ue, scheme, mode, rel = row.split(",")
+        grids.setdefault((scheme, mode), {})[float(ris), float(ue)] = float(rel)
+    lines = []
+    for (scheme, mode), cells in grids.items():
+        points = sorted({ris for ris, _ in cells})      # the grid is square
+        top = points[-1]
+        for axis, line in (("ris", [cells[p, top] for p in points]),
+                           ("ue", [cells[top, p] for p in points])):
+            min_db = next((p for p, rel in zip(points, line) if rel >= threshold), math.inf)
+            lines.append(f"{scheme},{mode},{axis},{min_db:.12g}")
+    return lines
+
+
 @pytest.mark.parametrize("args, grids, specs", [
     ([], 3, 6),                     # OCE IB, BSW IB and one OB grid for six specs
     (["--scheme", "bsw-es"], 2, 2),
@@ -908,6 +938,8 @@ def test_reliability_opens_the_thresholds_file_before_the_grid(tmp_path, capsys,
 @pytest.mark.parametrize("keep", [True, False], ids=["kept", "streamed-again"])
 def test_reliability_formats_each_distinct_grid_once(tmp_path, capsys, monkeypatch, args, grids,
                                                      specs, keep):
+    # a grid in one-row blocks, and the thresholds' RIS column in blocks of 20 and 11 points
+    monkeypatch.setattr(metrics, "_GRID_BLOCK_CELLS", 20)
     full = tmp_path / "full.csv"
     assert run_cli(["reliability", "--threshold", "0.99", "--out", str(full)], capsys) == EXIT_OK
     calls = []
@@ -916,12 +948,16 @@ def test_reliability_formats_each_distinct_grid_once(tmp_path, capsys, monkeypat
         calls.append(call_args)
         return metrics.reliability_rows(*call_args)
     monkeypatch.setattr(cli, "reliability_rows", counted)
+    n_points = len(RunConfig().snr_grid_db)
     if not keep:        # a grid above the limit: every spec streams its own
-        monkeypatch.setattr(cli, "KEEP_CELLS", len(RunConfig().snr_grid_db) ** 2 - 1)
+        monkeypatch.setattr(cli, "KEEP_CELLS", n_points ** 2 - 1)
     out = tmp_path / "r.csv"
     argv = ["reliability", *args, "--threshold", "0.99", "--out", str(out)]
     assert run_cli(argv, capsys) == EXIT_OK
-    assert len(calls) == (grids if keep else specs)
+    # whole-grid calls; each spec's thresholds add two calls with a one-point axis
+    whole = [len(ris) == len(ue) == n_points for _, _, ris, ue, _ in calls]
+    assert sum(whole) == (grids if keep else specs)
+    assert len(whole) - sum(whole) == 2 * specs
     # every row, kept or not, is the row the full run wrote for its spec; thresholds too
     def rows(name, column):
         """(scheme, mode) and text of each row of a file, its labels at column."""
@@ -933,6 +969,10 @@ def test_reliability_formats_each_distinct_grid_once(tmp_path, capsys, monkeypat
                                     ("r_thresholds.csv", "full_thresholds.csv", 0)):
         assert rows(name, column) == [(spec, row) for spec, row in rows(reference, column)
                                       if spec in written]
+    # each thresholds line is the one the written CSV's last column and last row give
+    for name in ("full", "r"):
+        lines = (tmp_path / f"{name}_thresholds.csv").read_text().splitlines()[1:]
+        assert lines == _thresholds_of_csv(tmp_path / f"{name}.csv", 0.99)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
