@@ -4,13 +4,14 @@ Exit codes: 0 ok, 2 configuration error, 3 output I/O error, 4 a pool worker
 died, 130 interrupted (SIGINT). Each error ends the run with one line on stderr.
 A run that fails, with exit 3 too, leaves the earlier files at its output
 paths as they were: every output is opened before any work, written to a
-temporary file beside it and put in place only once the run is complete.
+temporary file beside its target and put in place only once the run is complete.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import math
 import os
 import stat
@@ -24,7 +25,7 @@ from .config import RunConfig, load_config, parse_finite
 from .control import ControlMode, Scheme, outage_thresholds
 from .errors import InvalidParameterError
 from .frames import ChannelUse, build_frame, overhead_ms
-from .metrics import check_working_set, goodput_columns, reliability_rows
+from .metrics import check_working_set, goodput_columns, reliability_grid, reliability_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,39 +126,45 @@ def _discard(path: str) -> None:
 def _opened(paths: list[str]):
     """Text handles on paths, all opened before the caller does any work.
 
-    A regular file (not a symlink), or a path that does not exist yet, is
-    written to a temporary file in its directory, which is replaced onto the
-    path only after the caller's block has returned and every handle has
-    closed. On any exception the temporary files are removed, so the files
-    at paths stay as they were. A device, FIFO or symlink is written directly.
+    A path that exists and is not a regular file (a device, a FIFO, /dev/stdout
+    on a pipe) is written directly. Any other path is resolved through its
+    symlinks, and its target is written to a temporary file beside it, which
+    replaces the target only after the caller's block has returned and every
+    handle has closed. On any exception the temporary files are removed, so
+    the targets stay as they were. An existing target the user may not write
+    is refused, as open(path, "w") would refuse it. Errors name paths as given.
     """
     with contextlib.ExitStack() as stack:
         handles, moves = [], []
         for path in paths:
-            if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+            exists = os.path.exists(path)
+            if exists and not os.path.isfile(path):
                 handles.append(stack.enter_context(
                     open(path, "w", buffering=OUTPUT_BUFFER, newline="")))
                 continue
+            real = os.path.realpath(path)
+            if exists and not os.access(real, os.W_OK,
+                                        effective_ids=os.access in os.supports_effective_ids):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
             try:
-                fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
-                                           dir=os.path.dirname(path) or ".")
+                fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(real)}.", suffix=".tmp",
+                                           dir=os.path.dirname(real))
             except OSError as exc:      # name the output, not the temporary file
                 raise OSError(exc.errno, exc.strerror, path) from None
             stack.callback(_discard, tmp)       # after the handle closes; gone once replaced
             handles.append(stack.enter_context(
                 open(fd, "w", buffering=OUTPUT_BUFFER, newline="")))
             os.fchmod(fd, _file_mode(path))
-            moves.append((tmp, path))
+            moves.append((tmp, real))
         yield handles
         for fh in handles:
             fh.close()          # a failed flush raises here, before any file is replaced
-        for tmp, path in moves:
-            os.replace(tmp, path)
+        for tmp, real in moves:
+            os.replace(tmp, real)
 
 
-def cmd_goodput(cfg: RunConfig, schemes, modes, fh) -> list[int]:
-    """Write the goodput CSV to fh; its row count, in a list."""
-    specs = [(scheme, mode) for scheme in schemes for mode in modes]
+def cmd_goodput(cfg: RunConfig, specs, fh) -> list[int]:
+    """Write the goodput CSV of specs, (scheme, mode) pairs, to fh; its row count, in a list."""
     # A frame's rows, one per spec, are one %-template call on the frame's
     # [frame_ms, goodput_mbps, overhead_ms, success_prob] of every spec;
     # '%.12g' gives the bytes of format(v, '.12g'), and no label holds a '%'.
@@ -172,13 +179,6 @@ def cmd_goodput(cfg: RunConfig, schemes, modes, fh) -> list[int]:
     for row in rows.reshape(len(cfg.frame_grid), -1):
         fh.write(template % tuple(row.tolist()))
     return [len(cfg.frame_grid) * len(specs)]
-
-
-def _grid_threshold_db(blocks, grid_db, threshold: float) -> float:
-    """Minimum grid SNR at which a line of the grid, given as row blocks (the RIS column at the
-    UE maximum or the UE row at the RIS maximum), reaches the threshold."""
-    line = np.vstack(list(blocks)).ravel().tolist()
-    return next((db for db, rel in zip(grid_db, line) if rel >= threshold), math.inf)
 
 
 def _grid_texts(blocks, grid_s: list[str], label: str):
@@ -213,9 +213,9 @@ def _relabelled(kept_label: str, texts: list[str], label: str):
         yield relabelled
 
 
-def cmd_reliability(cfg: RunConfig, schemes, modes, threshold, fh, summary=None) -> list[int]:
-    """Write the reliability CSV to fh and, with a threshold, the thresholds to summary;
-    the row count of each.
+def cmd_reliability(cfg: RunConfig, specs, threshold, fh, summary=None) -> list[int]:
+    """Write the reliability CSV of specs to fh and, with a threshold, the thresholds to
+    summary; the row count of each, the thresholds file's last.
 
     Each grid is streamed in row blocks. Specs with equal outage thresholds
     have bit-identical grids: BSW and BSW-ES share a catalog, and out of band
@@ -223,16 +223,14 @@ def cmd_reliability(cfg: RunConfig, schemes, modes, threshold, fh, summary=None)
     most KEEP_CELLS cells, the first such spec keeps its row texts and each
     later one writes them relabelled, so the grid is formatted once; larger
     grids are streamed and formatted again. A spec's thresholds are read off
-    its grid's last column and last row, computed again as one-point-axis
-    grids: each cell is its own product, so they equal the written cells.
+    its grid's last column and last row, from reliability_grid on a one-point
+    axis: each cell is its own product, so they equal the written cells.
     """
     grid = cfg.snr_grid_db
     grid_s = [format(v, ".12g") for v in grid]
-    catalogs = {scheme: cfg.catalog(scheme) for scheme in schemes}
-    specs = [(scheme, mode) for scheme in schemes for mode in modes]
+    catalogs = {scheme: cfg.catalog(scheme) for scheme, _ in specs}
     keys = [tuple(outage_thresholds(catalogs[scheme], mode, cfg.symbols_per_tti))
             for scheme, mode in specs]
-    counts = [0] if summary is None else [0, 0]
     fh.write(RELIABILITY_HEADER + "\n")
     if summary is not None:
         summary.write(THRESHOLD_HEADER + "\n")
@@ -249,14 +247,13 @@ def cmd_reliability(cfg: RunConfig, schemes, modes, threshold, fh, summary=None)
                 kept[key] = label, texts
         for ris_s, cells in zip(grid_s, texts):
             fh.write(ris_s + cells.replace("\n", f"\n{ris_s}") + "\n")
-        counts[0] += len(grid) ** 2
         if summary is not None:
             for axis, ris, ue in (("ris", grid, grid[-1:]), ("ue", grid[-1:], grid)):
-                blocks = reliability_rows(catalogs[scheme], mode, ris, ue, cfg.symbols_per_tti)
-                min_db = _grid_threshold_db(blocks, grid, threshold)
+                line = reliability_grid(catalogs[scheme], mode, ris, ue, cfg.symbols_per_tti)
+                min_db = next((db for db, rel in zip(grid, line.ravel().tolist())
+                               if rel >= threshold), math.inf)
                 summary.write(f"{scheme.value},{mode.value},{axis},{min_db:.12g}\n")
-                counts[1] += 1
-    return counts
+    return [len(specs) * len(grid) ** 2, 2 * len(specs)]
 
 
 def _threshold_path(out_path: str) -> str:
@@ -288,17 +285,17 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    schemes = _SCHEMES[getattr(args, "scheme", "all")]
-    modes = _MODES[getattr(args, "mode", "both")]
+    specs = [(scheme, mode) for scheme in _SCHEMES[getattr(args, "scheme", "all")]
+             for mode in _MODES[getattr(args, "mode", "both")]]
     try:
         cfg = _resolve(args)
         if args.command == "validate":
             return cmd_validate(cfg)
         paths = _output_paths(args, cfg)
         with _opened(paths) as handles:
-            counts = (cmd_goodput(cfg, schemes, modes, *handles) if args.command == "goodput"
-                      else cmd_reliability(cfg, schemes, modes, args.threshold, *handles))
-        for path, n_rows in zip(paths, counts):
+            counts = (cmd_goodput(cfg, specs, *handles) if args.command == "goodput"
+                      else cmd_reliability(cfg, specs, args.threshold, *handles))
+        for path, n_rows in zip(paths, counts):     # no thresholds count without its file
             print(f"wrote {path} ({n_rows} rows)", file=sys.stderr)
         return EXIT_OK
     except InvalidParameterError as exc:

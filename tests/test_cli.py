@@ -392,14 +392,67 @@ def test_outputs_keep_the_mode_a_plain_open_gives(tmp_path, capsys):
     assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode) == 0o640
 
 
-def test_a_symlinked_output_is_written_through(tmp_path, capsys):
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "dangling"])
+def test_a_symlinked_output_replaces_its_target(tmp_path, capsys, existing):
     target, link = tmp_path / "target.csv", tmp_path / "link.csv"
-    target.write_bytes(EARLIER)
     link.symlink_to(target)
+    names = ["link.csv", "target.csv"]
+    if existing:    # the target is replaced by a new file: another hard link keeps its bytes
+        target.write_bytes(EARLIER)
+        os.link(target, tmp_path / "other.csv")
+        names.append("other.csv")
     assert run_cli(["reliability", "--out", str(link)], capsys) == EXIT_OK
     assert link.is_symlink()
     assert target.read_text().splitlines()[0] == RELIABILITY_HEADER
-    assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
+    if existing:
+        assert (tmp_path / "other.csv").read_bytes() == EARLIER
+
+
+def test_a_failed_run_through_a_symlink_leaves_its_target(tmp_path, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(EARLIER)
+    link.symlink_to(target)
+    (tmp_path / "link_thresholds.csv").mkdir()      # the thresholds file cannot be opened
+    argv = ["reliability", "--scheme", "oce", "--threshold", "0.99", "--out", str(link)]
+    assert run_cli(argv, capsys) == EXIT_IO
+    assert link.is_symlink()
+    assert target.read_bytes() == EARLIER
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "link_thresholds.csv", "target.csv"]
+
+
+@pytest.mark.parametrize("through_link", [False, True], ids=["file", "symlink"])
+def test_a_read_only_output_is_refused(tmp_path, capsys, monkeypatch, through_link):
+    target = tmp_path / "r.csv"
+    target.write_bytes(EARLIER)
+    target.chmod(0o444)
+    out = tmp_path / "link.csv" if through_link else target
+    if through_link:
+        out.symlink_to(target)
+    if os.geteuid() == 0:       # root may write any file: refuse it as for any other user
+        real_access = os.access
+
+        def access(path, mode, **kwargs):
+            denied = path == os.path.realpath(target) and mode & os.W_OK
+            return not denied and real_access(path, mode, **kwargs)
+        monkeypatch.setattr(os, "access", access)
+    code = main(["reliability", "--out", str(out)])
+    lines = error_lines(capsys.readouterr().err)
+    assert code == EXIT_IO
+    assert lines == [f"i/o error: [Errno 13] Permission denied: {str(out)!r}"]
+    assert target.read_bytes() == EARLIER
+    assert stat.S_IMODE(target.stat().st_mode) == 0o444
+    assert sorted(os.listdir(tmp_path)) == sorted({out.name, target.name})
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_dev_stdout_on_a_pipe_is_written_directly(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run_cli(["reliability", "--out", str(out)], capsys) == EXIT_OK
+    proc = subprocess.run([sys.executable, "-m", "riscplane", "reliability", "--out", "/dev/stdout"],
+                          env=child_env(), capture_output=True, timeout=120, check=True)
+    assert proc.stdout == out.read_bytes()
+    assert os.listdir(tmp_path) == ["r.csv"]
 
 
 def test_outputs_default_to_the_command_name(tmp_path, monkeypatch):
@@ -942,22 +995,26 @@ def test_reliability_formats_each_distinct_grid_once(tmp_path, capsys, monkeypat
     monkeypatch.setattr(metrics, "_GRID_BLOCK_CELLS", 20)
     full = tmp_path / "full.csv"
     assert run_cli(["reliability", "--threshold", "0.99", "--out", str(full)], capsys) == EXIT_OK
-    calls = []
+    calls = {"reliability_rows": [], "reliability_grid": []}
 
-    def counted(*call_args):
-        calls.append(call_args)
-        return metrics.reliability_rows(*call_args)
-    monkeypatch.setattr(cli, "reliability_rows", counted)
+    def counted(name):
+        def call(*call_args):
+            calls[name].append(call_args)
+            return getattr(metrics, name)(*call_args)
+        return call
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
     n_points = len(RunConfig().snr_grid_db)
     if not keep:        # a grid above the limit: every spec streams its own
         monkeypatch.setattr(cli, "KEEP_CELLS", n_points ** 2 - 1)
     out = tmp_path / "r.csv"
     argv = ["reliability", *args, "--threshold", "0.99", "--out", str(out)]
     assert run_cli(argv, capsys) == EXIT_OK
-    # whole-grid calls; each spec's thresholds add two calls with a one-point axis
-    whole = [len(ris) == len(ue) == n_points for _, _, ris, ue, _ in calls]
-    assert sum(whole) == (grids if keep else specs)
-    assert len(whole) - sum(whole) == 2 * specs
+    # whole-grid streams; each spec's thresholds are two grids with a one-point axis
+    assert ([(len(ris), len(ue)) for _, _, ris, ue, _ in calls["reliability_rows"]]
+            == [(n_points, n_points)] * (grids if keep else specs))
+    assert ([(len(ris), len(ue)) for _, _, ris, ue, _ in calls["reliability_grid"]]
+            == [(n_points, 1), (1, n_points)] * specs)
     # every row, kept or not, is the row the full run wrote for its spec; thresholds too
     def rows(name, column):
         """(scheme, mode) and text of each row of a file, its labels at column."""
