@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import math
 import os
 import stat
@@ -36,7 +37,7 @@ EXIT_INTERRUPTED = 130
 GOODPUT_HEADER = "frame_ms,scheme,mode,goodput_mbps,overhead_ms,success_prob,n_trials,seed"
 RELIABILITY_HEADER = "snr_ris_db,snr_ue_db,scheme,mode,reliability"
 THRESHOLD_HEADER = "scheme,mode,axis,min_snr_db"
-# Buffer of every output file: a 10 KB grid row is not a write call of its own.
+# Binary buffer of every output file: a 10 KB grid row is not a write call of its own.
 OUTPUT_BUFFER = 1 << 20
 # Cells of the largest reliability grid whose row texts a run keeps for a later spec with
 # the same grid: one grid of about 2^18 cells is at most about 9 MB of text.
@@ -124,7 +125,7 @@ def _discard(path: str) -> None:
 
 @contextlib.contextmanager
 def _opened(paths: list[str]):
-    """Text handles on paths, all opened before the caller does any work.
+    """Binary handles on paths, all opened before the caller does any work.
 
     A path that exists and is not a regular file (a device, a FIFO, /dev/stdout
     on a pipe) is written directly. Any other path is resolved through its
@@ -139,8 +140,7 @@ def _opened(paths: list[str]):
         for path in paths:
             exists = os.path.exists(path)
             if exists and not os.path.isfile(path):
-                handles.append(stack.enter_context(
-                    open(path, "w", buffering=OUTPUT_BUFFER, newline="")))
+                handles.append(stack.enter_context(open(path, "wb", buffering=OUTPUT_BUFFER)))
                 continue
             real = os.path.realpath(path)
             if exists and not os.access(real, os.W_OK,
@@ -152,8 +152,7 @@ def _opened(paths: list[str]):
             except OSError as exc:      # name the output, not the temporary file
                 raise OSError(exc.errno, exc.strerror, path) from None
             stack.callback(_discard, tmp)       # after the handle closes; gone once replaced
-            handles.append(stack.enter_context(
-                open(fd, "w", buffering=OUTPUT_BUFFER, newline="")))
+            handles.append(stack.enter_context(open(fd, "wb", buffering=OUTPUT_BUFFER)))
             os.fchmod(fd, _file_mode(path))
             moves.append((tmp, real))
         yield handles
@@ -164,14 +163,15 @@ def _opened(paths: list[str]):
 
 
 def cmd_goodput(cfg: RunConfig, specs, fh) -> list[int]:
-    """Write the goodput CSV of specs, (scheme, mode) pairs, to fh; its row count, in a list."""
-    # A frame's rows, one per spec, are one %-template call on the frame's
+    """Write the goodput CSV of specs, (scheme, mode) pairs, to the binary fh; its row count,
+    in a list."""
+    # A frame's rows, one per spec, are one bytes %-template call on the frame's
     # [frame_ms, goodput_mbps, overhead_ms, success_prob] of every spec;
-    # '%.12g' gives the bytes of format(v, '.12g'), and no label holds a '%'.
+    # b'%.12g' gives the ASCII bytes of format(v, '.12g'), and no label holds a '%'.
     template = "".join(
         f"%.12g,{scheme.value},{mode.value},%.12g,%.12g,%.12g,{cfg.n_trials},{cfg.master_seed}\n"
-        for scheme, mode in specs)
-    fh.write(GOODPUT_HEADER + "\n")
+        for scheme, mode in specs).encode("ascii")
+    fh.write(f"{GOODPUT_HEADER}\n".encode("ascii"))
     columns = goodput_columns(cfg, specs)
     rows = np.empty((len(cfg.frame_grid), len(specs), 4))
     rows[:, :, 0] = np.array(cfg.frame_grid, dtype=float)[:, None]
@@ -181,17 +181,18 @@ def cmd_goodput(cfg: RunConfig, specs, fh) -> list[int]:
     return [len(cfg.frame_grid) * len(specs)]
 
 
-def _grid_texts(blocks, grid_s: list[str], label: str):
-    """Each row's text after its RIS column, of one grid given as row blocks over the RIS axis
-    and labelled by grid_s and label (',scheme,mode,').
+def _grid_texts(blocks, grid_s: list[bytes], label: bytes):
+    """Each row's text after its RIS column, as bytes, of one grid given as row blocks over the
+    RIS axis and labelled by grid_s and label (b',scheme,mode,').
 
-    A row's cells are formatted by one %-template call, built once per grid,
-    whose '%.12g' gives the bytes of format(v, '.12g'); no label holds a '%'.
+    A row's cells are formatted by one bytes %-template call, built once per
+    grid, whose b'%.12g' gives the ASCII bytes of format(v, '.12g'); no label
+    holds a '%'.
     A row whose float64 bits equal the previous row's, in its block or the
     one before (so -0.0 is not 0.0), yields the same text object again: every
     out-of-band grid is one repeated row. Holds one block and one row's text.
     """
-    template = "\n".join(f",{ue_s}{label}%.12g" for ue_s in grid_s)
+    template = b"\n".join(b"," + ue_s + label + b"%.12g" for ue_s in grid_s)
     prev_bits = None
     for block in blocks:
         for row in block:
@@ -203,7 +204,7 @@ def _grid_texts(blocks, grid_s: list[str], label: str):
         del block, row      # before the next block is made, so only one is held
 
 
-def _relabelled(kept_label: str, texts: list[str], label: str):
+def _relabelled(kept_label: bytes, texts: list[bytes], label: bytes):
     """texts with kept_label replaced by label. No number holds a ',', so only the labels match
     kept_label. Each distinct text (a repeated row's is one object) is relabelled once."""
     prev = None
@@ -214,8 +215,8 @@ def _relabelled(kept_label: str, texts: list[str], label: str):
 
 
 def cmd_reliability(cfg: RunConfig, specs, threshold, fh, summary=None) -> list[int]:
-    """Write the reliability CSV of specs to fh and, with a threshold, the thresholds to
-    summary; the row count of each, the thresholds file's last.
+    """Write the reliability CSV of specs to the binary fh and, with a threshold, the
+    thresholds to the binary summary; the row count of each, the thresholds file's last.
 
     Each grid is streamed in row blocks. Specs with equal outage thresholds
     have bit-identical grids: BSW and BSW-ES share a catalog, and out of band
@@ -227,16 +228,16 @@ def cmd_reliability(cfg: RunConfig, specs, threshold, fh, summary=None) -> list[
     axis: each cell is its own product, so they equal the written cells.
     """
     grid = cfg.snr_grid_db
-    grid_s = [format(v, ".12g") for v in grid]
+    grid_s = [format(v, ".12g").encode("ascii") for v in grid]
     catalogs = {scheme: cfg.catalog(scheme) for scheme, _ in specs}
     keys = [tuple(outage_thresholds(catalogs[scheme], mode, cfg.symbols_per_tti))
             for scheme, mode in specs]
-    fh.write(RELIABILITY_HEADER + "\n")
+    fh.write(f"{RELIABILITY_HEADER}\n".encode("ascii"))
     if summary is not None:
-        summary.write(THRESHOLD_HEADER + "\n")
+        summary.write(f"{THRESHOLD_HEADER}\n".encode("ascii"))
     kept = {}       # key -> label and row texts of its first spec
     for i, ((scheme, mode), key) in enumerate(zip(specs, keys)):
-        label = f",{scheme.value},{mode.value},"
+        label = f",{scheme.value},{mode.value},".encode("ascii")
         if key in kept:
             texts = _relabelled(*kept[key], label)
         else:
@@ -246,13 +247,13 @@ def cmd_reliability(cfg: RunConfig, specs, threshold, fh, summary=None) -> list[
                 texts = list(texts)
                 kept[key] = label, texts
         for ris_s, cells in zip(grid_s, texts):
-            fh.write(ris_s + cells.replace("\n", f"\n{ris_s}") + "\n")
+            fh.write(ris_s + cells.replace(b"\n", b"\n" + ris_s) + b"\n")
         if summary is not None:
             for axis, ris, ue in (("ris", grid, grid[-1:]), ("ue", grid[-1:], grid)):
                 line = reliability_grid(catalogs[scheme], mode, ris, ue, cfg.symbols_per_tti)
                 min_db = next((db for db, rel in zip(grid, line.ravel().tolist())
                                if rel >= threshold), math.inf)
-                summary.write(f"{scheme.value},{mode.value},{axis},{min_db:.12g}\n")
+                summary.write(f"{scheme.value},{mode.value},{axis},{min_db:.12g}\n".encode("ascii"))
     return [len(specs) * len(grid) ** 2, 2 * len(specs)]
 
 
@@ -284,6 +285,11 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    # Every object the imports made lives until exit: in the permanent generation, neither
+    # the cyclic collector nor interpreter teardown walks it, and forked pool workers do not
+    # write its GC headers. A caller of main that runs it again keeps the cyclic garbage
+    # present at each call.
+    gc.freeze()
     args = build_parser().parse_args(argv)
     specs = [(scheme, mode) for scheme in _SCHEMES[getattr(args, "scheme", "all")]
              for mode in _MODES[getattr(args, "mode", "both")]]

@@ -7,6 +7,7 @@ import os
 import pickle
 import signal
 import stat
+import struct
 import subprocess
 import sys
 import time
@@ -873,25 +874,59 @@ _ROW_B = [0.25, 1.0, 1e-300, 0.30000000000000004]
 ], ids=["all-equal", "all-different", "AABA", "signed-zero", "1x1"])
 def test_reliability_block_matches_per_cell_format(rows):
     # in row blocks of every size, so a repeated row may start the next block; the texts
-    # relabelled as a later spec with the same grid writes them
+    # relabelled as a later spec with the same grid writes them. Templates, labels and texts
+    # are bytes, and each cell must read as format(v, '.12g') does.
     m = np.array(rows, dtype=np.float64)
     grid_s = [format(v, ".12g") for v in np.linspace(-1.5, 1.5, len(rows))]
+    grid_b = [ris_s.encode("ascii") for ris_s in grid_s]
 
     def written(texts):
         """The CSV rows of texts, behind their RIS columns, as cmd_reliability writes them."""
-        return "".join(ris_s + cells.replace("\n", f"\n{ris_s}") + "\n"
-                       for ris_s, cells in zip(grid_s, texts))
+        return b"".join(ris_b + cells.replace(b"\n", b"\n" + ris_b) + b"\n"
+                        for ris_b, cells in zip(grid_b, texts))
 
     for size in range(1, len(rows) + 1):
         blocks = (m[start:start + size] for start in range(0, len(m), size))
-        texts = list(cli._grid_texts(blocks, grid_s, ",bsw,ib,"))
-        relabelled = list(cli._relabelled(",bsw,ib,", texts, ",bsw-es,ib,"))
-        assert written(texts) == _reference_block(m, grid_s, Scheme.BSW, ControlMode.IB_C)
-        assert written(relabelled) == _reference_block(m, grid_s, Scheme.BSW_ES, ControlMode.IB_C)
+        texts = list(cli._grid_texts(blocks, grid_b, b",bsw,ib,"))
+        relabelled = list(cli._relabelled(b",bsw,ib,", texts, b",bsw-es,ib,"))
+        for block, (scheme, mode) in ((texts, (Scheme.BSW, ControlMode.IB_C)),
+                                      (relabelled, (Scheme.BSW_ES, ControlMode.IB_C))):
+            expected = _reference_block(m, grid_s, scheme, mode).encode("ascii")
+            assert written(block) == expected
         # a row equal in bits to the previous one is the same text, and is relabelled once
         repeats = [a.tobytes() == b.tobytes() for a, b in zip(m, m[1:])]
         assert [a is b for a, b in zip(texts, texts[1:])] == repeats
         assert [a is b for a, b in zip(relabelled, relabelled[1:])] == repeats
+
+
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310, -1e-320,
+                 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, math.inf, -math.inf, math.nan, -math.nan,
+                 0.1, 1 / 3, 0.30000000000000004, 1e16, 123456789012.5, 1e-5]
+# every float64 bit pattern, NaN payloads and subnormals included
+_DOUBLES = st.one_of(
+    st.sampled_from(_EDGE_DOUBLES), st.floats(),
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]))
+
+
+@pytest.mark.parametrize("v", _EDGE_DOUBLES, ids=repr)
+def test_bytes_format_of_an_edge_double_matches_str_format(v):
+    assert b"%.12g" % v == format(v, ".12g").encode("ascii")
+
+
+@settings(max_examples=500, deadline=None)
+@given(_DOUBLES)
+def test_bytes_format_matches_str_format(v):
+    # the CSV writers format with bytes templates; their cells must be format(v, '.12g')'s
+    assert b"%.12g" % v == format(v, ".12g").encode("ascii")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_DOUBLES, _DOUBLES, _DOUBLES, _DOUBLES))
+def test_goodput_bytes_template_row_matches_the_str_row(values):
+    # one spec's row of cmd_goodput's template: frame, goodput, overhead, success probability
+    template = "%.12g,bsw-es,ob,%.12g,%.12g,%.12g,30000,18446744073709551615\n"
+    assert template.encode("ascii") % values == (template % values).encode("ascii")
 
 
 def test_reliability_csv_matches_per_cell_format(tmp_path, capsys):
@@ -1191,6 +1226,17 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["False"]
+
+
+def test_main_freezes_the_import_time_heap():
+    # the objects the imports made go to the permanent generation, out of the collector's way
+    probe = ("import gc, sys; from riscplane import cli; before = gc.get_freeze_count(); "
+             "code = cli.main(sys.argv[1:]); print(before, code, gc.get_freeze_count())")
+    proc = subprocess.run([sys.executable, "-c", probe, "validate"], env=child_env(),
+                          capture_output=True, text=True, check=True)
+    before, code, frozen = map(int, proc.stdout.splitlines()[-1].split())
+    assert (before, code) == (0, EXIT_OK)
+    assert frozen > 0
 
 
 def test_goodput_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path):
