@@ -11,7 +11,7 @@ from .control import (
     ControlChannelState,
     ControlMessage,
     ControlMode,
-    MsgPhase,
+    PhaseKind,
     Recipient,
     Scheme,
     control_reliability,
@@ -26,7 +26,6 @@ from .frames import (
     ChannelUse,
     FramePhase,
     FramePlan,
-    PhaseKind,
     SchemeParams,
     build_frame,
     overhead_ms,

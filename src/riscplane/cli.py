@@ -45,6 +45,7 @@ KEEP_CELLS = 1 << 18
 
 _SCHEMES = {**{scheme.value: [scheme] for scheme in Scheme}, "all": list(Scheme)}
 _MODES = {**{mode.value: [mode] for mode in ControlMode}, "both": list(ControlMode)}
+_heap_frozen = False        # set by main's first call
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_good.add_argument("--workers", metavar="N", help="worker pool size")
     p_good.add_argument("--frame-grid", metavar="START:STOP:STEP",
                         help="frame lengths in ms")
+    p_good.set_defaults(threshold=None)
 
     p_rel = sub.add_parser("reliability", help="control reliability SNR grid")
     add_common(p_rel)
@@ -75,35 +77,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="build and check default frame plans")
     p_val.add_argument("--config", metavar="PATH")
+    p_val.set_defaults(threshold=None)
     return parser
 
 
-def _resolve(args) -> RunConfig:
-    """The config file under the flags named after RunConfig fields: read alike, built, logged."""
+def _resolve(args) -> tuple[RunConfig, float | None, list[str]]:
+    """The run's config (the config file under the flags named after RunConfig fields), its
+    --threshold and its output paths: each read once and checked, then the config logged."""
     flags = [(f.name, getattr(args, f.name)) for f in fields(RunConfig)
              if getattr(args, f.name, None) is not None]
     cfg = load_config(args.config, flags)
     if args.command == "goodput":
         check_working_set(cfg)
-    if getattr(args, "threshold", None) is not None:
-        args.threshold = parse_finite(args.threshold, "threshold", f"value {args.threshold!r}")
-        if not 0.0 < args.threshold < 1.0:
+    threshold = args.threshold
+    paths = _output_paths(args.command, cfg, threshold is not None)
+    if threshold is not None:
+        threshold = parse_finite(threshold, "threshold", f"value {threshold!r}")
+        if not 0.0 < threshold < 1.0:
             raise InvalidParameterError("threshold", "must be in (0, 1)")
         # the thresholds file goes next to --out, so --out must name a file, not a device
-        out_path = _output_paths(args, cfg)[0]
-        if os.path.exists(out_path) and not os.path.isfile(out_path):
+        if os.path.exists(paths[0]) and not os.path.isfile(paths[0]):
             raise InvalidParameterError(
-                "threshold", f"needs --out to be a regular file or a new path, not {out_path!r}")
+                "threshold", f"needs --out to be a regular file or a new path, not {paths[0]!r}")
     for key, value in cfg.resolved_items():
         print(f"# resolved {key} = {value}", file=sys.stderr)
-    return cfg
+    return cfg, threshold, paths
 
 
-def _output_paths(args, cfg: RunConfig) -> list[str]:
+def _output_paths(command: str, cfg: RunConfig, with_thresholds: bool) -> list[str]:
     """The files a goodput or reliability run writes: --out, or <command>.csv without it,
     then with --threshold the thresholds file next to it."""
-    out_path = cfg.output_path or f"{args.command}.csv"
-    with_thresholds = getattr(args, "threshold", None) is not None
+    out_path = cfg.output_path or f"{command}.csv"
     return [out_path, _threshold_path(out_path)] if with_thresholds else [out_path]
 
 
@@ -287,20 +291,21 @@ def cmd_validate(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     # Every object the imports made lives until exit: in the permanent generation, neither
     # the cyclic collector nor interpreter teardown walks it, and forked pool workers do not
-    # write its GC headers. A caller of main that runs it again keeps the cyclic garbage
-    # present at each call.
-    gc.freeze()
+    # write its GC headers. Only the first call freezes, so a later call in the same process
+    # does not freeze the garbage an earlier one left.
+    global _heap_frozen
+    if not _heap_frozen:
+        gc.freeze()
+        _heap_frozen = True
     args = build_parser().parse_args(argv)
-    specs = [(scheme, mode) for scheme in _SCHEMES[getattr(args, "scheme", "all")]
-             for mode in _MODES[getattr(args, "mode", "both")]]
     try:
-        cfg = _resolve(args)
+        cfg, threshold, paths = _resolve(args)
         if args.command == "validate":
             return cmd_validate(cfg)
-        paths = _output_paths(args, cfg)
+        specs = [(scheme, mode) for scheme in _SCHEMES[args.scheme] for mode in _MODES[args.mode]]
         with _opened(paths) as handles:
             counts = (cmd_goodput(cfg, specs, *handles) if args.command == "goodput"
-                      else cmd_reliability(cfg, specs, args.threshold, *handles))
+                      else cmd_reliability(cfg, specs, threshold, *handles))
         for path, n_rows in zip(paths, counts):     # no thresholds count without its file
             print(f"wrote {path} ({n_rows} rows)", file=sys.stderr)
         return EXIT_OK

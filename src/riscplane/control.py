@@ -42,9 +42,11 @@ class Recipient(Enum):
     RISC = "risc"
 
 
-class MsgPhase(Enum):
-    INI = "ini"
-    SET = "set"
+class PhaseKind(Enum):
+    INI = "ini"          # initialization messages
+    ALG = "alg"          # pilot sweep and processing
+    SET = "set"          # setup messages and the surface reconfiguration
+    PAY = "pay"          # payload
 
 
 # Fixed descriptor field sizes (bits).
@@ -89,7 +91,7 @@ def positive_linear(db: float | Sequence[float], field_name: str) -> float | lis
 @dataclass(frozen=True)
 class ControlMessage:
     recipient: Recipient
-    phase: MsgPhase
+    phase: PhaseKind
     payload_bits: int
     tti_cost: int    # TTIs the message occupies on its own channel
 
@@ -148,10 +150,10 @@ def message_catalog(
         set_risc_core = (int(bsw_codebook_size) - 1).bit_length()
 
     budgets = [
-        (Recipient.UE, MsgPhase.INI, header_bits + PILOT_SCHEDULE_BITS),
-        (Recipient.RISC, MsgPhase.INI, ini_risc_bits),
-        (Recipient.UE, MsgPhase.SET, header_bits + MCS_FIELD_BITS),
-        (Recipient.RISC, MsgPhase.SET, header_bits + set_risc_core),
+        (Recipient.UE, PhaseKind.INI, header_bits + PILOT_SCHEDULE_BITS),
+        (Recipient.RISC, PhaseKind.INI, ini_risc_bits),
+        (Recipient.UE, PhaseKind.SET, header_bits + MCS_FIELD_BITS),
+        (Recipient.RISC, PhaseKind.SET, header_bits + set_risc_core),
     ]
     return [ControlMessage(recipient=r, phase=p, payload_bits=b,
                            tti_cost=max(1, -(-b // bits_per_tti)))

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Optional
 
 from .channel import check_counts
-from .control import ControlMessage, ControlMode, MsgPhase, Scheme, out_of_band
+from .control import ControlMessage, ControlMode, PhaseKind, Scheme, out_of_band
 from .errors import InvalidParameterError, check_bool, check_int, check_positive
 
 # Most TTIs a frame (and, by RunConfig's check, a frame overhead) may span. A
@@ -23,13 +23,6 @@ from .errors import InvalidParameterError, check_bool, check_int, check_positive
 # The run adds the chunks' overhead sums in float64, so a curve's total
 # rounds once it passes 2^53 TTIs (more than 8,192 trials at this bound).
 MAX_FRAME_TTIS = 2 ** 40
-
-
-class PhaseKind(Enum):
-    INI = "ini"
-    ALG = "alg"
-    SET = "set"
-    PAY = "pay"
 
 
 class ChannelUse(Enum):
@@ -150,20 +143,20 @@ def _overhead_phases(
     INI and SET messages are split into in-band and out-of-band spans, and
     processing and reconfiguration elapse with no transmission.
     """
-    def messages(phase: MsgPhase) -> list[FramePhase]:
+    def messages(phase: PhaseKind) -> list[FramePhase]:
         spans = {ChannelUse.IN_BAND: 0, ChannelUse.OUT_OF_BAND: 0}
         for msg in catalog:
             if msg.phase is phase:
                 use = ChannelUse.OUT_OF_BAND if out_of_band(msg, mode) else ChannelUse.IN_BAND
                 spans[use] += msg.tti_cost
-        return [FramePhase(PhaseKind(phase.value), span, use) for use, span in spans.items()]
+        return [FramePhase(phase, span, use) for use, span in spans.items()]
 
     proc = 0 if params.scheme is Scheme.BSW_ES else params.proc_ttis
     return [
-        *messages(MsgPhase.INI),
+        *messages(PhaseKind.INI),
         FramePhase(PhaseKind.ALG, alg_ttis(params, stop_index) - proc, ChannelUse.IN_BAND),
         FramePhase(PhaseKind.ALG, proc, ChannelUse.NONE),
-        *messages(MsgPhase.SET),
+        *messages(PhaseKind.SET),
         FramePhase(PhaseKind.SET, params.switch_ttis, ChannelUse.NONE),
     ]
 

@@ -439,10 +439,18 @@ def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]])
     if pool_size <= 1:
         sums = reduce(operator.iadd, map(chunk, range(n_chunks)))
     else:
-        # imported here: it is a sizeable part of the CLI's start-up
+        # imported here: the pool's modules are a sizeable part of the CLI's start-up
+        import signal
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        # Workers ignore SIGINT, which is the calling process's to handle: a worker idle when
+        # it came would print a traceback of its own. On any exception the chunks not yet
+        # started are cancelled, and the running ones finish.
+        pool = ProcessPoolExecutor(max_workers=pool_size, initializer=signal.signal,
+                                   initargs=(signal.SIGINT, signal.SIG_IGN))
+        try:
             sums = reduce(operator.iadd, _pooled_partials(pool, chunk, n_chunks, 2 * pool_size))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     # Elementwise, in the operand order of the scalar formulas, so every value has their bits.
     sum_rsp, sum_rsp2, sum_success, sum_oh = np.moveaxis(sums, 2, 0)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import io
 import math
 import multiprocessing
@@ -291,29 +292,36 @@ def error_lines(stderr: str) -> list:
     return [line for line in stderr.splitlines() if not line.startswith("# resolved ")]
 
 
-@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_sigint_mid_run_exits_130_with_one_line(tmp_path, workers):
-    # SIGINT goes to the whole process group, as a terminal's Ctrl-C does
-    out = tmp_path / "g.csv"
-    out.write_bytes(EARLIER)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _INTERRUPTIBLE, "goodput", "--trials", str(10 ** 8),
-         "--workers", workers, "--out", str(out)],
-        env=child_env(), stderr=subprocess.PIPE, text=True, start_new_session=True)
+def interrupted(argv, ready, settle: float) -> tuple[int, str]:
+    """Exit code and stderr of a child argv whose process group gets SIGINT, as a terminal's
+    Ctrl-C sends it, settle seconds after ready() first holds (or after 60 s)."""
+    proc = subprocess.Popen([sys.executable, *argv], env=child_env(), stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
     try:
-        # the run's temporary file appears next to g.csv once the outputs are open
         deadline = time.monotonic() + 60
-        while len(os.listdir(tmp_path)) < 2 and time.monotonic() < deadline:
+        while not ready() and time.monotonic() < deadline:
             time.sleep(0.05)
-        time.sleep(1.0)         # the chunks are running, in the pool's workers too
+        time.sleep(settle)
         os.killpg(proc.pid, signal.SIGINT)
         _, stderr = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-    assert proc.returncode == EXIT_INTERRUPTED
+    return proc.returncode, stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sigint_mid_run_exits_130_with_one_line(tmp_path, workers):
+    out = tmp_path / "g.csv"
+    out.write_bytes(EARLIER)
+    # the run's temporary file appears next to g.csv once the outputs are open; a second
+    # later the chunks are running, in the pool's workers too
+    code, stderr = interrupted(
+        ["-c", _INTERRUPTIBLE, "goodput", "--trials", str(10 ** 8), "--workers", workers,
+         "--out", str(out)], lambda: len(os.listdir(tmp_path)) >= 2, settle=1.0)
+    assert code == EXIT_INTERRUPTED
     assert error_lines(stderr) == ["interrupted"]
     assert_left_as_before(out)
 
@@ -348,6 +356,49 @@ def test_dead_pool_worker_exits_4_with_one_line(tmp_path):
     assert proc.returncode == EXIT_WORKER
     lines = error_lines(proc.stderr)
     assert len(lines) == 1 and lines[0].startswith("worker error: ")
+    assert_left_as_before(out)
+
+
+# a goodput run of three chunks on two pool workers: chunk 0 sleeps in one worker while the
+# other computes chunks 1 and 2, leaves a file named after each in the directory given first,
+# and then waits idle for work
+_IDLE_WORKER = """
+import multiprocessing, os, signal, sys, time
+signal.signal(signal.SIGINT, signal.default_int_handler)
+from riscplane import cli, metrics
+multiprocessing.set_start_method("fork")
+chunk_partials = metrics._chunk_partials
+marks = sys.argv.pop(1)
+
+def slow_first(cfg, plan, entries, chunk_index):
+    partials = chunk_partials(cfg, plan, entries, chunk_index)
+    if chunk_index == 0:
+        time.sleep(2.0)
+    else:
+        open(os.path.join(marks, str(chunk_index)), "w").close()
+    return partials
+
+metrics._chunk_partials = slow_first
+metrics._available_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg")
+                    or "fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs process groups and the fork start method")
+def test_sigint_with_an_idle_pool_worker_exits_130_with_one_line(tmp_path):
+    marks, out = tmp_path / "marks", tmp_path / "out" / "g.csv"
+    marks.mkdir()
+    out.parent.mkdir()
+    out.write_bytes(EARLIER)
+    # SIGINT comes while chunk 0 sleeps and, 0.3 s after chunk 2's mark, its worker waits idle
+    code, stderr = interrupted(
+        ["-c", _IDLE_WORKER, str(marks), "goodput", "--trials", "9000", "--workers", "2",
+         "--out", str(out)], lambda: len(os.listdir(marks)) == 2, settle=0.3)
+    assert sorted(os.listdir(marks)) == ["1", "2"]
+    assert code == EXIT_INTERRUPTED
+    assert error_lines(stderr) == ["interrupted"]
     assert_left_as_before(out)
 
 
@@ -1229,14 +1280,38 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 
 def test_main_freezes_the_import_time_heap():
-    # the objects the imports made go to the permanent generation, out of the collector's way
+    # the objects the imports made go to the permanent generation, out of the collector's way;
+    # a later call does not move the garbage of the calls before it there too
     probe = ("import gc, sys; from riscplane import cli; before = gc.get_freeze_count(); "
-             "code = cli.main(sys.argv[1:]); print(before, code, gc.get_freeze_count())")
+             "calls = [(cli.main(sys.argv[1:]), gc.get_freeze_count()) for _ in range(3)]; "
+             "print(before, *[n for call in calls for n in call])")
     proc = subprocess.run([sys.executable, "-c", probe, "validate"], env=child_env(),
                           capture_output=True, text=True, check=True)
-    before, code, frozen = map(int, proc.stdout.splitlines()[-1].split())
-    assert (before, code) == (0, EXIT_OK)
-    assert frozen > 0
+    before, *calls = map(int, proc.stdout.splitlines()[-1].split())
+    codes, frozen = calls[::2], calls[1::2]
+    assert (before, codes) == (0, [EXIT_OK] * 3)
+    assert frozen[0] > 0 and frozen == frozen[:1] * 3
+
+
+@pytest.mark.parametrize("args, first", [
+    (["goodput", "--trials", "200"], "check_working_set"),
+    (["reliability", "--threshold", "0.99"], "reliability_rows"),
+])
+def test_set_up_ends_at_the_first_metrics_call(tmp_path, capsys, monkeypatch, args, first):
+    # perfbench/launch.py ends a run's set-up at its first call into a metrics function
+    # bound in cli: goodput's budget check in _resolve, reliability's first grid
+    calls = []
+
+    def recorded(name, fn):
+        def call(*call_args, **kwargs):
+            calls.append(name)
+            return fn(*call_args, **kwargs)
+        return call
+    for name, fn in list(vars(cli).items()):
+        if inspect.isfunction(fn) and fn.__module__ == "riscplane.metrics":
+            monkeypatch.setattr(cli, name, recorded(name, fn))
+    assert run_cli(args + ["--out", str(tmp_path / "out.csv")], capsys) == EXIT_OK
+    assert calls[0] == first
 
 
 def test_goodput_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path):

@@ -9,7 +9,7 @@ from riscplane.control import (
     SNR_FLOOR_DB,
     ControlChannelState,
     ControlMode,
-    MsgPhase,
+    PhaseKind,
     Recipient,
     Scheme,
     control_reliability,
@@ -35,17 +35,17 @@ def catalog_by_key(catalog):
 def test_catalog_has_four_messages_in_order():
     catalog = message_catalog(Scheme.OCE, 100, 2, 32, 16, False, SYMBOLS)
     assert [(m.recipient, m.phase) for m in catalog] == [
-        (Recipient.UE, MsgPhase.INI),
-        (Recipient.RISC, MsgPhase.INI),
-        (Recipient.UE, MsgPhase.SET),
-        (Recipient.RISC, MsgPhase.SET),
+        (Recipient.UE, PhaseKind.INI),
+        (Recipient.RISC, PhaseKind.INI),
+        (Recipient.UE, PhaseKind.SET),
+        (Recipient.RISC, PhaseKind.SET),
     ]
 
 
 def test_oce_set_message_carries_full_phase_map():
     # header 16 + 100 elements * 2 bits = 216 bits
     catalog = catalog_by_key(message_catalog(Scheme.OCE, 100, 2, 32, 16, False, SYMBOLS))
-    msg = catalog[(Recipient.RISC, MsgPhase.SET)]
+    msg = catalog[(Recipient.RISC, PhaseKind.SET)]
     assert msg.payload_bits == 216
     assert msg.tti_cost == math.ceil(216 / (NOMINAL_BITS_PER_SYMBOL * SYMBOLS)) == 2
 
@@ -53,14 +53,14 @@ def test_oce_set_message_carries_full_phase_map():
 @pytest.mark.parametrize("size,expected_bits", [(32, 21), (1, 16), (33, 22), (2, 17)])
 def test_bsw_set_message_carries_entry_index(size, expected_bits):
     catalog = catalog_by_key(message_catalog(Scheme.BSW, 100, 2, size, 16, False, SYMBOLS))
-    assert catalog[(Recipient.RISC, MsgPhase.SET)].payload_bits == expected_bits
+    assert catalog[(Recipient.RISC, PhaseKind.SET)].payload_bits == expected_bits
 
 
 def test_ini_budgets_and_floors():
     catalog = catalog_by_key(message_catalog(Scheme.BSW_ES, 100, 2, 32, 16, False, SYMBOLS))
-    assert catalog[(Recipient.UE, MsgPhase.INI)].payload_bits == 48
-    assert catalog[(Recipient.RISC, MsgPhase.INI)].payload_bits == 32
-    assert catalog[(Recipient.UE, MsgPhase.SET)].payload_bits == 32
+    assert catalog[(Recipient.UE, PhaseKind.INI)].payload_bits == 48
+    assert catalog[(Recipient.RISC, PhaseKind.INI)].payload_bits == 32
+    assert catalog[(Recipient.UE, PhaseKind.SET)].payload_bits == 32
     assert all(m.tti_cost == 1 for m in catalog.values())
 
 
@@ -70,12 +70,12 @@ def test_ini_can_carry_full_codebook_for_sweeping_schemes():
         message_catalog(Scheme.BSW, 100, 2, 32, 16, ini_carries_full_codebook=True,
                         symbols_per_tti=SYMBOLS))
     extra = 32 * 100 * 2
-    assert (full[(Recipient.RISC, MsgPhase.INI)].payload_bits
-            == plain[(Recipient.RISC, MsgPhase.INI)].payload_bits + extra)
+    assert (full[(Recipient.RISC, PhaseKind.INI)].payload_bits
+            == plain[(Recipient.RISC, PhaseKind.INI)].payload_bits + extra)
     oce = catalog_by_key(
         message_catalog(Scheme.OCE, 100, 2, 32, 16, ini_carries_full_codebook=True,
                         symbols_per_tti=SYMBOLS))
-    assert oce[(Recipient.RISC, MsgPhase.INI)].payload_bits == 32
+    assert oce[(Recipient.RISC, PhaseKind.INI)].payload_bits == 32
 
 
 def test_catalog_rejects_bad_counts():
@@ -114,7 +114,7 @@ def test_tti_costs_follow_symbols_per_tti(symbols_per_tti):
     for msg in catalog:
         assert msg.tti_cost == max(1, math.ceil(msg.payload_bits / (2 * symbols_per_tti)))
         assert msg.payload_bits <= 2 * msg.tti_cost * symbols_per_tti
-    assert catalog_by_key(catalog)[(Recipient.RISC, MsgPhase.SET)].tti_cost == \
+    assert catalog_by_key(catalog)[(Recipient.RISC, PhaseKind.SET)].tti_cost == \
         {1: 108, 84: 2, 840: 1}[symbols_per_tti]
     assert control_reliability(catalog, state, ControlMode.IB_C) >= 0.98    # exp(-4 * 3 / 1000)
 
@@ -208,10 +208,10 @@ def test_out_of_band_equals_in_band_when_risc_messages_are_free():
     # the controller-bound messages cannot fail
     from riscplane.control import ControlMessage
     catalog = [
-        ControlMessage(Recipient.UE, MsgPhase.INI, 48, 1),
-        ControlMessage(Recipient.RISC, MsgPhase.INI, 0, 1),
-        ControlMessage(Recipient.UE, MsgPhase.SET, 32, 1),
-        ControlMessage(Recipient.RISC, MsgPhase.SET, 0, 1),
+        ControlMessage(Recipient.UE, PhaseKind.INI, 48, 1),
+        ControlMessage(Recipient.RISC, PhaseKind.INI, 0, 1),
+        ControlMessage(Recipient.UE, PhaseKind.SET, 32, 1),
+        ControlMessage(Recipient.RISC, PhaseKind.SET, 0, 1),
     ]
     state = ControlChannelState(avg_snr_ue=5.0, avg_snr_ris=2.0, symbols_per_tti=SYMBOLS)
     ob = control_reliability(catalog, state, ControlMode.OB_C)
@@ -234,10 +234,10 @@ def single_message_catalog():
     # one real UE message, three zero-bit fillers
     from riscplane.control import ControlMessage
     return [
-        ControlMessage(Recipient.UE, MsgPhase.INI, 84, 1),
-        ControlMessage(Recipient.RISC, MsgPhase.INI, 0, 1),
-        ControlMessage(Recipient.UE, MsgPhase.SET, 0, 1),
-        ControlMessage(Recipient.RISC, MsgPhase.SET, 0, 1),
+        ControlMessage(Recipient.UE, PhaseKind.INI, 84, 1),
+        ControlMessage(Recipient.RISC, PhaseKind.INI, 0, 1),
+        ControlMessage(Recipient.UE, PhaseKind.SET, 0, 1),
+        ControlMessage(Recipient.RISC, PhaseKind.SET, 0, 1),
     ]
 
 

@@ -140,6 +140,23 @@ def test_different_seeds_give_different_estimates():
     assert a.goodput_mbps != b.goodput_mbps
 
 
+def test_goodput_se_matches_the_spread_over_seeds():
+    # the standard error a run reports is the spread its estimate shows from seed to
+    # seed: over 40 seeds the sample spread is itself known to about 11%. The surface is
+    # goodput-fine-grid's, whose rho lets beam sweeping succeed in about half the trials.
+    specs = [(scheme, mode) for scheme in Scheme for mode in ControlMode]
+    surface = dict(n_elements=16, bsw_codebook_size=8, quant_bits=2, rho=0.286)
+    runs = np.array([goodput_columns(RunConfig(n_trials=4096, master_seed=seed, **surface), specs)
+                     for seed in range(1, 41)])
+    spread = runs[:, :, :, 0].std(axis=0, ddof=1)
+    mean_se = runs[:, :, :, 3].mean(axis=0)
+    for spec, spec_spread, spec_se in zip(specs, spread, mean_se):
+        live = spec_se > 0.0            # a null-rate frame has no spread and no error
+        assert live.any(), spec
+        ratio = spec_spread[live] / spec_se[live]
+        assert ((0.6 <= ratio) & (ratio <= 1.6)).all(), (spec, ratio.round(2).tolist())
+
+
 # ---------------------------------------------------------------------------
 # Per-trial contracts
 # ---------------------------------------------------------------------------
@@ -567,21 +584,19 @@ class _RecordingPool:
     """ProcessPoolExecutor stand-in that runs each call in process at submit.
 
     It records its size, and after every submit the number of calls whose
-    result has not been read yet.
+    result has not been read yet. It does not run the workers' initializer,
+    which would set this process's SIGINT handler.
     """
 
     opened: list = []
     unread_after_submit: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.opened.append(max_workers)
         self.unread = 0
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
     def submit(self, fn, *args):
         self.unread += 1
