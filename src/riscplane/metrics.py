@@ -8,8 +8,8 @@ stream does not depend on the scheme or the control mode, so every curve of
 a batch is reduced from one draw per chunk, and plain beam sweeping and its
 early-stopping variant share the qualifying event of every trial.
 goodput_columns plans once per run, beside the codebook, the payload rows
-shared by curves of one kernel and evaluation cost; a chunk only sums each
-live row once, and squares and overheads come from per-count sums.
+shared by curves of one kernel and evaluation cost; a chunk sums each
+planned row once, and squares and overheads come from per-count sums.
 """
 
 from __future__ import annotations
@@ -274,37 +274,22 @@ def _bsw_outcomes(
     return rate, success, evals
 
 
-def _payload_rows(table: np.ndarray, index: Optional[np.ndarray], rs: np.ndarray, pay: np.ndarray):
-    """One block's sum of rate * success * payload over the trials, one per row.
-
-    Without index, table is the (rows, 1) payload, multiplied by rs. With
-    index, each trial's count (0 on outage), it is r * payload per count for
-    a sweep's one rate r, 0.0 in column 0. pay is a C-contiguous (rows,
-    trials) buffer filled in one pass, each row summed along its contiguous
-    axis; numpy's pairwise sums of another layout can differ in the last bits.
-    """
-    if index is None:
-        np.multiply(table, rs, out=pay)
-    else:
-        np.take(table, index, axis=1, out=pay, mode="clip")     # counts index the table
-    return pay.sum(axis=1)
-
-
 def _reduce_curves(plan: tuple, frames_ttis: Sequence[int], outcomes) -> np.ndarray:
     """Per-curve, per-frame partial sums [sum rsp, sum rsp^2, sum success, sum overhead_ttis].
 
-    rsp is rate * success * payload TTIs per trial. plan holds, per group of
-    curves of one kernel and evaluation cost es, (kernel, es, positions,
-    budget, rows): the curves' places in the result, the group's increasing
-    distinct payload budgets D = max(0, frame - overhead_ttis) and each
-    curve's budget index per frame. A trial's payload max(0, D - es * evals)
-    depends on it only through its evaluation count, so each live row takes
-    one pass over the trials, a multiply or (early stopping) a gather. With
-    payload(k) a row's payload at count k (one count for rate adaptation),
-    sum rsp^2 = sum_k payload(k)^2 * S2[k], S2[k] summing rs^2 over count
-    k's trials, and the overhead is frame * trials - sum_k payload(k) *
-    hist[k], both summed along the chunk's own counts: a matmul's bits would
-    depend on the batch size, the sum's on the number of counts.
+    rsp is rate * success * payload TTIs per trial. plan holds, per group of curves of one
+    kernel and evaluation cost es, (kernel, es, positions, budget, rows): the curves' places
+    in the result, the group's increasing distinct payload budgets D = max(0, frame -
+    overhead_ttis) and each curve's budget index per frame. A trial's payload max(0, D - es *
+    evals) depends on it only through its evaluation count, so each row takes one pass over
+    the trials: a multiply by rs or, early stopping, a gather of r * payload per count (a
+    sweep's one rate r; 0.0 at count 0). A row without payload sums to +0.0, the value sums
+    starts with. A pass fills a C-contiguous (rows, trials) block and sums each row along its
+    contiguous axis: pairwise sums of another layout can differ in the last bits. With
+    payload(k) a row's payload at count k (one count for rate adaptation), sum rsp^2 = sum_k
+    payload(k)^2 * S2[k], S2[k] summing rs^2 over count k's trials, and the overhead is frame
+    * trials - sum_k payload(k) * hist[k], both summed along the chunk's own counts: a
+    matmul's bits would depend on the batch size, the sum's on the number of counts.
     """
     frames = np.array(frames_ttis, dtype=np.int64)
     out = np.empty((sum(len(group[2]) for group in plan), frames.shape[0], 4))
@@ -319,17 +304,18 @@ def _reduce_curves(plan: tuple, frames_ttis: Sequence[int], outcomes) -> np.ndar
         payload = per_count.astype(float)       # exact: payloads stay below 2**53
         sums = np.zeros((budget.shape[0], 2))
         sums[:, 1] = (payload * payload * np.bincount(counts, weights=rs * rs)).sum(axis=1)
-        table, index = payload[:, :1], None
         if es:
             # only a sweep stops early, and its rs is the preset rate on success, 0.0 on outage
-            table = rate[0] * payload
-            table[:, 0] = 0.0
+            payload = rate[0] * payload
+            payload[:, 0] = 0.0
             index = np.where(success > 0.0, evals, 0)
-        # evals >= 1, so only rows with D > es carry payload: a suffix of the increasing budget
-        dead = np.count_nonzero(budget <= es)
-        for lo in range(dead, budget.shape[0], _FRAME_BLOCK):
-            block = table[lo:lo + _FRAME_BLOCK]
-            sums[lo:lo + _FRAME_BLOCK, 0] = _payload_rows(block, index, rs, pay[:block.shape[0]])
+        for lo in range(0, budget.shape[0], _FRAME_BLOCK):
+            block = pay[:min(_FRAME_BLOCK, budget.shape[0] - lo)]
+            if es:
+                np.take(payload[lo:lo + _FRAME_BLOCK], index, axis=1, out=block, mode="clip")
+            else:
+                np.multiply(payload[lo:lo + _FRAME_BLOCK, :1], rs, out=block)
+            np.add.reduce(block, axis=1, out=sums[lo:lo + _FRAME_BLOCK, 0])
         success_sum, pay_sum = success.sum(), per_count @ hist
         for position, row in zip(positions, rows):
             out[position, :, :2] = sums[row]
@@ -369,15 +355,14 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pooled_partials(pool, chunk, n_chunks: int, in_flight: int):
-    """Chunk partials from pool in chunk order, with at most in_flight chunks submitted and unread.
+def _pooled_partials(pool, chunk, pending: deque, n_chunks: int):
+    """Chunk partials from pool in chunk order, after the first chunks' pending futures.
 
-    Executor.map would submit every chunk up front, holding memory for each.
+    Each read is followed by one submit, so at most len(pending) chunks are submitted and
+    unread: Executor.map would submit every chunk up front, holding memory for each.
     """
-    pending = deque()
-    for chunk_index in range(n_chunks):
-        if len(pending) == in_flight:
-            yield pending.popleft().result()
+    for chunk_index in range(len(pending), n_chunks):
+        yield pending.popleft().result()
         pending.append(pool.submit(chunk, chunk_index))
     while pending:
         yield pending.popleft().result()
@@ -386,20 +371,17 @@ def _pooled_partials(pool, chunk, n_chunks: int, in_flight: int):
 def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]]) -> np.ndarray:
     """Estimate goodput for every (scheme, mode) spec and every frame of cfg.frame_grid.
 
-    Returns a float64 (specs, frames, 4) array, specs in spec order, of the
-    GoodputResult fields [goodput_mbps, overhead_ms, success_prob,
-    goodput_se] per frame. Every curve and grid point is reduced from the
-    same per-trial channel outcomes: each chunk is drawn once, each scheme
-    kernel runs at most once per chunk and each distinct payload row of a
-    kernel and evaluation cost is summed once per chunk, so a curve is
-    exactly what a batch of its spec alone gives. The run derives its row
-    plan and, with a sweeping spec, its codebook matrix once, in the calling
-    process, and every chunk task carries both. With cfg.workers > 1 the
-    chunks run on one process pool of at most min(workers, chunks,
-    available CPUs) processes. cfg was validated, and its frames' TTIs
-    derived, when it was built. Empty or repeated specs, specs that are not
-    (Scheme, ControlMode) pairs and a cfg over the memory budget (field
-    config) raise InvalidParameterError before anything is allocated.
+    Returns a float64 (specs, frames, 4) array, specs in spec order, of the GoodputResult
+    fields [goodput_mbps, overhead_ms, success_prob, goodput_se] per frame. Every curve and
+    grid point is reduced from the same per-trial channel outcomes: each chunk is drawn once,
+    each scheme kernel runs at most once per chunk and each distinct payload row of a kernel
+    and evaluation cost is summed once per chunk, so a curve is exactly what a batch of its
+    spec alone gives. The run derives its row plan and, with a sweeping spec, its codebook
+    matrix once, in the calling process, and every chunk task carries both. With cfg.workers
+    > 1 the chunks run on one process pool of at most min(workers, chunks, available CPUs)
+    processes. cfg was validated, and its frames' TTIs derived, when it was built. Empty or
+    repeated specs, specs that are not (Scheme, ControlMode) pairs and a cfg over the memory
+    budget (field config) raise InvalidParameterError before anything is allocated.
     """
     pairs = (isinstance(spec, tuple) and tuple(map(type, spec)) == (Scheme, ControlMode)
              for spec in specs)
@@ -431,8 +413,7 @@ def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]])
                                    cfg.codebook_seed, cfg.bsw_codebook_style)
     chunk = partial(_chunk_partials, cfg, tuple(plan), entries)
 
-    # Partials are summed in place in chunk order, which keeps the reduction
-    # deterministic whatever the number of processes.
+    # partials are summed in place in chunk order: the same bits whatever the number of processes
     n_trials = cfg.n_trials
     n_chunks = math.ceil(n_trials / CHUNK_TRIALS)
     pool_size = min(cfg.workers, n_chunks, _available_cpus())
@@ -442,13 +423,21 @@ def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]])
         # imported here: the pool's modules are a sizeable part of the CLI's start-up
         import signal
         from concurrent.futures import ProcessPoolExecutor
-        # Workers ignore SIGINT, which is the calling process's to handle: a worker idle when
-        # it came would print a traceback of its own. On any exception the chunks not yet
-        # started are cancelled, and the running ones finish.
+        # Workers ignore SIGINT, the calling process's to handle: an idle worker would print a
+        # traceback. The first submits start the workers and the manager thread; this thread
+        # holds SIGINT until they return, since a Ctrl-C among them could leave a forked worker
+        # that nothing stops or a thread that shutdown cannot join. On any exception the chunks
+        # not yet started are cancelled, and the running ones finish.
+        mask = getattr(signal, "pthread_sigmask", lambda how, signals: set())
         pool = ProcessPoolExecutor(max_workers=pool_size, initializer=signal.signal,
                                    initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
-            sums = reduce(operator.iadd, _pooled_partials(pool, chunk, n_chunks, 2 * pool_size))
+            unblocked = mask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pending = deque(pool.submit(chunk, c) for c in range(min(2 * pool_size, n_chunks)))
+            finally:
+                mask(signal.SIG_SETMASK, unblocked)     # a held Ctrl-C is raised here
+            sums = reduce(operator.iadd, _pooled_partials(pool, chunk, pending, n_chunks))
         finally:
             pool.shutdown(cancel_futures=True)
 

@@ -402,6 +402,50 @@ def test_sigint_with_an_idle_pool_worker_exits_130_with_one_line(tmp_path):
     assert_left_as_before(out)
 
 
+# a goodput run on two pool workers whose process group gets SIGINT, as a terminal's Ctrl-C
+# sends it, right after the pool has started its first worker and before the rest of the
+# pool (the other worker, the manager thread) is up
+_INTERRUPTED_POOL_START = """
+import multiprocessing, os, signal, sys
+from multiprocessing import process
+signal.signal(signal.SIGINT, signal.default_int_handler)
+from riscplane import cli, metrics
+multiprocessing.set_start_method("fork")
+start, started = process.BaseProcess.start, []
+
+def start_then_interrupt(self):
+    start(self)
+    if not started:
+        started.append(self)
+        os.killpg(0, signal.SIGINT)
+
+process.BaseProcess.start = start_then_interrupt
+metrics._available_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg")
+                    or "fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs process groups and the fork start method")
+def test_sigint_while_the_pool_starts_exits_130_with_one_line(tmp_path):
+    out = tmp_path / "g.csv"
+    out.write_bytes(EARLIER)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTED_POOL_START, "goodput", "--trials", "9000",
+         "--workers", "2", "--out", str(out)],
+        env=child_env(), stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, stderr = proc.communicate(timeout=20)    # a run that hangs fails here
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == EXIT_INTERRUPTED
+    assert error_lines(stderr) == ["interrupted"]
+    assert_left_as_before(out)
+
+
 # a run through cli.main whose files may not grow past 64 KiB, failing a write with
 # EFBIG instead of being killed by SIGXFSZ
 _FILE_SIZE_LIMITED = """

@@ -12,15 +12,16 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from riscplane.channel import TWO_PI
+from riscplane.channel import TWO_PI, make_codebook, phase_indices
 from riscplane.config import MAX_RHO_N2, RunConfig
 from riscplane.control import (
-    ControlChannelState, ControlMode, Scheme, control_reliability, db_to_linear, message_catalog,
-    positive_linear, reliability_matrix,
+    ControlChannelState, ControlMode, Recipient, Scheme, control_reliability, db_to_linear,
+    message_catalog, msg_success_prob, positive_linear, reliability_matrix,
 )
 from riscplane.errors import InvalidParameterError
-from riscplane.frames import build_frame, frame_ttis
+from riscplane.frames import build_frame, frame_ttis, overhead_ttis
 from riscplane import metrics
 from riscplane.cli import main
 from riscplane.metrics import (
@@ -32,7 +33,6 @@ from riscplane.metrics import (
     _cascade,
     _codebook_matrix,
     _oce_outcomes,
-    _payload_rows,
     _phase_table,
     _reduce_curves,
     crossover_frame,
@@ -186,19 +186,16 @@ def test_bsw_and_early_stop_share_the_qualifying_event():
 
 
 def test_vectorized_oce_matches_public_channel_ops():
-    rate, success, _ = _oce_outcomes(_cascade(11, 0, 8, 16), 0.5, 2)
-    # reference: the one-block draw, each element's phase rounded to the
-    # nearest 2-bit level of its compensation -(arg f + arg g), summed in cmath
-    rng = np.random.default_rng([11, 0])
-    draws = rng.standard_normal((4, 8, 16))
-    inv = 1.0 / math.sqrt(2.0)
+    fg = _cascade(11, 0, 8, 16)
+    rate, success, _ = _oce_outcomes(fg, 0.5, 2)
+    # reference: each element's phase rounded to the nearest 2-bit level of its
+    # compensation -arg(fg), summed in cmath
     step = TWO_PI / 4
-    for i in range(8):
+    for i, gains in enumerate(fg.tolist()):
         s = 0j
-        for n in range(16):
-            fg = complex(draws[0, i, n], draws[1, i, n]) * complex(draws[2, i, n], draws[3, i, n])
-            level = round(((-cmath.phase(fg)) % TWO_PI) / step) % 4
-            s += fg * inv * inv * cmath.exp(1j * level * step)
+        for h in gains:
+            level = round(((-cmath.phase(h)) % TWO_PI) / step) % 4
+            s += h * cmath.exp(1j * level * step)
         snr = 0.5 * abs(s) ** 2
         assert rate[i] == pytest.approx(math.log2(1.0 + snr), rel=1e-12)
         assert success[i] == 1.0
@@ -247,13 +244,10 @@ def test_oce_kernel_matches_remainder_formula_bitwise(quant_bits):
 
 def test_vectorized_bsw_matches_select_config():
     entry_matrix = _codebook_matrix(16, 8, 2, 7, "random")
-    _, success, evals = _bsw_outcomes(_cascade(13, 0, 32, 16), 0.5, 4.0, entry_matrix)
-    rng = np.random.default_rng([13, 0])
-    draws = rng.standard_normal((4, 32, 16))
-    inv = 1.0 / math.sqrt(2.0)
+    fg = _cascade(13, 0, 32, 16)
+    _, success, evals = _bsw_outcomes(fg, 0.5, 4.0, entry_matrix)
     for i in range(32):
-        fg = ((draws[0, i] + 1j * draws[1, i]) * (draws[2, i] + 1j * draws[3, i])) * 0.5
-        snrs = 0.5 * np.abs(entry_matrix @ fg) ** 2
+        snrs = 0.5 * np.abs(entry_matrix @ fg[i]) ** 2
         ok, best, first = select_config(snrs, 4.0)
         assert success[i] == float(ok)
         if ok:
@@ -524,24 +518,22 @@ def test_default_curves_reduce_each_distinct_row_once_per_chunk(monkeypatch):
     grid = tuple(0.5 * k for k in range(1, 301))    # 1-TTI grid: IB and OB rows coincide
     reduced = []
 
-    def counting(table, index, rs, pay):
-        reduced.append(pay.shape[0])
-        return _payload_rows(table, index, rs, pay)
+    def counting(plan, frames_ttis, outcomes):
+        reduced.append(sum(budget.shape[0] for *_, budget, rows in plan))
+        return _reduce_curves(plan, frames_ttis, outcomes)
 
-    monkeypatch.setattr(metrics, "_payload_rows", counting)
+    monkeypatch.setattr(metrics, "_reduce_curves", counting)
     goodput_curves(RunConfig(frame_grid=grid, n_trials=9000), SIX_SPECS)  # three chunks
-    # a row is the payload a frame plan leaves; early stopping keys on its
-    # payload after one evaluation, since each further one costs the same
+    # a row is a frame's payload budget before any evaluation, zero when the control phases
+    # fill the frame; early stopping then takes its TTIs per evaluation from every budget
     keys = set()
     for scheme, mode in SIX_SPECS:
         params, catalog = CFG.scheme_params(scheme), CFG.catalog(scheme)
-        stop = 1 if scheme is Scheme.BSW_ES else None
-        for f_ms in grid:
-            pay = build_frame(params, mode, f_ms, CFG.tti_ms, catalog, stop_index=stop).pay_ttis
-            if pay > 0:
-                keys.add((scheme, pay))
-    assert 0 < len(keys) < 3 * len(grid)
-    assert sum(reduced) == 3 * len(keys)
+        stop = 0 if scheme is Scheme.BSW_ES else None
+        overhead = overhead_ttis(params, mode, catalog, stop)
+        keys.update((scheme, max(0, frame_ttis(f_ms, CFG.tti_ms) - overhead)) for f_ms in grid)
+    assert (Scheme.BSW_ES, 0) in keys and 0 < len(keys) < 3 * len(grid)
+    assert reduced == [len(keys)] * 3
 
 
 def test_a_run_plans_its_rows_once_per_kernel_and_evaluation_cost(monkeypatch):
@@ -671,6 +663,126 @@ def test_chunk_buffers_made_once_per_process(tmp_path, capsys, monkeypatch):
     assert made == [(CHUNK_TRIALS, 100, 32)] * 2
     capsys.readouterr()
     assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Per-trial oracle: every column from the model's definitions
+# ---------------------------------------------------------------------------
+
+def oracle_columns(cfg, specs):
+    """goodput_columns(cfg, specs) rebuilt trial by trial in plain Python.
+
+    It shares the channel stream, each chunk's gains f * g from _cascade, but
+    not its layout, the kernels or the reducer. Rate adaptation compensates
+    each element by the level phase_indices gives its -arg(fg) mod 2*pi and
+    sums in complex arithmetic; a sweep takes select_config of every entry's
+    SNR, its entries built from make_codebook's levels. A frame's payload is
+    build_frame's pay_ttis at the trial's stop index (None on outage or
+    without early stopping); the control reliability is a product of
+    msg_success_prob over the messages that can fail; every sum is fsum's.
+    """
+    n, step = cfg.n_trials, TWO_PI / (1 << cfg.quant_bits)
+    target = db_to_linear(cfg.target_snr_db)
+    levels = make_codebook(cfg.n_elements, cfg.bsw_codebook_size, cfg.quant_bits,
+                           cfg.codebook_seed, cfg.bsw_codebook_style)
+    codebook = [[cmath.rect(1.0, k * step) for k in entry] for entry in levels.tolist()]
+    oce_rates, swept, stops = [], [], []
+    for chunk in range(math.ceil(n / CHUNK_TRIALS)):
+        m = min(CHUNK_TRIALS, n - chunk * CHUNK_TRIALS)
+        for gains in _cascade(cfg.master_seed, chunk, m, cfg.n_elements).tolist():
+            compensation = [(-cmath.phase(h)) % TWO_PI for h in gains]
+            s = sum(h * cmath.rect(1.0, k * step)
+                    for h, k in zip(gains, phase_indices(compensation, cfg.quant_bits).tolist()))
+            oce_rates.append(math.log2(1.0 + cfg.rho * abs(s) ** 2))
+            snrs = [cfg.rho * abs(sum(e * h for e, h in zip(entry, gains))) ** 2
+                    for entry in codebook]
+            ok, _, first = select_config(snrs, target)
+            swept.append(1.0 if ok else 0.0)
+            stops.append(first + 1 if ok else None)
+    columns = []
+    for scheme, mode in specs:
+        params, catalog = cfg.scheme_params(scheme), cfg.catalog(scheme)
+        reliability = 1.0
+        for msg in () if cfg.perfect_control else catalog:
+            if msg.recipient is Recipient.RISC and mode is ControlMode.OB_C:
+                continue        # out of band: cannot fail
+            snr_db = cfg.snr_ue_db if msg.recipient is Recipient.UE else cfg.snr_ris_db
+            reliability *= msg_success_prob(msg.payload_bits, msg.tti_cost * cfg.symbols_per_tti,
+                                             db_to_linear(snr_db))
+        if scheme is Scheme.OCE:
+            rates, successes = oce_rates, [1.0] * n
+        else:
+            rates, successes = [math.log2(1.0 + target)] * n, swept
+        stop_of = stops if scheme is Scheme.BSW_ES else [None] * n
+        curve = []
+        for f_ms in cfg.frame_grid:
+            plans = {stop: build_frame(params, mode, f_ms, cfg.tti_ms, catalog, stop_index=stop)
+                     for stop in set(stop_of)}
+            rsp = [r * ok * plans[stop].pay_ttis for r, ok, stop in zip(rates, successes, stop_of)]
+            overhead = math.fsum(plans[stop].total_ttis - plans[stop].pay_ttis for stop in stop_of)
+            scale = cfg.bandwidth_hz * reliability / (frame_ttis(f_ms, cfg.tti_ms) * 1e6)
+            mean = math.fsum(rsp) / n
+            var = max(0.0, math.fsum(x * x for x in rsp) / n - mean * mean)
+            curve.append([scale * mean, overhead / n * cfg.tti_ms,
+                          reliability * math.fsum(successes) / n, scale * math.sqrt(var / n)])
+        columns.append(curve)
+    return columns
+
+
+def _tti_grid(first, step, count):
+    """count frames of first, first + step, ... TTIs at the default 0.5 ms TTI."""
+    return tuple(0.5 * (first + step * k) for k in range(count))
+
+
+# small surfaces and codebooks, rates and SNR targets that mix outages and successes, low
+# control SNRs, and grids from 1 TTI, which start below every overhead (null-rate frames)
+_ORACLE_CONFIGS = st.fixed_dictionaries({
+    "n_elements": st.integers(1, 8), "bsw_codebook_size": st.integers(1, 8),
+    "quant_bits": st.integers(1, 3), "bsw_codebook_style": st.sampled_from(["random", "dft"]),
+    "codebook_seed": st.integers(0, 99), "master_seed": st.integers(0, 2 ** 32),
+    "es_reservation": st.booleans(), "ini_carries_full_codebook": st.booleans(),
+    "perfect_control": st.booleans(),
+    "snr_ue_db": st.floats(-5.0, 15.0), "snr_ris_db": st.floats(-5.0, 15.0),
+    "rho": st.floats(0.05, 5.0), "target_snr_db": st.floats(-5.0, 15.0),
+    "n_trials": st.integers(1, 300),
+    "frame_grid": st.builds(_tti_grid, st.integers(1, 12), st.sampled_from([1, 2, 5]),
+                            st.integers(1, 12)),
+})
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(_ORACLE_CONFIGS)
+# one trial short of a whole chunk, a whole chunk and one trial over it
+@example(dict(n_elements=8, bsw_codebook_size=8, quant_bits=3, bsw_codebook_style="random",
+              codebook_seed=7, master_seed=11, es_reservation=True,
+              ini_carries_full_codebook=True, perfect_control=False, snr_ue_db=-5.0,
+              snr_ris_db=0.0, rho=0.6, target_snr_db=6.0, n_trials=CHUNK_TRIALS - 1,
+              frame_grid=_tti_grid(8, 1, 12)))
+@example(dict(n_elements=1, bsw_codebook_size=1, quant_bits=1, bsw_codebook_style="dft",
+              codebook_seed=0, master_seed=0, es_reservation=False,
+              ini_carries_full_codebook=False, perfect_control=True, snr_ue_db=30.0,
+              snr_ris_db=30.0, rho=2.0, target_snr_db=0.0, n_trials=CHUNK_TRIALS,
+              frame_grid=_tti_grid(3, 5, 6)))
+@example(dict(n_elements=5, bsw_codebook_size=3, quant_bits=2, bsw_codebook_style="dft",
+              codebook_seed=3, master_seed=5, es_reservation=False,
+              ini_carries_full_codebook=False, perfect_control=False, snr_ue_db=3.0,
+              snr_ris_db=10.0, rho=1.0, target_snr_db=5.0, n_trials=CHUNK_TRIALS + 1,
+              frame_grid=_tti_grid(4, 1, 12)))
+def test_goodput_columns_match_the_per_trial_oracle(fields):
+    cfg = RunConfig(**fields)
+    columns = goodput_columns(cfg, SIX_SPECS).tolist()
+    for spec, curve, expected in zip(SIX_SPECS, columns, oracle_columns(cfg, SIX_SPECS)):
+        for f_ms, got, want in zip(cfg.frame_grid, curve, expected):
+            where = (spec, f_ms, got, want)
+            # pairwise and sequential sums against exactly rounded ones
+            for value, exact in zip(got[:3], want[:3]):
+                assert math.isclose(value, exact, rel_tol=1e-9, abs_tol=0.0), where
+            # goodput_se's variance is E[rsp^2] - mean^2, each sum good to 1e-9 of E[rsp^2];
+            # and |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), so with goodput and se scaled alike
+            # the error of se is at most sqrt(1e-9 * (se^2 + goodput^2 / n))
+            goodput, se = want[0], want[3]
+            bound = math.sqrt(1e-9 * (se * se + goodput * goodput / cfg.n_trials))
+            assert abs(got[3] - se) <= bound, where
 
 
 # ---------------------------------------------------------------------------
