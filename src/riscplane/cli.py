@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_good = sub.add_parser("goodput", help="goodput vs. frame length sweep")
     add_common(p_good)
-    p_good.add_argument("--seed", dest="master_seed", metavar="U64", help="master seed")
+    p_good.add_argument("--seed", dest="master_seed", metavar="N", help="master seed")
     p_good.add_argument("--trials", dest="n_trials", metavar="N", help="Monte Carlo trials")
     p_good.add_argument("--workers", metavar="N", help="worker pool size")
     p_good.add_argument("--frame-grid", metavar="START:STOP:STEP",
@@ -99,6 +99,9 @@ def _resolve(args) -> tuple[RunConfig, float | None, list[str]]:
         if os.path.exists(paths[0]) and not os.path.isfile(paths[0]):
             raise InvalidParameterError(
                 "threshold", f"needs --out to be a regular file or a new path, not {paths[0]!r}")
+        # two outputs replacing one file would leave only the last
+        if os.path.realpath(paths[1]) == os.path.realpath(paths[0]):
+            raise InvalidParameterError("threshold", f"{paths[1]!r} is --out's file {paths[0]!r}")
     for key, value in cfg.resolved_items():
         print(f"# resolved {key} = {value}", file=sys.stderr)
     return cfg, threshold, paths

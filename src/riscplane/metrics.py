@@ -421,15 +421,22 @@ def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]])
         sums = reduce(operator.iadd, map(chunk, range(n_chunks)))
     else:
         # imported here: the pool's modules are a sizeable part of the CLI's start-up
+        import multiprocessing
         import signal
+        import sys
         from concurrent.futures import ProcessPoolExecutor
+        # The start method comes from the platform alone, not from the interpreter's default
+        # or a caller's set_start_method: on Linux fork, the path every pool test and the
+        # benchmark run, whose workers start with the package imported and SIGINT held;
+        # elsewhere spawn, the one method macOS and Windows both have safely.
         # Workers ignore SIGINT, the calling process's to handle: an idle worker would print a
         # traceback. The first submits start the workers and the manager thread; this thread
         # holds SIGINT until they return, since a Ctrl-C among them could leave a forked worker
         # that nothing stops or a thread that shutdown cannot join. On any exception the chunks
         # not yet started are cancelled, and the running ones finish.
         mask = getattr(signal, "pthread_sigmask", lambda how, signals: set())
-        pool = ProcessPoolExecutor(max_workers=pool_size, initializer=signal.signal,
+        context = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
+        pool = ProcessPoolExecutor(pool_size, mp_context=context, initializer=signal.signal,
                                    initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
             unblocked = mask(signal.SIG_BLOCK, {signal.SIGINT})

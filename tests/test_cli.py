@@ -269,9 +269,11 @@ def test_oversized_run_exits_config_without_traceback(tmp_path):
 
 
 # a goodput run through cli.main with Python's SIGINT handler, even where SIGINT was
-# ignored when this interpreter started (as in a background job)
+# ignored when this interpreter started (as in a background job); SIGUSR1 prints every
+# thread's traceback
 _INTERRUPTIBLE = """
-import signal, sys
+import faulthandler, signal, sys
+faulthandler.register(signal.SIGUSR1, all_threads=True)
 signal.signal(signal.SIGINT, signal.default_int_handler)
 from riscplane import cli
 sys.exit(cli.main(sys.argv[1:]))
@@ -292,6 +294,24 @@ def error_lines(stderr: str) -> list:
     return [line for line in stderr.splitlines() if not line.startswith("# resolved ")]
 
 
+def stderr_on_exit(proc, timeout: float) -> str:
+    """The stderr of proc, a process group leader, once it exits within timeout seconds.
+
+    One that does not is a hang: it gets SIGUSR1, which its faulthandler answers with every
+    thread's traceback, then after 5 s its group is killed and the test fails with its stderr.
+    """
+    try:
+        return proc.communicate(timeout=timeout)[1]
+    except subprocess.TimeoutExpired:
+        proc.send_signal(signal.SIGUSR1)
+        try:
+            stderr = proc.communicate(timeout=5)[1]
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            stderr = proc.communicate()[1]
+        pytest.fail(f"the run did not exit within {timeout} s; its stderr:\n{stderr}")
+
+
 def interrupted(argv, ready, settle: float) -> tuple[int, str]:
     """Exit code and stderr of a child argv whose process group gets SIGINT, as a terminal's
     Ctrl-C sends it, settle seconds after ready() first holds (or after 60 s)."""
@@ -303,7 +323,7 @@ def interrupted(argv, ready, settle: float) -> tuple[int, str]:
             time.sleep(0.05)
         time.sleep(settle)
         os.killpg(proc.pid, signal.SIGINT)
-        _, stderr = proc.communicate(timeout=60)
+        stderr = stderr_on_exit(proc, 60)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
@@ -326,11 +346,25 @@ def test_sigint_mid_run_exits_130_with_one_line(tmp_path, workers):
     assert_left_as_before(out)
 
 
+def assert_a_dead_worker_exits_4(tmp_path, child):
+    """`python -c` with child, the script and then its own arguments, on a three-chunk goodput
+    run over two workers exits 4 with one line and leaves the earlier output as it was."""
+    out = tmp_path / "g.csv"
+    out.write_bytes(EARLIER)
+    proc = subprocess.run(
+        [sys.executable, "-c", *child, "goodput", "--trials", "9000", "--workers", "2",
+         "--out", str(out)],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_WORKER
+    lines = error_lines(proc.stderr)
+    assert len(lines) == 1 and lines[0].startswith("worker error: ")
+    assert_left_as_before(out)
+
+
 # a goodput run whose second chunk kills the pool worker running it
 _DYING_WORKER = """
-import multiprocessing, os, sys
+import os, sys
 from riscplane import cli, metrics
-multiprocessing.set_start_method("fork")
 chunk_partials = metrics._chunk_partials
 
 def dying(cfg, plan, entries, chunk_index):
@@ -344,29 +378,47 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="needs the fork start method")
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the pool does not fork here, so its workers miss the patch")
 def test_dead_pool_worker_exits_4_with_one_line(tmp_path):
-    out = tmp_path / "g.csv"
-    out.write_bytes(EARLIER)
-    proc = subprocess.run(
-        [sys.executable, "-c", _DYING_WORKER, "goodput", "--trials", "9000", "--workers", "2",
-         "--out", str(out)],
-        env=child_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == EXIT_WORKER
-    lines = error_lines(proc.stderr)
-    assert len(lines) == 1 and lines[0].startswith("worker error: ")
-    assert_left_as_before(out)
+    assert_a_dead_worker_exits_4(tmp_path, [_DYING_WORKER])
+
+
+# a goodput run after set_start_method(method), the method given first, whose draw of chunk 1
+# kills the pool worker making it. _cascade is patched, not _chunk_partials: a spawned worker
+# cannot unpickle a function of __main__, so that patch breaks the pool under every method.
+_DYING_DRAW = """
+import multiprocessing, os, sys
+from riscplane import cli, metrics
+multiprocessing.set_start_method(sys.argv.pop(1))
+cascade = metrics._cascade
+
+def dying(seed, chunk_index, *args):
+    if chunk_index == 1:
+        os._exit(9)
+    return cascade(seed, chunk_index, *args)
+
+metrics._cascade = dying
+metrics._available_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the pool does not fork here, so its workers miss the patch")
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pool_workers_fork_whatever_the_start_method(tmp_path, method):
+    # a worker that imported the package again would draw chunk 1 unpatched, and the run exit 0
+    assert_a_dead_worker_exits_4(tmp_path, [_DYING_DRAW, method])
 
 
 # a goodput run of three chunks on two pool workers: chunk 0 sleeps in one worker while the
 # other computes chunks 1 and 2, leaves a file named after each in the directory given first,
 # and then waits idle for work
 _IDLE_WORKER = """
-import multiprocessing, os, signal, sys, time
+import os, signal, sys, time
 signal.signal(signal.SIGINT, signal.default_int_handler)
 from riscplane import cli, metrics
-multiprocessing.set_start_method("fork")
 chunk_partials = metrics._chunk_partials
 marks = sys.argv.pop(1)
 
@@ -384,9 +436,8 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "killpg")
-                    or "fork" not in multiprocessing.get_all_start_methods(),
-                    reason="needs process groups and the fork start method")
+@pytest.mark.skipif(not hasattr(os, "killpg") or sys.platform != "linux",
+                    reason="needs process groups, and the pool does not fork here")
 def test_sigint_with_an_idle_pool_worker_exits_130_with_one_line(tmp_path):
     marks, out = tmp_path / "marks", tmp_path / "out" / "g.csv"
     marks.mkdir()
@@ -406,11 +457,11 @@ def test_sigint_with_an_idle_pool_worker_exits_130_with_one_line(tmp_path):
 # sends it, right after the pool has started its first worker and before the rest of the
 # pool (the other worker, the manager thread) is up
 _INTERRUPTED_POOL_START = """
-import multiprocessing, os, signal, sys
+import faulthandler, os, signal, sys
 from multiprocessing import process
+faulthandler.register(signal.SIGUSR1, all_threads=True)
 signal.signal(signal.SIGINT, signal.default_int_handler)
 from riscplane import cli, metrics
-multiprocessing.set_start_method("fork")
 start, started = process.BaseProcess.start, []
 
 def start_then_interrupt(self):
@@ -425,9 +476,8 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "killpg")
-                    or "fork" not in multiprocessing.get_all_start_methods(),
-                    reason="needs process groups and the fork start method")
+@pytest.mark.skipif(not hasattr(os, "killpg") or sys.platform != "linux",
+                    reason="needs process groups, and the pool does not fork here")
 def test_sigint_while_the_pool_starts_exits_130_with_one_line(tmp_path):
     out = tmp_path / "g.csv"
     out.write_bytes(EARLIER)
@@ -436,7 +486,7 @@ def test_sigint_while_the_pool_starts_exits_130_with_one_line(tmp_path):
          "--workers", "2", "--out", str(out)],
         env=child_env(), stderr=subprocess.PIPE, text=True, start_new_session=True)
     try:
-        _, stderr = proc.communicate(timeout=20)    # a run that hangs fails here
+        stderr = stderr_on_exit(proc, 20)   # a run that hangs fails here
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
@@ -1075,6 +1125,22 @@ def test_reliability_threshold_needs_a_regular_out(tmp_path, capsys, monkeypatch
         assert not summary.exists()
     # without --threshold a device takes the CSV
     assert run_cli(["reliability", "--out", os.devnull], capsys) == EXIT_OK
+
+
+@pytest.mark.parametrize("link, target", [("r_thresholds.csv", "r.csv"),
+                                          ("r.csv", "r_thresholds.csv")])
+def test_reliability_threshold_refuses_a_thresholds_file_that_is_out(tmp_path, capsys,
+                                                                     monkeypatch, link, target):
+    # both outputs would replace one file, and the last replace would win
+    monkeypatch.chdir(tmp_path)
+    Path(target).write_bytes(EARLIER)
+    os.symlink(target, link)
+    assert main(["reliability", "--threshold", "0.99", "--out", "r.csv"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: threshold: 'r_thresholds.csv' is --out's file 'r.csv'\n"
+    assert Path(target).read_bytes() == EARLIER
+    assert os.readlink(link) == target
+    assert sorted(os.listdir(tmp_path)) == ["r.csv", "r_thresholds.csv"]
 
 
 def test_reliability_opens_the_thresholds_file_before_the_grid(tmp_path, capsys, monkeypatch):
