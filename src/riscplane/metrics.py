@@ -355,17 +355,46 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pooled_partials(pool, chunk, pending: deque, n_chunks: int):
-    """Chunk partials from pool in chunk order, after the first chunks' pending futures.
+def _pooled_partials(chunk, n_chunks: int, workers: int) -> Iterator[np.ndarray]:
+    """chunk(c) for c in range(n_chunks), in chunk order: the package's one chunk loop.
 
-    Each read is followed by one submit, so at most len(pending) chunks are submitted and
-    unread: Executor.map would submit every chunk up front, holding memory for each.
+    The chunks run in this process when min(workers, n_chunks, available CPUs) is at most 1,
+    else on a pool of that many processes. Its workers fork on Linux, whatever the default or
+    a caller's set_start_method (the benchmark's path and most pool tests': workers start
+    with the package imported and SIGINT held), and spawn elsewhere, the one method macOS and
+    Windows both have safely. Workers ignore SIGINT, the calling process's to handle: an idle
+    worker would print a traceback. This thread holds SIGINT while the first submits start the
+    workers and the manager thread: a Ctrl-C among them could leave a forked worker that
+    nothing stops or a thread that shutdown cannot join. Each later read is followed by one
+    submit, so at most 2 chunks per process are unread (Executor.map would submit them all). On
+    an exception, or once the caller drops it, unstarted chunks are cancelled; running ones end.
     """
-    for chunk_index in range(len(pending), n_chunks):
-        yield pending.popleft().result()
-        pending.append(pool.submit(chunk, chunk_index))
-    while pending:
-        yield pending.popleft().result()
+    pool_size = min(workers, n_chunks, _available_cpus())
+    if pool_size <= 1:
+        yield from map(chunk, range(n_chunks))
+        return
+    # imported here: the pool's modules are a sizeable part of the CLI's start-up
+    import multiprocessing
+    import signal
+    import sys
+    from concurrent.futures import ProcessPoolExecutor
+    mask = getattr(signal, "pthread_sigmask", lambda how, signals: set())
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
+    pool = ProcessPoolExecutor(pool_size, mp_context=context, initializer=signal.signal,
+                               initargs=(signal.SIGINT, signal.SIG_IGN))
+    try:
+        unblocked = mask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            pending = deque(pool.submit(chunk, c) for c in range(min(2 * pool_size, n_chunks)))
+        finally:
+            mask(signal.SIG_SETMASK, unblocked)     # a held Ctrl-C is raised here
+        for chunk_index in range(len(pending), n_chunks):
+            yield pending.popleft().result()
+            pending.append(pool.submit(chunk, chunk_index))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]]) -> np.ndarray:
@@ -377,9 +406,9 @@ def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]])
     each scheme kernel runs at most once per chunk and each distinct payload row of a kernel
     and evaluation cost is summed once per chunk, so a curve is exactly what a batch of its
     spec alone gives. The run derives its row plan and, with a sweeping spec, its codebook
-    matrix once, in the calling process, and every chunk task carries both. With cfg.workers
-    > 1 the chunks run on one process pool of at most min(workers, chunks, available CPUs)
-    processes. cfg was validated, and its frames' TTIs derived, when it was built. Empty or
+    matrix once, in the calling process, and every chunk task carries both. The chunks
+    come from _pooled_partials, on one process pool of at most min(workers, chunks, available
+    CPUs) processes. cfg was validated, and its frames' TTIs derived, when it was built. Empty or
     repeated specs, specs that are not (Scheme, ControlMode) pairs and a cfg over the memory
     budget (field config) raise InvalidParameterError before anything is allocated.
     """
@@ -416,37 +445,7 @@ def goodput_columns(cfg: RunConfig, specs: Sequence[tuple[Scheme, ControlMode]])
     # partials are summed in place in chunk order: the same bits whatever the number of processes
     n_trials = cfg.n_trials
     n_chunks = math.ceil(n_trials / CHUNK_TRIALS)
-    pool_size = min(cfg.workers, n_chunks, _available_cpus())
-    if pool_size <= 1:
-        sums = reduce(operator.iadd, map(chunk, range(n_chunks)))
-    else:
-        # imported here: the pool's modules are a sizeable part of the CLI's start-up
-        import multiprocessing
-        import signal
-        import sys
-        from concurrent.futures import ProcessPoolExecutor
-        # The start method comes from the platform alone, not from the interpreter's default
-        # or a caller's set_start_method: on Linux fork, the path every pool test and the
-        # benchmark run, whose workers start with the package imported and SIGINT held;
-        # elsewhere spawn, the one method macOS and Windows both have safely.
-        # Workers ignore SIGINT, the calling process's to handle: an idle worker would print a
-        # traceback. The first submits start the workers and the manager thread; this thread
-        # holds SIGINT until they return, since a Ctrl-C among them could leave a forked worker
-        # that nothing stops or a thread that shutdown cannot join. On any exception the chunks
-        # not yet started are cancelled, and the running ones finish.
-        mask = getattr(signal, "pthread_sigmask", lambda how, signals: set())
-        context = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
-        pool = ProcessPoolExecutor(pool_size, mp_context=context, initializer=signal.signal,
-                                   initargs=(signal.SIGINT, signal.SIG_IGN))
-        try:
-            unblocked = mask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                pending = deque(pool.submit(chunk, c) for c in range(min(2 * pool_size, n_chunks)))
-            finally:
-                mask(signal.SIG_SETMASK, unblocked)     # a held Ctrl-C is raised here
-            sums = reduce(operator.iadd, _pooled_partials(pool, chunk, pending, n_chunks))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    sums = reduce(operator.iadd, _pooled_partials(chunk, n_chunks, cfg.workers))
 
     # Elementwise, in the operand order of the scalar formulas, so every value has their bits.
     sum_rsp, sum_rsp2, sum_success, sum_oh = np.moveaxis(sums, 2, 0)

@@ -312,9 +312,10 @@ def stderr_on_exit(proc, timeout: float) -> str:
         pytest.fail(f"the run did not exit within {timeout} s; its stderr:\n{stderr}")
 
 
-def interrupted(argv, ready, settle: float) -> tuple[int, str]:
+def interrupted(argv, ready, settle: float, send=None) -> tuple[int, str]:
     """Exit code and stderr of a child argv whose process group gets SIGINT, as a terminal's
-    Ctrl-C sends it, settle seconds after ready() first holds (or after 60 s)."""
+    Ctrl-C sends it, settle seconds after ready() first holds (or after 60 s); send(proc),
+    when given, acts on the child in place of that SIGINT."""
     proc = subprocess.Popen([sys.executable, *argv], env=child_env(), stderr=subprocess.PIPE,
                             text=True, start_new_session=True)
     try:
@@ -322,7 +323,10 @@ def interrupted(argv, ready, settle: float) -> tuple[int, str]:
         while not ready() and time.monotonic() < deadline:
             time.sleep(0.05)
         time.sleep(settle)
-        os.killpg(proc.pid, signal.SIGINT)
+        if send is None:
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            send(proc)
         stderr = stderr_on_exit(proc, 60)
     finally:
         if proc.poll() is None:
@@ -494,6 +498,84 @@ def test_sigint_while_the_pool_starts_exits_130_with_one_line(tmp_path):
     assert proc.returncode == EXIT_INTERRUPTED
     assert error_lines(stderr) == ["interrupted"]
     assert_left_as_before(out)
+
+
+# a goodput run through cli.main whose pool spawns its workers, as it does off Linux:
+# multiprocessing.get_context returns spawn whatever it is asked for. It runs from -c, since
+# spawn re-imports a script's unguarded main. Once multiprocessing.active_children() lists
+# both workers, a thread leaves a file named after each one's pid, holding its process type,
+# in the directory given first. SIGUSR1 prints every thread's traceback.
+_SPAWNING = """
+import faulthandler, multiprocessing, os, signal, sys, threading, time
+faulthandler.register(signal.SIGUSR1, all_threads=True)
+signal.signal(signal.SIGINT, signal.default_int_handler)
+from riscplane import cli, metrics
+get_context = multiprocessing.get_context
+multiprocessing.get_context = lambda method=None: get_context("spawn")
+metrics._available_cpus = lambda: 2
+marks = sys.argv.pop(1)
+
+def mark_workers():
+    while len(workers := multiprocessing.active_children()) < 2:
+        time.sleep(0.02)
+    for worker in workers:
+        with open(os.path.join(marks, str(worker.pid)), "w") as mark:
+            mark.write(type(worker).__name__)
+
+threading.Thread(target=mark_workers, daemon=True).start()
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+_FINE_GRID = Path(__file__).resolve().parents[1] / "perfbench/workloads/goodput-fine-grid.cfg"
+
+
+@pytest.mark.parametrize("config", [[], ["--config", str(_FINE_GRID)]],
+                         ids=["defaults", "fine-grid"])
+def test_spawned_pool_writes_the_one_process_bytes(tmp_path, capsys, config):
+    argv = ["goodput", *config, "--trials", "9000"]        # three chunks
+    assert run_cli(argv + ["--workers", "1", "--out", str(tmp_path / "one.csv")], capsys) == 0
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPAWNING, str(marks), *argv, "--workers", "2",
+         "--out", str(tmp_path / "pool.csv")],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert [(marks / pid).read_text() for pid in os.listdir(marks)] == ["SpawnProcess"] * 2
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def spawned_and_signalled(tmp_path, send) -> tuple[int, str]:
+    """Exit code and stderr of a long goodput run on two spawned pool workers, where send(proc,
+    worker_pids) acts on the child 0.5 s after both workers are listed; the earlier output
+    is left as it was."""
+    marks, out = tmp_path / "marks", tmp_path / "out" / "g.csv"
+    marks.mkdir()
+    out.parent.mkdir()
+    out.write_bytes(EARLIER)
+    code, stderr = interrupted(
+        ["-c", _SPAWNING, str(marks), "goodput", "--trials", str(10 ** 8), "--workers", "2",
+         "--out", str(out)], lambda: len(os.listdir(marks)) == 2, settle=0.5,
+        send=lambda proc: send(proc, [int(pid) for pid in os.listdir(marks)]))
+    assert_left_as_before(out)
+    return code, stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+def test_sigint_with_spawned_workers_exits_130_with_one_line(tmp_path):
+    code, stderr = spawned_and_signalled(
+        tmp_path, lambda proc, workers: os.killpg(proc.pid, signal.SIGINT))
+    assert code == EXIT_INTERRUPTED
+    assert error_lines(stderr) == ["interrupted"]
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+def test_a_killed_spawned_worker_exits_4_with_one_line(tmp_path):
+    code, stderr = spawned_and_signalled(
+        tmp_path, lambda proc, workers: os.kill(workers[0], signal.SIGKILL))
+    assert code == EXIT_WORKER
+    lines = error_lines(stderr)
+    assert len(lines) == 1 and lines[0].startswith("worker error: ")
 
 
 # a run through cli.main whose files may not grow past 64 KiB, failing a write with

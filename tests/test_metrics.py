@@ -5,10 +5,11 @@ import operator
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from riscplane.metrics import (
     _INV_SQRT2,
     _bsw_outcomes,
     _cascade,
+    _chunk_partials,
     _codebook_matrix,
     _oce_outcomes,
     _phase_table,
@@ -633,6 +635,30 @@ def test_pool_keeps_a_bounded_number_of_chunks_in_flight(monkeypatch):
     assert len(in_flight) == 100                  # one submit per chunk
     assert max(in_flight) == 4                    # two chunks per process
     assert pooled == goodput_curves(cfg, specs)
+
+
+def _chunk_0_last(finished, cfg, plan, entries, chunk_index):
+    """_chunk_partials, with chunk 0 sleeping 0.3 s first; each chunk then appends its index to
+    the file finished. A module function, so a pool task can carry it."""
+    if chunk_index == 0:
+        time.sleep(0.3)
+    partials = _chunk_partials(cfg, plan, entries, chunk_index)
+    with open(finished, "a") as done:
+        done.write(f"{chunk_index}\n")
+    return partials
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the pool does not fork here, and a spawned start blurs the order")
+def test_partials_are_summed_in_chunk_order_whatever_order_they_finish_in(tmp_path, monkeypatch):
+    cfg = RunConfig(n_trials=9000)                  # three chunks
+    specs = [(scheme, mode) for scheme in Scheme for mode in ControlMode]
+    serial = goodput_columns(cfg, specs)
+    monkeypatch.setattr(metrics, "_chunk_partials", partial(_chunk_0_last, tmp_path / "finished"))
+    monkeypatch.setattr(metrics, "_available_cpus", lambda: 2)
+    pooled = goodput_columns(replace(cfg, workers=2), specs)
+    assert (tmp_path / "finished").read_text().split() == ["1", "2", "0"]
+    assert pooled.tobytes() == serial.tobytes()
 
 
 def counting_scratch(monkeypatch) -> list:
